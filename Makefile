@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
+.PHONY: all build test race vet fmt lint-metrics check verify e2e-test conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
 
 all: build
 
@@ -38,7 +38,15 @@ check: vet fmt lint-metrics test race
 # verify is the CI gate (see .github/workflows/verify.yml): the same
 # stages as check plus the registry conformance matrix, named separately
 # so CI and local habits can diverge later without repurposing either.
-verify: vet fmt lint-metrics test race conformance
+verify: vet fmt lint-metrics test race conformance e2e-test
+
+# e2e-test runs the end-to-end benchmark's own tests. cmd/e2ebench is a
+# separate module (it reaches the repository's packages through a replace
+# directive), so the root `go test ./...` never compiles it; this target
+# catches a change to the registry, the rs engine's span names or
+# obs.Observable that would break the benchmark.
+e2e-test:
+	cd cmd/e2ebench && $(GO) test ./...
 
 # conformance runs the registry-driven matrices explicitly and verbosely:
 # the codetest battery and the full shard round-trip for every registered

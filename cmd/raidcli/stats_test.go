@@ -106,3 +106,29 @@ func TestStatsFlag(t *testing.T) {
 		t.Errorf("stats printed without -stats:\n%s", out)
 	}
 }
+
+// TestStatsPipelineUnits pins the pool span's denominator: pipeline.encode
+// bills parity elements (stripes × M × W), so its xors/unit reads the same
+// k-1 bound as the code's own encode span rather than XORs per stripe.
+func TestStatsPipelineUnits(t *testing.T) {
+	dir := t.TempDir()
+	blob := filepath.Join(dir, "data.bin")
+	payload := make([]byte, 50000)
+	rand.New(rand.NewSource(5)).Read(payload)
+	if err := os.WriteFile(blob, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, func() error {
+		return run("encode", []string{"-k", "8", "-p", "11", "-elem", "64", "-workers", "2",
+			"-out", dir, "-stats", blob})
+	})
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "pipeline.encode ") {
+			if !strings.Contains(line, "xors/unit=7.000") {
+				t.Errorf("pipeline.encode line does not read xors/unit=7.000 for k=8, p=11:\n%s", line)
+			}
+			return
+		}
+	}
+	t.Errorf("no pipeline.encode line in -stats output:\n%s", out)
+}

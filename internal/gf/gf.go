@@ -1,10 +1,14 @@
 // Package gf implements arithmetic in the finite field GF(2^8) with the
 // primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d) — the same field
 // the Linux RAID-6 driver and Jerasure's Reed-Solomon path use. It is the
-// substrate for the Reed-Solomon P+Q baseline (package rs), which the
-// paper's introduction cites as the conventional, finite-field-arithmetic
-// RAID-6 solution that the XOR-based array codes outperform.
+// substrate for the single Reed-Solomon engine (package rs, both its P+Q
+// and its m-parity rows), the conventional finite-field-arithmetic RAID-6
+// solution the paper's introduction contrasts the XOR-based array codes
+// with. The slice kernels send coefficient 1 to the word-wide XOR kernels
+// of package xorblk, so an all-ones parity row costs no table lookups.
 package gf
+
+import "repro/internal/xorblk"
 
 // Poly is the primitive polynomial used for GF(2^8), in binary
 // representation (x^8 + x^4 + x^3 + x^2 + 1).
@@ -109,9 +113,7 @@ func MulXorSlice(dst, src []byte, c byte) {
 	switch c {
 	case 0:
 	case 1:
-		for i, v := range src {
-			dst[i] ^= v
-		}
+		xorblk.XorInto(dst, src)
 	default:
 		lc := int(logTable[c])
 		for i, v := range src {
@@ -119,21 +121,5 @@ func MulXorSlice(dst, src []byte, c byte) {
 				dst[i] ^= expTable[lc+int(logTable[v])]
 			}
 		}
-	}
-}
-
-// Mul2Slice sets dst[i] = 2 * src[i], the Horner step of the RAID-6 Q
-// computation. It is written without table lookups, mirroring the
-// SIMD-friendly formulation the Linux kernel uses.
-func Mul2Slice(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("gf: length mismatch")
-	}
-	for i, v := range src {
-		d := v << 1
-		if v&0x80 != 0 {
-			d ^= byte(Poly & 0xff)
-		}
-		dst[i] = d
 	}
 }

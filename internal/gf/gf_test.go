@@ -70,20 +70,6 @@ func TestLogExpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMul2SliceMatchesMul(t *testing.T) {
-	src := make([]byte, 256)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	dst := make([]byte, 256)
-	Mul2Slice(dst, src)
-	for i := range src {
-		if dst[i] != Mul(src[i], 2) {
-			t.Fatalf("Mul2Slice(%d) = %d, want %d", src[i], dst[i], Mul(src[i], 2))
-		}
-	}
-}
-
 func TestMulSliceVariants(t *testing.T) {
 	src := []byte{0, 1, 2, 3, 0x80, 0xff, 0x1d, 77}
 	for c := 0; c < 256; c++ {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -31,14 +32,14 @@ func TestContextCancellation(t *testing.T) {
 	// Cancel after the first few stripes encode: the fn itself trips
 	// the cancellation, so workers observe a dead context mid-queue.
 	cctx, cancel := context.WithCancel(ctx)
-	done := 0
+	var done atomic.Int64 // shared by both workers
 	wrapped := func(s *core.Stripe, o *core.Ops) error {
-		if done++; done >= 3 {
+		if done.Add(1) >= 3 {
 			cancel()
 		}
 		return code.Encode(s, o)
 	}
-	rep, err := forEach("pipeline.encode", stripes, Config{
+	rep, err := forEach("pipeline.encode", stripes, 1, Config{
 		Workers: 2, Registry: reg, Context: cctx,
 	}, nil, wrapped)
 	root.End(err)
@@ -94,7 +95,7 @@ func TestContextCancellationSerial(t *testing.T) {
 		}
 		return code.Encode(s, o)
 	}
-	rep, err := forEach("pipeline.encode", stripes, Config{Workers: 1, Context: ctx}, nil, fn)
+	rep, err := forEach("pipeline.encode", stripes, 1, Config{Workers: 1, Context: ctx}, nil, fn)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -29,7 +29,7 @@ func TestCancellationStopsWork(t *testing.T) {
 	var calls atomic.Int64
 	errSeen := make(chan struct{})
 	boom := errors.New("boom")
-	rep, err := forEach("pipeline.encode", stripes, Config{Workers: workers}, nil,
+	rep, err := forEach("pipeline.encode", stripes, 1, Config{Workers: workers}, nil,
 		func(s *core.Stripe, o *core.Ops) error {
 			calls.Add(1)
 			if s == stripes[0] {
@@ -171,8 +171,13 @@ func TestPipelineObsSpans(t *testing.T) {
 	if st.XORs != ops.XORs {
 		t.Errorf("span XORs %d != ops %d", st.XORs, ops.XORs)
 	}
-	if st.Units != uint64(rounds*n) {
-		t.Errorf("span units %d, want %d stripes", st.Units, rounds*n)
+	// Units are parity elements (M×W per stripe), so xors/unit is the
+	// code's per-element encode cost: exactly k-1 for liberation.
+	if want := uint64(rounds * n * code.M() * code.W()); st.Units != want {
+		t.Errorf("span units %d, want %d parity elements", st.Units, want)
+	}
+	if st.XORsPerUnit != float64(code.K()-1) {
+		t.Errorf("span xors/unit = %v, want k-1 = %d", st.XORsPerUnit, code.K()-1)
 	}
 	if _, ok := snap.Histograms["pipeline.encode.queue_wait.seconds"]; !ok {
 		t.Error("queue-wait histogram missing")

@@ -27,7 +27,10 @@ type Config struct {
 	Workers int
 	// Registry, when non-nil, receives a span per bulk call
 	// (pipeline.encode / pipeline.decode) plus queue-wait and
-	// stripes-per-worker histograms.
+	// stripes-per-worker histograms. The span's units are the elements
+	// the call produced — M×W per encoded stripe, len(erased)×W per
+	// decoded one — so its xors/unit is comparable to the code's own
+	// per-element figures.
 	Registry *obs.Registry
 	// Context cancels the bulk operation between stripes: the producer
 	// stops feeding, each worker drains the queue without processing,
@@ -86,7 +89,8 @@ func EncodeAll(code core.Code, stripes []*core.Stripe, ops *core.Ops, cfg Config
 
 // EncodeAllReport is EncodeAll plus the pool's execution Report.
 func EncodeAllReport(code core.Code, stripes []*core.Stripe, ops *core.Ops, cfg Config) (Report, error) {
-	return forEach("pipeline.encode", stripes, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
+	units := code.M() * code.W()
+	return forEach("pipeline.encode", stripes, units, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
 		return code.Encode(s, o)
 	})
 }
@@ -100,17 +104,18 @@ func DecodeAll(code core.Code, stripes []*core.Stripe, erased []int, ops *core.O
 
 // DecodeAllReport is DecodeAll plus the pool's execution Report.
 func DecodeAllReport(code core.Code, stripes []*core.Stripe, erased []int, ops *core.Ops, cfg Config) (Report, error) {
-	return forEach("pipeline.decode", stripes, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
+	units := len(erased) * code.W()
+	return forEach("pipeline.decode", stripes, units, cfg, ops, func(s *core.Stripe, o *core.Ops) error {
 		return code.Decode(s, erased, o)
 	})
 }
 
-// forEach fans the stripes out over the worker pool. Each worker keeps a
-// private Ops and the totals are merged at the end, so counting adds no
-// contention. The first error cancels the remaining work: the producer
+// forEach fans the stripes out over the worker pool; units is the span
+// units billed per processed stripe. Each worker keeps a private Ops and
+// the totals are merged at the end, so counting adds no contention. The first error cancels the remaining work: the producer
 // stops feeding and every worker skips (but keeps draining) whatever is
 // already queued, so no stripe begins processing after the error.
-func forEach(name string, stripes []*core.Stripe, cfg Config, ops *core.Ops,
+func forEach(name string, stripes []*core.Stripe, units int, cfg Config, ops *core.Ops,
 	fn func(*core.Stripe, *core.Ops) error) (Report, error) {
 	n := cfg.workers()
 	if n > len(stripes) {
@@ -128,7 +133,7 @@ func forEach(name string, stripes []*core.Stripe, cfg Config, ops *core.Ops,
 			work <- s
 		}
 	}
-	return runPool(name, n, cfg, ops, feed, fn)
+	return runPool(name, n, units, cfg, ops, feed, fn)
 }
 
 // runPool runs n workers over the stripes produced by feed, which sends
@@ -136,7 +141,7 @@ func forEach(name string, stripes []*core.Stripe, cfg Config, ops *core.Ops,
 // then returns; runPool closes the channel. Worker idle time is split
 // into QueueWait (waits that ended with a stripe) and ShutdownWait (each
 // worker's final wait, ended by the channel closing).
-func runPool(name string, n int, cfg Config, ops *core.Ops,
+func runPool(name string, n, units int, cfg Config, ops *core.Ops,
 	feed func(chan<- *core.Stripe, *atomic.Bool),
 	fn func(*core.Stripe, *core.Ops) error) (Report, error) {
 	start := time.Now()
@@ -158,7 +163,7 @@ func runPool(name string, n int, cfg Config, ops *core.Ops,
 		}
 		rep.Elapsed = time.Since(start)
 		ops.Add(total)
-		sp.Bytes(bytes).Units(rep.Stripes).Ops(total).End(err)
+		sp.Bytes(bytes).Units(rep.Stripes * units).Ops(total).End(err)
 		if cfg.Registry != nil {
 			cfg.Registry.Observe(name+".queue_wait.seconds", obs.LatencyBuckets,
 				rep.QueueWait.Seconds())

@@ -128,7 +128,7 @@ func TestQueueWaitVsShutdownWait(t *testing.T) {
 
 	// Producer tail after the last send: workers sit in their final wait
 	// until the feed returns and the queue closes.
-	rep, err := runPool("pipeline.encode", 2, Config{}, nil,
+	rep, err := runPool("pipeline.encode", 2, 1, Config{}, nil,
 		func(work chan<- *core.Stripe, stop *atomic.Bool) {
 			work <- core.NewStripe(3, 3, 8)
 			work <- core.NewStripe(3, 3, 8)
@@ -150,7 +150,7 @@ func TestQueueWaitVsShutdownWait(t *testing.T) {
 
 	// Slow producer between stripes: that wait ends with a received
 	// stripe, so it is queue wait, not shutdown wait.
-	rep, err = runPool("pipeline.encode", 1, Config{}, nil,
+	rep, err = runPool("pipeline.encode", 1, 1, Config{}, nil,
 		func(work chan<- *core.Stripe, stop *atomic.Bool) {
 			work <- core.NewStripe(3, 3, 8)
 			time.Sleep(tail)

@@ -86,6 +86,6 @@ func EncodeSharded(code core.Code, s *core.Stripe, ops *core.Ops, cfg Config) (R
 	rep.Stripes = 1
 	rep.Elapsed = time.Since(start)
 	ops.Add(total)
-	sp.Bytes(s.DataSize()).Units(n).Ops(total).End(err)
+	sp.Bytes(s.DataSize()).Units(code.M() * code.W()).Ops(total).End(err)
 	return rep, err
 }

@@ -1,202 +1,249 @@
-// Package rs implements the conventional Reed-Solomon P+Q RAID-6 scheme
-// over GF(2^8) — the Linux-RAID-6 style baseline the paper's introduction
-// contrasts the XOR-based array codes with. Each strip is a single element
-// (W = 1):
+// Package rs implements Reed-Solomon codes over GF(2^8): the
+// conventional finite-field RAID-6 baseline the paper's introduction
+// contrasts the XOR-based array codes with, and its generalization to m
+// parities. Each strip is a single element (W = 1).
+//
+// One engine, MCode, serves both. A code is its m×k parity matrix: parity
+// i is the data vector dotted with row i. New builds the Linux-RAID-6 P+Q
+// rows,
 //
 //	P = XOR_j D_j
 //	Q = XOR_j g^j * D_j        (g = 2, the field generator)
 //
-// Unlike the array codes it tolerates any two erasures with k up to 255,
-// at the cost of finite-field multiplications on the Q path.
+// which tolerate any two erasures for k up to 255; NewM builds the rows of
+// a systematic Vandermonde generator, MDS for any m with k+m <= 256.
+// Coefficient-1 terms (all of P) run as plain word XORs.
 package rs
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/obs"
 )
 
-// Code is a Reed-Solomon P+Q RAID-6 instance with k data strips.
-type Code struct {
-	k int
+// MCode is a Reed-Solomon code with k data strips and m parity strips
+// over GF(2^8), tolerating any m erasures.
+type MCode struct {
+	k, m   int
+	name   string
+	parity [][]byte // m×k parity submatrix of the systematic generator
 
 	obs *obs.Registry // optional metrics sink (see Instrument)
 }
 
-// New returns the RS P+Q code for k data strips (1 <= k <= 255).
-func New(k int) (*Code, error) {
+// New returns the RS P+Q code for k data strips (1 <= k <= 255): parity
+// rows [1 ... 1] and [g^0 ... g^(k-1)]. Every 2×2 minor of the generator
+// is nonzero because the g^j are distinct, so the code is MDS.
+func New(k int) (*MCode, error) {
 	if k < 1 || k > 255 {
 		return nil, fmt.Errorf("%w: need 1 <= k <= 255, got k=%d", core.ErrParams, k)
 	}
-	return &Code{k: k}, nil
+	p, q := make([]byte, k), make([]byte, k)
+	for j := range p {
+		p[j], q[j] = 1, gf.Exp(j)
+	}
+	return &MCode{k: k, m: 2, name: fmt.Sprintf("rs(k=%d)", k), parity: [][]byte{p, q}}, nil
 }
 
-func (c *Code) Name() string { return fmt.Sprintf("rs(k=%d)", c.k) }
-func (c *Code) K() int       { return c.k }
+// NewM returns the generalized RS code with k data strips and m parities
+// (k >= 1, m >= 1, k+m <= 256).
+func NewM(k, m int) (*MCode, error) {
+	if k < 1 || m < 1 || k+m > 256 {
+		return nil, fmt.Errorf("%w: need k >= 1, m >= 1, k+m <= 256, got k=%d m=%d",
+			core.ErrParams, k, m)
+	}
+	parity, err := gf.RSParityMatrix(k, m)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", core.ErrParams, err)
+	}
+	return &MCode{k: k, m: m, name: fmt.Sprintf("rs(k=%d,m=%d)", k, m), parity: parity}, nil
+}
 
-// M returns 2: the classic P+Q code has two parities (see NewM for the
-// generalized multi-parity construction).
-func (c *Code) M() int { return 2 }
+func (c *MCode) Name() string { return c.name }
+func (c *MCode) K() int       { return c.k }
+
+// M returns the parity count the code was built with.
+func (c *MCode) M() int { return c.m }
 
 // W returns 1: RS strips are single elements.
-func (c *Code) W() int { return 1 }
+func (c *MCode) W() int { return 1 }
 
-// Encode computes P and Q. Q uses the Horner scheme
-// Q = ((D_{k-1} * g + D_{k-2}) * g + ...) so that the hot loop is one
-// doubling plus one XOR per data strip, as in the Linux implementation.
-func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rs.encode", s.DataSize(), 2, ops,
+// Instrument attaches a metrics registry: every Encode and Decode then
+// records an rsm.encode / rsm.decode span. A nil registry detaches.
+// (GF(2^8) multiplications are not element XORs and are not counted in
+// Ops; the XOR half of each multiply-accumulate is.)
+func (c *MCode) Instrument(reg *obs.Registry) { c.obs = reg }
+
+// Registry returns the attached metrics registry (nil when detached).
+func (c *MCode) Registry() *obs.Registry { return c.obs }
+
+// Encode computes the m parity strips: parity i is the data vector dotted
+// with row i of the parity matrix.
+func (c *MCode) Encode(s *core.Stripe, ops *core.Ops) error {
+	return obs.Observed(c.obs, "rsm.encode", s.DataSize(), c.m, ops,
 		func(o *core.Ops) error { return c.encode(s, o) })
 }
 
-func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
-	if err := s.CheckShape(c.k, 2, 1); err != nil {
+func (c *MCode) encode(s *core.Stripe, ops *core.Ops) error {
+	if err := s.CheckShape(c.k, c.m, 1); err != nil {
 		return err
 	}
-	k := c.k
-	pe, qe := s.Strips[k], s.Strips[k+1]
-	ops.Copy(pe, s.Strips[k-1])
-	ops.Copy(qe, s.Strips[k-1])
-	for j := k - 2; j >= 0; j-- {
-		ops.XorInto(pe, s.Strips[j])
-		gf.Mul2Slice(qe, qe)
-		ops.XorInto(qe, s.Strips[j])
+	for i := 0; i < c.m; i++ {
+		c.encodeParity(s, i, ops)
 	}
 	return nil
 }
 
-// Decode reconstructs up to two erased strips with the standard RAID-6
-// algebra: P syndromes for the XOR side, Q syndromes divided by the
-// appropriate powers of g for the Q side, and the two-data-failure case
-// solved from the 2x2 Vandermonde system.
-func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rs.decode", s.DataSize(), len(erased), ops,
+// encodeParity recomputes parity strip i (0 <= i < m) from the data. The
+// first term is a multiply-into (counted as a copy), each further term a
+// multiply-accumulate (its XOR half counted as one element XOR).
+func (c *MCode) encodeParity(s *core.Stripe, i int, ops *core.Ops) {
+	row, dst := c.parity[i], s.Strips[c.k+i]
+	gf.MulSlice(dst, s.Strips[0], row[0])
+	ops.Add(core.Ops{Copies: 1})
+	for j := 1; j < c.k; j++ {
+		gf.MulXorSlice(dst, s.Strips[j], row[j])
+		ops.Add(core.Ops{XORs: 1})
+	}
+}
+
+// Decode reconstructs up to m erased strips in syndrome form. With t data
+// strips lost, it takes the first t surviving parity rows, folds every
+// surviving data strip into those rows' syndromes — accumulated in the
+// lost strips' own buffers — and solves the t×t system over the lost
+// columns in place; lost parities are then re-encoded from the full data.
+// Any t surviving parity rows suffice: every square submatrix of an MDS
+// parity matrix is invertible.
+func (c *MCode) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
+	return obs.Observed(c.obs, "rsm.decode", s.DataSize(), len(erased), ops,
 		func(o *core.Ops) error { return c.decode(s, erased, o) })
 }
 
-func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	if err := s.CheckShape(c.k, 2, 1); err != nil {
+func (c *MCode) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
+	if err := s.CheckShape(c.k, c.m, 1); err != nil {
 		return err
 	}
 	k := c.k
-	switch len(erased) {
-	case 0:
-		return nil
-	case 1:
-		return c.decodeOne(s, erased[0], ops)
-	case 2:
-		a, b := erased[0], erased[1]
-		if a > b {
-			a, b = b, a
-		}
-		if a < 0 || b > k+1 {
+	lost := make([]int, 0, len(erased))
+	for _, e := range erased {
+		if e < 0 || e >= k+c.m {
 			return fmt.Errorf("%w: erased=%v", core.ErrParams, erased)
 		}
-		if a == b {
-			return c.decodeOne(s, a, ops)
+		if !contains(lost, e) {
+			lost = append(lost, e)
 		}
-		switch {
-		case a >= k: // P and Q
-			return c.encode(s, ops)
-		case b == k: // data + P: recover data from Q, then P
-			c.recoverViaQ(s, a, ops)
-			return c.encodeP(s, ops)
-		case b == k+1: // data + Q: recover data from P, then Q
-			c.recoverViaP(s, a, ops)
-			return c.encodeQ(s, ops)
-		default: // two data strips
-			return c.decodeTwoData(s, a, b, ops)
-		}
-	default:
+	}
+	if len(lost) > c.m {
 		return core.ErrTooManyErasures
 	}
-}
+	sort.Ints(lost)
+	t := sort.SearchInts(lost, k)
+	lostData, lostParity := lost[:t], lost[t:]
 
-func (c *Code) decodeOne(s *core.Stripe, e int, ops *core.Ops) error {
-	switch {
-	case e == c.k:
-		return c.encodeP(s, ops)
-	case e == c.k+1:
-		return c.encodeQ(s, ops)
-	case e >= 0 && e < c.k:
-		c.recoverViaP(s, e, ops)
-		return nil
-	default:
-		return fmt.Errorf("%w: erased=%d", core.ErrParams, e)
+	if t > 0 {
+		// Parity row rows[l] yields the syndrome accumulated in bufs[l];
+		// a[l] is that row restricted to the lost columns.
+		rows := make([]int, 0, t)
+		for i := 0; len(rows) < t; i++ {
+			if !contains(lostParity, k+i) {
+				rows = append(rows, i)
+			}
+		}
+		a, bufs := make([][]byte, t), make([][]byte, t)
+		for l, i := range rows {
+			bufs[l] = s.Strips[lostData[l]]
+			ops.Copy(bufs[l], s.Strips[k+i])
+			a[l] = make([]byte, t)
+			for x, d := range lostData {
+				a[l][x] = c.parity[i][d]
+			}
+		}
+		// Each surviving strip is folded into every syndrome while it is
+		// still in cache.
+		for j := 0; j < k; j++ {
+			if contains(lostData, j) {
+				continue
+			}
+			for l, i := range rows {
+				gf.MulXorSlice(bufs[l], s.Strips[j], c.parity[i][j])
+				ops.Add(core.Ops{XORs: 1})
+			}
+		}
+		if err := solve(a, bufs, ops); err != nil {
+			// Unreachable for an MDS parity matrix; surface it rather than
+			// writing garbage if the tables are ever miscomputed.
+			return fmt.Errorf("rs: syndrome system not invertible: %w", err)
+		}
 	}
-}
-
-func (c *Code) encodeP(s *core.Stripe, ops *core.Ops) error {
-	pe := s.Strips[c.k]
-	ops.Copy(pe, s.Strips[0])
-	for j := 1; j < c.k; j++ {
-		ops.XorInto(pe, s.Strips[j])
+	for _, e := range lostParity {
+		c.encodeParity(s, e-k, ops)
 	}
 	return nil
 }
 
-func (c *Code) encodeQ(s *core.Stripe, ops *core.Ops) error {
-	qe := s.Strips[c.k+1]
-	ops.Copy(qe, s.Strips[c.k-1])
-	for j := c.k - 2; j >= 0; j-- {
-		gf.Mul2Slice(qe, qe)
-		ops.XorInto(qe, s.Strips[j])
+// solve reduces the square system a·x = y by Gauss-Jordan elimination,
+// where y[i] is held in bufs[i]; on return bufs[i] holds x[i]. Every row
+// operation on a is mirrored onto the buffers, so no scratch strip is
+// needed. No row swap is ever required: each leading minor of a is itself
+// a square submatrix of the MDS parity matrix, hence nonsingular, so every
+// pivot is nonzero.
+func solve(a, bufs [][]byte, ops *core.Ops) error {
+	for col := range a {
+		if a[col][col] == 0 {
+			return gf.ErrSingular
+		}
+		if inv := gf.Inv(a[col][col]); inv != 1 {
+			for j := range a[col] {
+				a[col][j] = gf.Mul(a[col][j], inv)
+			}
+			gf.MulSlice(bufs[col], bufs[col], inv)
+		}
+		for r := range a {
+			if f := a[r][col]; r != col && f != 0 {
+				for j := range a[r] {
+					a[r][j] ^= gf.Mul(f, a[col][j])
+				}
+				gf.MulXorSlice(bufs[r], bufs[col], f)
+				ops.Add(core.Ops{XORs: 1})
+			}
+		}
 	}
 	return nil
 }
 
-func (c *Code) recoverViaP(s *core.Stripe, d int, ops *core.Ops) {
-	de := s.Strips[d]
-	ops.Copy(de, s.Strips[c.k])
-	for j := 0; j < c.k; j++ {
-		if j != d {
-			ops.XorInto(de, s.Strips[j])
+func contains(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
 		}
 	}
+	return false
 }
 
-// recoverViaQ rebuilds data strip d from Q alone:
-// D_d = (Q ^ XOR_{j!=d} g^j D_j) * g^{-d}.
-func (c *Code) recoverViaQ(s *core.Stripe, d int, ops *core.Ops) {
-	de := s.Strips[d]
-	ops.Copy(de, s.Strips[c.k+1])
-	for j := 0; j < c.k; j++ {
-		if j != d {
-			gf.MulXorSlice(de, s.Strips[j], gf.Exp(j))
-		}
+// Update patches all m parities after an in-place change of the data
+// element at (col, row): parity i absorbs parity[i][col] * delta.
+func (c *MCode) Update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
+	if err := s.CheckShape(c.k, c.m, 1); err != nil {
+		return 0, err
 	}
-	gf.MulSlice(de, de, gf.Inv(gf.Exp(d)))
-}
-
-// decodeTwoData solves the two-data-failure system
-//
-//	D_a ^ D_b                 = Psyn
-//	g^a * D_a ^ g^b * D_b     = Qsyn
-//
-// giving D_b = (Qsyn ^ g^a * Psyn) / (g^a ^ g^b) and D_a = Psyn ^ D_b.
-func (c *Code) decodeTwoData(s *core.Stripe, a, b int, ops *core.Ops) error {
-	k := c.k
-	n := s.ElemSize
-	psyn := make([]byte, n)
-	qsyn := make([]byte, n)
-	ops.Copy(psyn, s.Strips[k])
-	ops.Copy(qsyn, s.Strips[k+1])
-	for j := 0; j < k; j++ {
-		if j == a || j == b {
-			continue
-		}
-		ops.XorInto(psyn, s.Strips[j])
-		gf.MulXorSlice(qsyn, s.Strips[j], gf.Exp(j))
+	if col < 0 || col >= c.k || row != 0 {
+		return 0, fmt.Errorf("%w: update at (%d,%d)", core.ErrParams, col, row)
 	}
-	denom := gf.Inv(gf.Exp(a) ^ gf.Exp(b))
-	db := s.Strips[b]
-	gf.MulSlice(db, psyn, gf.Exp(a))
-	ops.XorInto(db, qsyn)
-	gf.MulSlice(db, db, denom)
-	da := s.Strips[a]
-	ops.Copy(da, psyn)
-	ops.XorInto(da, db)
-	return nil
+	cur := s.Strips[col]
+	if len(oldElem) != len(cur) {
+		return 0, fmt.Errorf("%w: old element is %d bytes, strip is %d",
+			core.ErrParams, len(oldElem), len(cur))
+	}
+	delta := make([]byte, len(cur))
+	for i := range delta {
+		delta[i] = oldElem[i] ^ cur[i]
+	}
+	for i := 0; i < c.m; i++ {
+		gf.MulXorSlice(s.Strips[c.k+i], delta, c.parity[i][col])
+		ops.Add(core.Ops{XORs: 1})
+	}
+	return c.m, nil
 }

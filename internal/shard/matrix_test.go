@@ -123,6 +123,74 @@ func TestManifestV1Fixture(t *testing.T) {
 	}
 
 	// Repair mutates the shard set, so run the whole cycle on a copy.
+	dir := copyFixture(t, fixture)
+	decodeAndCompare(t, dir, m, want)
+
+	manifest := filepath.Join(dir, ManifestName(m.FileName))
+	if err := os.Remove(filepath.Join(dir, m.ShardName(2))); err != nil {
+		t.Fatal(err)
+	}
+	decodeAndCompare(t, dir, m, want)
+	if repaired, err := Repair(manifest); err != nil || len(repaired) != 1 {
+		t.Fatalf("Repair(v1): %v, %v", repaired, err)
+	}
+	if err := Verify(manifest, Options{}); err != nil {
+		t.Fatalf("Verify(v1) after repair: %v", err)
+	}
+}
+
+// TestRSFixture decodes the committed Reed-Solomon P+Q shard set (written
+// by testdata/gen_rs) byte-identically — clean, with a data shard and P
+// gone, and with two data shards gone — then repairs the lost shards and
+// requires them to match the committed ones, so a change to how the rs
+// code computes or inverts its parities cannot silently orphan existing
+// sets.
+func TestRSFixture(t *testing.T) {
+	const fixture = "testdata/rs"
+	want, err := os.ReadFile(filepath.Join(fixture, "blob.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(filepath.Join(fixture, ManifestName("blob.bin")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Code != "rs" || m.K != 3 || m.M != 2 {
+		t.Fatalf("fixture manifest is code=%q k=%d m=%d, want rs 3 2", m.Code, m.K, m.M)
+	}
+	for _, lost := range [][]string{nil, {"d00", "p"}, {"d01", "d02"}} {
+		t.Run(fmt.Sprintf("lost=%v", lost), func(t *testing.T) {
+			dir := copyFixture(t, fixture)
+			for _, name := range lost {
+				if err := os.Remove(filepath.Join(dir, "blob.bin.shard."+name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			decodeAndCompare(t, dir, m, want)
+			if _, err := Repair(filepath.Join(dir, ManifestName(m.FileName))); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < m.NumShards(); i++ {
+				got, err := os.ReadFile(filepath.Join(dir, m.ShardName(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig, err := os.ReadFile(filepath.Join(fixture, m.ShardName(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, orig) {
+					t.Errorf("repaired shard %s differs from the committed one", m.ShardName(i))
+				}
+			}
+		})
+	}
+}
+
+// copyFixture copies a committed fixture directory into a fresh temp dir,
+// so tests that delete or repair shards never touch the checked-in set.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
 	dir := t.TempDir()
 	entries, err := os.ReadDir(fixture)
 	if err != nil {
@@ -137,19 +205,7 @@ func TestManifestV1Fixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decodeAndCompare(t, dir, m, want)
-
-	manifest := filepath.Join(dir, ManifestName(m.FileName))
-	if err := os.Remove(filepath.Join(dir, m.ShardName(2))); err != nil {
-		t.Fatal(err)
-	}
-	decodeAndCompare(t, dir, m, want)
-	if repaired, err := Repair(manifest); err != nil || len(repaired) != 1 {
-		t.Fatalf("Repair(v1): %v, %v", repaired, err)
-	}
-	if err := Verify(manifest, Options{}); err != nil {
-		t.Fatalf("Verify(v1) after repair: %v", err)
-	}
+	return dir
 }
 
 // TestManifestV2UnknownCode: a version 2 manifest naming a code nobody

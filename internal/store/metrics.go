@@ -10,16 +10,6 @@ import (
 //	store.io{op="read|write|open|create|sync"}        counter  calls
 //	store.io.bytes{op="read|write"}                   counter  bytes moved
 //
-// plus the legacy flat counters existing dashboards scrape:
-//
-//	store.bytes_read       counter  bytes actually returned by ReadAt
-//	store.bytes_written    counter  bytes actually accepted by WriteAt
-//	store.reads            counter  ReadAt calls
-//	store.writes           counter  WriteAt calls
-//	store.opens            counter  Open calls
-//	store.creates          counter  Create calls
-//	store.syncs            counter  Sync calls
-//
 // Partial transfers bill the partial count — the bytes moved, not the
 // bytes requested — so under the retry layer the counters reflect the
 // true I/O amplification of a flaky device, including every re-issued
@@ -33,34 +23,23 @@ func WithMetrics(base Store, reg *obs.Registry) Store {
 	return &meteredStore{base: base, reg: reg, ops: newOpMetrics(reg)}
 }
 
-// opMetrics holds the interned labeled children plus the legacy flat
-// counters, resolved once so the I/O path is a plain atomic add.
+// opMetrics holds the interned labeled children, resolved once so the
+// I/O path is a plain atomic add.
 type opMetrics struct {
-	opens, creates, syncs       *obs.Counter // store.io{op=...}
-	reads, writes               *obs.Counter
-	readBytes, writeBytes       *obs.Counter // store.io.bytes{op=...}
-	flatOpens, flatCreates      *obs.Counter // legacy flat spellings
-	flatSyncs                   *obs.Counter
-	flatReads, flatWrites       *obs.Counter
-	flatBytesRead, flatBytesOut *obs.Counter
+	opens, creates, syncs *obs.Counter // store.io{op=...}
+	reads, writes         *obs.Counter
+	readBytes, writeBytes *obs.Counter // store.io.bytes{op=...}
 }
 
 func newOpMetrics(reg *obs.Registry) opMetrics {
 	return opMetrics{
-		opens:         reg.CounterWith("store.io", obs.L("op", "open")),
-		creates:       reg.CounterWith("store.io", obs.L("op", "create")),
-		syncs:         reg.CounterWith("store.io", obs.L("op", "sync")),
-		reads:         reg.CounterWith("store.io", obs.L("op", "read")),
-		writes:        reg.CounterWith("store.io", obs.L("op", "write")),
-		readBytes:     reg.CounterWith("store.io.bytes", obs.L("op", "read")),
-		writeBytes:    reg.CounterWith("store.io.bytes", obs.L("op", "write")),
-		flatOpens:     reg.Counter("store.opens"),
-		flatCreates:   reg.Counter("store.creates"),
-		flatSyncs:     reg.Counter("store.syncs"),
-		flatReads:     reg.Counter("store.reads"),
-		flatWrites:    reg.Counter("store.writes"),
-		flatBytesRead: reg.Counter("store.bytes_read"),
-		flatBytesOut:  reg.Counter("store.bytes_written"),
+		opens:      reg.CounterWith("store.io", obs.L("op", "open")),
+		creates:    reg.CounterWith("store.io", obs.L("op", "create")),
+		syncs:      reg.CounterWith("store.io", obs.L("op", "sync")),
+		reads:      reg.CounterWith("store.io", obs.L("op", "read")),
+		writes:     reg.CounterWith("store.io", obs.L("op", "write")),
+		readBytes:  reg.CounterWith("store.io.bytes", obs.L("op", "read")),
+		writeBytes: reg.CounterWith("store.io.bytes", obs.L("op", "write")),
 	}
 }
 
@@ -76,7 +55,6 @@ func (s *meteredStore) Open(path string) (File, error) {
 		return nil, err
 	}
 	s.ops.opens.Inc()
-	s.ops.flatOpens.Inc()
 	return &meteredFile{base: f, ops: &s.ops}, nil
 }
 
@@ -86,7 +64,6 @@ func (s *meteredStore) Create(path string) (File, error) {
 		return nil, err
 	}
 	s.ops.creates.Inc()
-	s.ops.flatCreates.Inc()
 	return &meteredFile{base: f, ops: &s.ops}, nil
 }
 
@@ -101,10 +78,8 @@ type meteredFile struct {
 func (f *meteredFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := f.base.ReadAt(p, off)
 	f.ops.reads.Inc()
-	f.ops.flatReads.Inc()
 	if n > 0 {
 		f.ops.readBytes.Add(uint64(n))
-		f.ops.flatBytesRead.Add(uint64(n))
 	}
 	return n, err
 }
@@ -112,10 +87,8 @@ func (f *meteredFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *meteredFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.base.WriteAt(p, off)
 	f.ops.writes.Inc()
-	f.ops.flatWrites.Inc()
 	if n > 0 {
 		f.ops.writeBytes.Add(uint64(n))
-		f.ops.flatBytesOut.Add(uint64(n))
 	}
 	return n, err
 }
@@ -126,6 +99,5 @@ func (f *meteredFile) Size() (int64, error) { return f.base.Size() }
 
 func (f *meteredFile) Sync() error {
 	f.ops.syncs.Inc()
-	f.ops.flatSyncs.Inc()
 	return f.base.Sync()
 }

@@ -55,18 +55,20 @@ func TestWithMetricsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := map[string]uint64{
-		"store.bytes_written": 128,
-		"store.bytes_read":    128,
-		"store.writes":        2,
-		"store.reads":         1,
-		"store.opens":         1,
-		"store.creates":       1,
-		"store.syncs":         1,
-	}
-	for name, v := range want {
-		if got := reg.Counter(name).Value(); got != v {
-			t.Errorf("%s = %d, want %d", name, got, v)
+	for _, c := range []struct {
+		name, op string
+		want     uint64
+	}{
+		{"store.io.bytes", "write", 128},
+		{"store.io.bytes", "read", 128},
+		{"store.io", "write", 2},
+		{"store.io", "read", 1},
+		{"store.io", "open", 1},
+		{"store.io", "create", 1},
+		{"store.io", "sync", 1},
+	} {
+		if got := reg.CounterWith(c.name, obs.L("op", c.op)).Value(); got != c.want {
+			t.Errorf("%s{op=%s} = %d, want %d", c.name, c.op, got, c.want)
 		}
 	}
 }
@@ -118,11 +120,11 @@ func TestWithMetricsUnderRetry(t *testing.T) {
 		t.Fatalf("read through retry layer: %v", err)
 	}
 
-	if got := reg.Counter("store.reads").Value(); got != 3 {
-		t.Errorf("store.reads = %d, want 3 (two injected failures + success)", got)
+	if got := reg.CounterWith("store.io", obs.L("op", "read")).Value(); got != 3 {
+		t.Errorf("store.io{op=read} = %d, want 3 (two injected failures + success)", got)
 	}
-	if got := reg.Counter("store.bytes_read").Value(); got != 64 {
-		t.Errorf("store.bytes_read = %d, want 64", got)
+	if got := reg.CounterWith("store.io.bytes", obs.L("op", "read")).Value(); got != 64 {
+		t.Errorf("store.io.bytes{op=read} = %d, want 64", got)
 	}
 	if got := reg.Counter("shard.retry.total").Value(); got != 2 {
 		t.Errorf("shard.retry.total = %d, want 2", got)
@@ -138,7 +140,7 @@ func TestWithMetricsErrorPaths(t *testing.T) {
 	} else if errors.Is(err, nil) {
 		t.Fatal("unreachable")
 	}
-	if got := reg.Counter("store.opens").Value(); got != 0 {
-		t.Errorf("failed open billed store.opens = %d, want 0", got)
+	if got := reg.CounterWith("store.io", obs.L("op", "open")).Value(); got != 0 {
+		t.Errorf("failed open billed store.io{op=open} = %d, want 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 // Command benchgate is the perf-regression gate for the core coding hot
 // paths (see `make bench-gate`). It measures the gated workloads —
-// Liberation encode, two-erasure decode, single-column correction — and
+// Liberation encode, two-erasure decode, single-column correction, and
+// the GF(2^8) Reed-Solomon encode and decodes — and
 // compares exact XOR counts and calibrated timing against the checked-in
 // baseline artifact. Any XOR-count increase fails; timing may drift up to
 // the tolerance after the machines' raw XOR-kernel throughputs cancel.

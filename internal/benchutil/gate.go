@@ -3,6 +3,7 @@ package benchutil
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"time"
@@ -13,13 +14,14 @@ import (
 )
 
 // The perf-regression gate measures a small fixed set of core hot paths —
-// Liberation encode, two-erasure decode, and single-column correction —
-// and records both the paper's cost metric (exact XOR counts, which are
-// deterministic and machine-independent) and wall-clock timing (which is
-// not). CompareCore then holds a current report against a checked-in
-// baseline: any XOR-count increase fails outright, while timing is judged
-// with a tolerance after normalising by the machines' raw XOR-kernel
-// throughput, so a slower CI runner does not read as a code regression.
+// Liberation encode, two-erasure decode and single-column correction, plus
+// the Reed-Solomon engine's GF(2^8) encode and decodes — and records both
+// the paper's cost metric (exact XOR counts, which are deterministic and
+// machine-independent) and wall-clock timing (which is not). CompareCore
+// then holds a current report against a checked-in baseline: any
+// XOR-count increase fails outright, while timing is judged with a
+// tolerance after normalising by the machines' raw XOR-kernel throughput,
+// so a slower CI runner does not read as a code regression.
 
 // Shape of the gated workloads. Fixed forever: changing them invalidates
 // the checked-in baseline.
@@ -27,6 +29,7 @@ const (
 	gateK    = 8
 	gateP    = 11 // NextOddPrime(gateK)
 	gateElem = 1024
+	gfElem   = 4 * KB // element size of the GF(2^8) benches
 )
 
 // calibBlock is the buffer size of the calibration kernel: large enough to
@@ -194,6 +197,44 @@ func RunCoreReport(benchTime time.Duration) (*CoreReport, error) {
 			}
 		})
 	rep.Benches[len(rep.Benches)-1].TolNsFrac = 0.10
+
+	// The GF(2^8) kernel behind the one Reed-Solomon engine: rs3 encode,
+	// its triple data loss, and the P+Q worst pair, at gfElem.
+	for _, g := range []struct {
+		code, name string
+		k          int
+		erased     []int
+		units      uint64 // strips written per op
+	}{
+		{"rs3", "rs3/encode/k=6,m=3,elem=4096", 6, nil, 3},
+		{"rs3", "rs3/decode3/k=6,m=3,elem=4096,erased=0+1+2", 6, []int{0, 1, 2}, 3},
+		{"rs", "rs/decode2/k=8,elem=4096,erased=0+2", 8, []int{0, 2}, 2},
+	} {
+		c, err := codes.New(g.code, g.k, 0)
+		if err != nil {
+			return nil, err
+		}
+		gs := core.NewStripeFor(c, gfElem)
+		gs.FillRandom(rand.New(rand.NewSource(1)))
+		run := func(ops *core.Ops) error {
+			if g.erased == nil {
+				return c.Encode(gs, ops)
+			}
+			return c.Decode(gs, g.erased, ops)
+		}
+		ops.Reset()
+		if err = c.Encode(gs, nil); err == nil {
+			err = run(&ops)
+		}
+		if err != nil {
+			return nil, err
+		}
+		add(g.name, ops.XORs, g.units, gs.DataSize(), func() {
+			if err := run(nil); err != nil {
+				panic(err)
+			}
+		})
+	}
 	return rep, nil
 }
 

@@ -22,8 +22,8 @@ func TestCoreReportDeterministicXORs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Benches) != 3 || len(b.Benches) != 3 {
-		t.Fatalf("bench counts = %d/%d, want 3", len(a.Benches), len(b.Benches))
+	if len(a.Benches) != 6 || len(b.Benches) != 6 {
+		t.Fatalf("bench counts = %d/%d, want 6", len(a.Benches), len(b.Benches))
 	}
 	for i, ab := range a.Benches {
 		bb := b.Benches[i]
@@ -42,6 +42,13 @@ func TestCoreReportDeterministicXORs(t *testing.T) {
 	enc := a.Benches[0]
 	if perUnit := enc.XORsPerUnit; perUnit < float64(gateK-1) || perUnit >= float64(gateK) {
 		t.Errorf("encode xors/unit = %v, want in [k-1, k) = [%d, %d)", perUnit, gateK-1, gateK)
+	}
+	// Every Reed-Solomon strip written is one k-source dot product: k-1
+	// XORs per unit, on encode and on decode alike.
+	for i, k := range []float64{6, 6, 8} {
+		if rsb := a.Benches[3+i]; rsb.XORsPerUnit != k-1 {
+			t.Errorf("%s: xors/unit = %v, want k-1 = %v", rsb.Name, rsb.XORsPerUnit, k-1)
+		}
 	}
 	if a.CalibMBPerSec <= 0 {
 		t.Errorf("calibration throughput = %v, want > 0", a.CalibMBPerSec)

@@ -26,20 +26,27 @@ func TestInverses(t *testing.T) {
 		if got := Mul(byte(a), Inv(byte(a))); got != 1 {
 			t.Fatalf("a * a^-1 = %d for a=%d", got, a)
 		}
-		if got := Div(byte(a), byte(a)); got != 1 {
-			t.Fatalf("a / a = %d for a=%d", got, a)
-		}
 	}
 }
 
-func TestDivMulRoundTrip(t *testing.T) {
-	if err := quick.Check(func(a, b byte) bool {
-		if b == 0 {
-			return true
+// TestMulMatchesShiftAndAdd pins the product table against a bitwise
+// shift-and-add multiply reduced by Poly, for every pair of bytes.
+func TestMulMatchesShiftAndAdd(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			var p int
+			for x, y := a, b; y != 0; y >>= 1 {
+				if y&1 != 0 {
+					p ^= x
+				}
+				if x <<= 1; x&0x100 != 0 {
+					x ^= Poly
+				}
+			}
+			if got := Mul(byte(a), byte(b)); int(got) != p {
+				t.Fatalf("Mul(%d, %d) = %d, want %d", a, b, got, p)
+			}
 		}
-		return Mul(Div(a, b), b) == a
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -62,40 +69,14 @@ func TestGeneratorOrder(t *testing.T) {
 	}
 }
 
-func TestLogExpRoundTrip(t *testing.T) {
-	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("exp(log(%d)) != %d", a, a)
-		}
-	}
-}
-
-func TestMulSliceVariants(t *testing.T) {
-	src := []byte{0, 1, 2, 3, 0x80, 0xff, 0x1d, 77}
-	for c := 0; c < 256; c++ {
-		dst := make([]byte, len(src))
-		MulSlice(dst, src, byte(c))
-		for i := range src {
-			if dst[i] != Mul(src[i], byte(c)) {
-				t.Fatalf("MulSlice c=%d src=%d: got %d", c, src[i], dst[i])
-			}
-		}
-		acc := make([]byte, len(src))
-		copy(acc, src)
-		MulXorSlice(acc, src, byte(c))
-		for i := range src {
-			if acc[i] != src[i]^Mul(src[i], byte(c)) {
-				t.Fatalf("MulXorSlice c=%d src=%d: got %d", c, src[i], acc[i])
-			}
-		}
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { Div(1, 0) },
 		func() { Inv(0) },
-		func() { Log(0) },
+		func() { MulSlice(make([]byte, 2), make([]byte, 3), 7) },
+		func() { MulXorSlice(make([]byte, 2), make([]byte, 3), 7) },
+		func() { Dot(make([]byte, 2), [][]byte{make([]byte, 2)}, []byte{3, 5}) },
+		func() { Dot(make([]byte, 2), [][]byte{make([]byte, 2), make([]byte, 1)}, []byte{3, 5}) },
+		func() { Dot(make([]byte, 2), [][]byte{make([]byte, 1)}, []byte{1}) },
 	} {
 		func() {
 			defer func() {

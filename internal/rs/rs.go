@@ -12,7 +12,10 @@
 //
 // which tolerate any two erasures for k up to 255; NewM builds the rows of
 // a systematic Vandermonde generator, MDS for any m with k+m <= 256.
-// Coefficient-1 terms (all of P) run as plain word XORs.
+//
+// Every strip the engine writes is one gf.Dot over k source strips: a
+// parity over the data on encode, a lost data strip over the k survivors
+// on decode. An all-ones row (all of P) runs as plain word XORs.
 package rs
 
 import (
@@ -97,24 +100,24 @@ func (c *MCode) encode(s *core.Stripe, ops *core.Ops) error {
 	return nil
 }
 
-// encodeParity recomputes parity strip i (0 <= i < m) from the data. The
-// first term is a multiply-into (counted as a copy), each further term a
-// multiply-accumulate (its XOR half counted as one element XOR).
+// encodeParity recomputes parity strip i (0 <= i < m) from the data.
 func (c *MCode) encodeParity(s *core.Stripe, i int, ops *core.Ops) {
-	row, dst := c.parity[i], s.Strips[c.k+i]
-	gf.MulSlice(dst, s.Strips[0], row[0])
-	ops.Add(core.Ops{Copies: 1})
-	for j := 1; j < c.k; j++ {
-		gf.MulXorSlice(dst, s.Strips[j], row[j])
-		ops.Add(core.Ops{XORs: 1})
-	}
+	dot(s.Strips[c.k+i], s.Strips[:c.k], c.parity[i], ops)
 }
 
-// Decode reconstructs up to m erased strips in syndrome form. With t data
-// strips lost, it takes the first t surviving parity rows, folds every
-// surviving data strip into those rows' syndromes — accumulated in the
-// lost strips' own buffers — and solves the t×t system over the lost
-// columns in place; lost parities are then re-encoded from the full data.
+// dot sets dst to the k-source dot product srcs·coeffs, counted as its
+// first term's multiply-into (a copy) plus one element XOR for the XOR
+// half of each further multiply-accumulate.
+func dot(dst []byte, srcs [][]byte, coeffs []byte, ops *core.Ops) {
+	gf.Dot(dst, srcs, coeffs)
+	ops.Add(core.Ops{Copies: 1, XORs: uint64(len(srcs) - 1)})
+}
+
+// Decode reconstructs up to m erased strips in dot form. With t data
+// strips lost, it takes the first t surviving parity rows, inverts their
+// t×t restriction to the lost columns, and folds the inverse into t
+// coefficient rows over the k surviving strips; each lost data strip is
+// then one dot product. Lost parities are re-encoded from the full data.
 // Any t surviving parity rows suffice: every square submatrix of an MDS
 // parity matrix is invertible.
 func (c *MCode) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
@@ -144,72 +147,48 @@ func (c *MCode) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	lostData, lostParity := lost[:t], lost[t:]
 
 	if t > 0 {
-		// Parity row rows[l] yields the syndrome accumulated in bufs[l];
-		// a[l] is that row restricted to the lost columns.
-		rows := make([]int, 0, t)
+		// The k survivors are the intact data strips, then the first t
+		// intact parities (rows). Row l of a is parity row rows[l] over the
+		// lost columns; row l of b is that row over the survivors, where
+		// its own parity enters as a unit column.
+		rows, srcs := make([]int, 0, t), make([][]byte, 0, k)
+		for j := 0; j < k; j++ {
+			if !contains(lostData, j) {
+				srcs = append(srcs, s.Strips[j])
+			}
+		}
 		for i := 0; len(rows) < t; i++ {
 			if !contains(lostParity, k+i) {
 				rows = append(rows, i)
+				srcs = append(srcs, s.Strips[k+i])
 			}
 		}
-		a, bufs := make([][]byte, t), make([][]byte, t)
+		a, b := make([][]byte, t), make([][]byte, t)
 		for l, i := range rows {
-			bufs[l] = s.Strips[lostData[l]]
-			ops.Copy(bufs[l], s.Strips[k+i])
-			a[l] = make([]byte, t)
-			for x, d := range lostData {
-				a[l][x] = c.parity[i][d]
+			b[l] = make([]byte, k)
+			b[l][k-t+l] = 1
+			for j, f := range c.parity[i] {
+				if contains(lostData, j) {
+					a[l] = append(a[l], f)
+				} else {
+					b[l][j-len(a[l])] = f // j's place among the survivors
+				}
 			}
 		}
-		// Each surviving strip is folded into every syndrome while it is
-		// still in cache.
-		for j := 0; j < k; j++ {
-			if contains(lostData, j) {
-				continue
-			}
-			for l, i := range rows {
-				gf.MulXorSlice(bufs[l], s.Strips[j], c.parity[i][j])
-				ops.Add(core.Ops{XORs: 1})
-			}
-		}
-		if err := solve(a, bufs, ops); err != nil {
+		inv, err := gf.InvertMatrix(a)
+		if err != nil {
 			// Unreachable for an MDS parity matrix; surface it rather than
 			// writing garbage if the tables are ever miscomputed.
-			return fmt.Errorf("rs: syndrome system not invertible: %w", err)
+			return fmt.Errorf("rs: lost-column system not invertible: %w", err)
+		}
+		// a·lost = b·survivors, so lost strip x is row x of inv·b dotted
+		// with the survivors.
+		for x, row := range gf.MulMatrix(inv, b) {
+			dot(s.Strips[lostData[x]], srcs, row, ops)
 		}
 	}
 	for _, e := range lostParity {
 		c.encodeParity(s, e-k, ops)
-	}
-	return nil
-}
-
-// solve reduces the square system a·x = y by Gauss-Jordan elimination,
-// where y[i] is held in bufs[i]; on return bufs[i] holds x[i]. Every row
-// operation on a is mirrored onto the buffers, so no scratch strip is
-// needed. No row swap is ever required: each leading minor of a is itself
-// a square submatrix of the MDS parity matrix, hence nonsingular, so every
-// pivot is nonzero.
-func solve(a, bufs [][]byte, ops *core.Ops) error {
-	for col := range a {
-		if a[col][col] == 0 {
-			return gf.ErrSingular
-		}
-		if inv := gf.Inv(a[col][col]); inv != 1 {
-			for j := range a[col] {
-				a[col][j] = gf.Mul(a[col][j], inv)
-			}
-			gf.MulSlice(bufs[col], bufs[col], inv)
-		}
-		for r := range a {
-			if f := a[r][col]; r != col && f != 0 {
-				for j := range a[r] {
-					a[r][j] ^= gf.Mul(f, a[col][j])
-				}
-				gf.MulXorSlice(bufs[r], bufs[col], f)
-				ops.Add(core.Ops{XORs: 1})
-			}
-		}
 	}
 	return nil
 }

@@ -164,3 +164,44 @@ func TestMOpsAccounting(t *testing.T) {
 		t.Errorf("encode ops = %v, want %d XORs, %d copies", &ops, m*(k-1), m)
 	}
 }
+
+// TestMDecodeOpsAccounting pins decode's cost for every erasure subset of
+// size <= m: each lost data strip is one k-source dot product (a copy plus
+// k-1 XORs), and each lost parity costs exactly its encode — so any e
+// lost strips cost e copies and e(k-1) XORs.
+func TestMDecodeOpsAccounting(t *testing.T) {
+	rs3, err := rs.NewM(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := rs.New(8) // P+Q, whose P row runs as pure XOR
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*rs.MCode{rs3, pq} {
+		k, m := c.K(), c.M()
+		orig := core.NewStripeFor(c, 8)
+		orig.FillRandom(rand.New(rand.NewSource(6)))
+		if err := c.Encode(orig, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, erased := range core.ErasureSubsets(k+m, m) {
+			s := orig.Clone()
+			for _, e := range erased {
+				s.ZeroStrip(e)
+			}
+			var ops core.Ops
+			if err := c.Decode(s, erased, &ops); err != nil {
+				t.Fatalf("%s erased %v: %v", c.Name(), erased, err)
+			}
+			e := uint64(len(erased))
+			if ops.Copies != e || ops.XORs != e*uint64(k-1) {
+				t.Errorf("%s erased %v: ops = %v, want %d copies, %d XORs",
+					c.Name(), erased, &ops, e, e*uint64(k-1))
+			}
+			if !s.Equal(orig) {
+				t.Errorf("%s erased %v: stripe not restored", c.Name(), erased)
+			}
+		}
+	}
+}

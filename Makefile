@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify e2e-test conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
+.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
 
 all: build
 
@@ -38,7 +38,7 @@ check: vet fmt lint-metrics test race
 # verify is the CI gate (see .github/workflows/verify.yml): the same
 # stages as check plus the registry conformance matrix, named separately
 # so CI and local habits can diverge later without repurposing either.
-verify: vet fmt lint-metrics test race conformance e2e-test
+verify: vet fmt lint-metrics test race conformance e2e-test examples
 
 # e2e-test runs the end-to-end benchmark's own tests. cmd/e2ebench is a
 # separate module (it reaches the repository's packages through a replace
@@ -47,6 +47,12 @@ verify: vet fmt lint-metrics test race conformance e2e-test
 # obs.Observable that would break the benchmark.
 e2e-test:
 	cd cmd/e2ebench && $(GO) test ./...
+
+# examples runs every program under examples/. Each one log.Fatal's when
+# its bytes or parities come out wrong, so a non-zero exit fails the
+# target; nothing else runs them (they have no tests).
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # conformance runs the registry-driven matrices explicitly and verbosely:
 # the codetest battery and the full shard round-trip for every registered

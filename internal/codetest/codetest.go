@@ -4,7 +4,8 @@
 // zero data to zero parity, survive every erasure pattern of up to M
 // strips, fully overwrite whatever garbage sits in erased strips, and —
 // when it supports small writes — keep parity consistent under random
-// updates. Each code package runs this battery from a one-line test.
+// updates and keep core.Updater's oldElem contract. Each code package
+// runs this battery from a one-line test.
 package codetest
 
 import (
@@ -165,8 +166,13 @@ func updates(t *testing.T, code core.Code, u core.Updater) {
 		row := rng.Intn(code.W())
 		old := append([]byte(nil), s.Elem(col, row)...)
 		rng.Read(s.Elem(col, row))
+		delta := make([]byte, len(old))
+		xorblk.Xor(delta, old, s.Elem(col, row))
 		if _, err := u.Update(s, col, row, old, nil); err != nil {
 			t.Fatal(err)
+		}
+		if string(old) != string(delta) {
+			t.Fatalf("trial %d: oldElem after Update is not old ⊕ new", trial)
 		}
 	}
 	want := s.Clone()
@@ -175,5 +181,38 @@ func updates(t *testing.T, code core.Code, u core.Updater) {
 	}
 	if !s.Equal(want) {
 		t.Error("parities inconsistent after a run of small writes")
+	}
+
+	// Rewriting an element with its own bytes patches nothing.
+	same := append([]byte(nil), s.Elem(0, 0)...)
+	if n, err := u.Update(s, 0, 0, same, nil); err != nil || n != 0 {
+		t.Errorf("identical rewrite touched %d parity elements (err=%v), want 0", n, err)
+	}
+	if !s.Equal(want) {
+		t.Error("identical rewrite changed the stripe")
+	}
+
+	// A rejected call leaves oldElem and the parities as they were, even
+	// with a real change pending in the element.
+	prev := append([]byte(nil), s.Elem(0, 0)...)
+	s.Elem(0, 0)[0] ^= 0xff
+	size := len(prev)
+	for _, bad := range []struct{ col, row, size int }{
+		{-1, 0, size}, {code.K(), 0, size}, {0, -1, size}, {0, code.W(), size}, {0, 0, size - 1},
+	} {
+		old := append([]byte(nil), prev...)
+		if _, err := u.Update(s, bad.col, bad.row, old[:bad.size], nil); err == nil {
+			t.Errorf("Update at (%d,%d) with a %d-byte oldElem accepted", bad.col, bad.row, bad.size)
+		}
+		if string(old) != string(prev) {
+			t.Errorf("rejected Update at (%d,%d) with a %d-byte oldElem modified oldElem",
+				bad.col, bad.row, bad.size)
+		}
+		for col := code.K(); col < code.K()+code.M(); col++ {
+			if string(s.Strips[col]) != string(want.Strips[col]) {
+				t.Fatalf("rejected Update at (%d,%d) with a %d-byte oldElem patched parity strip %d",
+					bad.col, bad.row, bad.size, col)
+			}
+		}
 	}
 }

@@ -55,9 +55,12 @@ type Code interface {
 type Updater interface {
 	Code
 	// Update applies an in-place change of the data element at (col, row):
-	// oldElem is the element's previous contents, the stripe already holds
-	// the new contents, and the parity strips are patched to match.
-	// It returns the number of parity elements that were modified.
+	// the stripe already holds the new contents, and the parity strips are
+	// patched to match. oldElem holds the element's previous contents and
+	// is Update's scratch: on success it holds old ⊕ new, the delta the
+	// parities absorbed; after a validation error it is untouched. It
+	// returns the number of parity elements modified, 0 when the element's
+	// bytes did not change.
 	Update(s *Stripe, col, row int, oldElem []byte, ops *Ops) (int, error)
 }
 

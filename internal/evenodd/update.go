@@ -33,8 +33,11 @@ func (c *Code) update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Op
 	if col < 0 || col >= c.k || row < 0 || row >= c.p-1 {
 		return 0, fmt.Errorf("%w: update at (%d,%d)", core.ErrParams, col, row)
 	}
-	delta := make([]byte, s.ElemSize)
-	ops.Xor(delta, oldElem, s.Elem(col, row))
+	if len(oldElem) != s.ElemSize {
+		return 0, fmt.Errorf("%w: old element size %d", core.ErrParams, len(oldElem))
+	}
+	delta := oldElem // becomes old ⊕ new in place (the Updater contract)
+	ops.XorInto(delta, s.Elem(col, row))
 	if xorblk.IsZero(delta) {
 		return 0, nil
 	}

@@ -40,8 +40,8 @@ func (c *Code) update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Op
 	if len(oldElem) != s.ElemSize {
 		return 0, fmt.Errorf("%w: old element size %d", core.ErrParams, len(oldElem))
 	}
-	delta := make([]byte, s.ElemSize)
-	ops.Xor(delta, oldElem, s.Elem(col, row))
+	delta := oldElem // becomes old ⊕ new in place (the Updater contract)
+	ops.XorInto(delta, s.Elem(col, row))
 	if xorblk.IsZero(delta) {
 		return 0, nil
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Read copies len(p) data bytes starting at logical offset off into p.
-// Stripes touched by failed disks are served through reconstruction
-// (degraded reads) without modifying the array.
+// A healthy stripe's bytes are copied straight from its strips; a stripe
+// touched by failed disks is reconstructed once into scratch and served
+// from there (a degraded read), without modifying the array.
 func (a *Array) Read(off int, p []byte) error {
 	if off < 0 || off+len(p) > a.Capacity() {
 		return ErrOutOfRange
@@ -17,44 +18,24 @@ func (a *Array) Read(off int, p []byte) error {
 		return ErrTooManyFailures
 	}
 	sp, total := a.span("raid.read"), len(p)
-	defer func() { sp.end(a, total, nil) }()
+	var err error
+	defer func() { sp.end(a, total, err) }()
 	for len(p) > 0 {
 		stripe, strip, row, inElem := a.locate(off)
-		stripData := a.stripData(stripe)
-		pos := strip*a.w*a.elemSize + row*a.elemSize + inElem
-		n := copy(p, stripData[pos:])
-		p = p[n:]
-		off += n
+		src := a.view(stripe)
+		if erased := a.failedStrips(stripe); len(erased) > 0 {
+			if err = a.reconstruct(stripe, erased); err != nil {
+				return err
+			}
+			src = a.scratch
+		}
+		for pos := row*a.elemSize + inElem; strip < a.k && len(p) > 0; strip, pos = strip+1, 0 {
+			n := copy(p, src.Strips[strip][pos:])
+			p = p[n:]
+			off += n
+		}
 	}
 	return nil
-}
-
-// stripData returns the stripe's data region as one contiguous-looking
-// slice; if any strip of the stripe lives on a failed disk, the stripe is
-// reconstructed into scratch first.
-func (a *Array) stripData(stripe int) []byte {
-	erased := a.failedStrips(stripe)
-	out := make([]byte, a.k*a.w*a.elemSize)
-	if len(erased) == 0 {
-		for t := 0; t < a.k; t++ {
-			copy(out[t*a.w*a.elemSize:], a.strip(stripe, t))
-		}
-		return out
-	}
-	// Degraded: reconstruct into a scratch stripe.
-	a.Stats.DegradedReads++
-	a.count("raid.degraded_reads", 1)
-	scratch := core.NewStripeM(a.k, a.m, a.w, a.elemSize)
-	for t := 0; t < a.n; t++ {
-		copy(scratch.Strips[t], a.strip(stripe, t))
-	}
-	if err := a.code.Decode(scratch, erased, &a.Stats.Ops); err != nil {
-		panic(fmt.Sprintf("raidsim: degraded read of stripe %d: %v", stripe, err))
-	}
-	for t := 0; t < a.k; t++ {
-		copy(out[t*a.w*a.elemSize:], scratch.Strips[t])
-	}
-	return out
 }
 
 // Write stores len(p) data bytes at logical offset off, maintaining
@@ -67,24 +48,22 @@ func (a *Array) Write(off int, p []byte) error {
 		return ErrOutOfRange
 	}
 	sp, total := a.span("raid.write"), len(p)
-	if a.numFailed() > 0 {
-		err := a.writeDegraded(off, p)
-		sp.end(a, total, err)
-		return err
-	}
 	var err error
 	defer func() { sp.end(a, total, err) }()
 	perStripe := a.k * a.w * a.elemSize
+	degraded := a.numFailed() > 0
 	for len(p) > 0 {
-		stripe := off / perStripe
-		stripeOff := off % perStripe
-		n := perStripe - stripeOff
-		if n > len(p) {
-			n = len(p)
-		}
-		if stripeOff == 0 && n == perStripe {
+		stripe, stripeOff := off/perStripe, off%perStripe
+		n := min(perStripe-stripeOff, len(p))
+		switch {
+		case degraded:
+			err = a.writeDegraded(stripe, stripeOff, p[:n])
+		case n == perStripe:
 			a.writeFullStripe(stripe, p[:n])
-		} else if err = a.writePartial(stripe, stripeOff, p[:n]); err != nil {
+		default:
+			err = a.writePartial(stripe, stripeOff, p[:n])
+		}
+		if err != nil {
 			return err
 		}
 		p = p[n:]
@@ -108,23 +87,16 @@ func (a *Array) writeFullStripe(stripe int, data []byte) {
 // stripe.
 func (a *Array) writePartial(stripe, stripeOff int, data []byte) error {
 	view := a.view(stripe)
-	old := make([]byte, a.elemSize)
 	for len(data) > 0 {
-		strip := stripeOff / (a.w * a.elemSize)
-		rem := stripeOff % (a.w * a.elemSize)
-		row := rem / a.elemSize
-		inElem := rem % a.elemSize
-		n := a.elemSize - inElem
-		if n > len(data) {
-			n = len(data)
-		}
+		_, strip, row, inElem := a.locate(stripeOff)
+		n := min(a.elemSize-inElem, len(data))
 		elem := view.Elem(strip, row)
-		copy(old, elem)
+		copy(a.oldElem, elem)
 		copy(elem[inElem:], data[:n])
 		a.Stats.SmallWrites++
 		a.count("raid.small_writes", 1)
 		if a.updater != nil {
-			touched, err := a.updater.Update(view, strip, row, old, &a.Stats.Ops)
+			touched, err := a.updater.Update(view, strip, row, a.oldElem, &a.Stats.Ops)
 			if err != nil {
 				return err
 			}
@@ -145,48 +117,28 @@ func (a *Array) writePartial(stripe, stripeOff int, data []byte) error {
 	return nil
 }
 
-// writeDegraded handles writes while disks are failed: affected stripes
-// are reconstructed, patched, and re-encoded; strips on failed disks are
-// left untouched (they will be rebuilt when the disk is replaced).
-func (a *Array) writeDegraded(off int, p []byte) error {
-	perStripe := a.k * a.w * a.elemSize
-	for len(p) > 0 {
-		stripe := off / perStripe
-		stripeOff := off % perStripe
-		n := perStripe - stripeOff
-		if n > len(p) {
-			n = len(p)
+// writeDegraded writes within one stripe while disks are failed: the
+// stripe is reconstructed into scratch, patched, and re-encoded; strips on
+// failed disks are left untouched (they will be rebuilt when the disk is
+// replaced).
+func (a *Array) writeDegraded(stripe, stripeOff int, data []byte) error {
+	if err := a.reconstruct(stripe, a.failedStrips(stripe)); err != nil {
+		return err
+	}
+	stripBytes := a.w * a.elemSize
+	for strip, pos := stripeOff/stripBytes, stripeOff%stripBytes; len(data) > 0; strip, pos = strip+1, 0 {
+		n := copy(a.scratch.Strips[strip][pos:], data)
+		data = data[n:]
+	}
+	if err := a.code.Encode(a.scratch, &a.Stats.Ops); err != nil {
+		return err
+	}
+	a.Stats.StripeEncodes++
+	a.count("raid.stripe_encodes", 1)
+	for t := 0; t < a.n; t++ {
+		if !a.failed[a.diskFor(stripe, t)] {
+			copy(a.strip(stripe, t), a.scratch.Strips[t])
 		}
-		erased := a.failedStrips(stripe)
-		scratch := core.NewStripeM(a.k, a.m, a.w, a.elemSize)
-		for t := 0; t < a.n; t++ {
-			copy(scratch.Strips[t], a.strip(stripe, t))
-		}
-		if len(erased) > 0 {
-			if err := a.code.Decode(scratch, erased, &a.Stats.Ops); err != nil {
-				return fmt.Errorf("raidsim: degraded write stripe %d: %w", stripe, err)
-			}
-			a.Stats.DegradedReads++
-			a.count("raid.degraded_reads", 1)
-		}
-		// Patch the data region and re-encode.
-		for i := 0; i < n; i++ {
-			pos := stripeOff + i
-			strip := pos / (a.w * a.elemSize)
-			scratch.Strips[strip][pos%(a.w*a.elemSize)] = p[i]
-		}
-		if err := a.code.Encode(scratch, &a.Stats.Ops); err != nil {
-			return err
-		}
-		a.Stats.StripeEncodes++
-		a.count("raid.stripe_encodes", 1)
-		for t := 0; t < a.n; t++ {
-			if !a.failed[a.diskFor(stripe, t)] {
-				copy(a.strip(stripe, t), scratch.Strips[t])
-			}
-		}
-		p = p[n:]
-		off += n
 	}
 	return nil
 }
@@ -245,7 +197,7 @@ func (a *Array) Scrub() ([]ScrubResult, error) {
 			continue
 		}
 		// Generic codes: detect by re-encoding into scratch and comparing.
-		scratch := view.Clone()
+		scratch := a.load(stripe)
 		if err := a.code.Encode(scratch, &a.Stats.Ops); err != nil {
 			scrubErr = err
 			return results, err

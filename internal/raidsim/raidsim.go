@@ -40,7 +40,8 @@ type Stats struct {
 	Ops              core.Ops // XOR/copy counts across all operations
 }
 
-// Array is a simulated disk array.
+// Array is a simulated disk array. It is not safe for concurrent use:
+// every call reuses the array's scratch buffers.
 type Array struct {
 	code      core.Code
 	updater   core.Updater         // non-nil when the code supports small writes
@@ -55,6 +56,11 @@ type Array struct {
 	layout Layout
 
 	obs *obs.Registry // optional metrics sink (see Instrument)
+
+	// Scratch reused by every call, so element I/O allocates nothing.
+	vw      core.Stripe  // re-pointed at one stripe's strips by view
+	scratch *core.Stripe // a degraded stripe, decoded off the disks
+	oldElem []byte       // a small write's old element, then its delta
 
 	Stats Stats
 }
@@ -82,6 +88,9 @@ func New(code core.Code, elemSize, stripes int) (*Array, error) {
 		a.disks[i] = make([]byte, stripes*stripBytes)
 	}
 	a.failed = make([]bool, a.n)
+	a.vw = core.Stripe{K: a.k, W: a.w, ElemSize: elemSize, Strips: make([][]byte, a.n)}
+	a.scratch = core.NewStripeM(a.k, a.m, a.w, elemSize)
+	a.oldElem = make([]byte, elemSize)
 	return a, nil
 }
 
@@ -108,14 +117,37 @@ func (a *Array) strip(stripe, strip int) []byte {
 	return a.disks[d][off : off+a.w*a.elemSize : off+a.w*a.elemSize]
 }
 
-// view materializes a stripe as a core.Stripe whose strips alias the disk
-// buffers (no copying).
+// view re-points the array's one view stripe at a stripe's strips, which
+// alias the disk buffers (no copying). The view is valid until the next
+// call to view.
 func (a *Array) view(stripe int) *core.Stripe {
-	s := &core.Stripe{K: a.k, W: a.w, ElemSize: a.elemSize, Strips: make([][]byte, a.n)}
-	for t := 0; t < a.n; t++ {
-		s.Strips[t] = a.strip(stripe, t)
+	for t := range a.vw.Strips {
+		a.vw.Strips[t] = a.strip(stripe, t)
 	}
-	return s
+	return &a.vw
+}
+
+// load copies a stripe into the array's scratch stripe.
+func (a *Array) load(stripe int) *core.Stripe {
+	for t, strip := range a.scratch.Strips {
+		copy(strip, a.strip(stripe, t))
+	}
+	return a.scratch
+}
+
+// reconstruct loads a stripe into scratch and decodes its erased strips
+// (those on failed disks) there, leaving the disks untouched.
+func (a *Array) reconstruct(stripe int, erased []int) error {
+	a.load(stripe)
+	if len(erased) == 0 {
+		return nil
+	}
+	if err := a.code.Decode(a.scratch, erased, &a.Stats.Ops); err != nil {
+		return fmt.Errorf("raidsim: degraded stripe %d: %w", stripe, err)
+	}
+	a.Stats.DegradedReads++
+	a.count("raid.degraded_reads", 1)
+	return nil
 }
 
 // failedStrips returns the logical strips of a stripe that live on failed

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gf"
 	"repro/internal/obs"
+	"repro/internal/xorblk"
 )
 
 // MCode is a Reed-Solomon code with k data strips and m parity strips
@@ -216,9 +217,10 @@ func (c *MCode) Update(s *core.Stripe, col, row int, oldElem []byte, ops *core.O
 		return 0, fmt.Errorf("%w: old element is %d bytes, strip is %d",
 			core.ErrParams, len(oldElem), len(cur))
 	}
-	delta := make([]byte, len(cur))
-	for i := range delta {
-		delta[i] = oldElem[i] ^ cur[i]
+	delta := oldElem // becomes old ⊕ new in place (the Updater contract)
+	xorblk.XorInto(delta, cur)
+	if xorblk.IsZero(delta) {
+		return 0, nil
 	}
 	for i := 0; i < c.m; i++ {
 		gf.MulXorSlice(s.Strips[c.k+i], delta, c.parity[i][col])

@@ -40,13 +40,14 @@ check: vet fmt lint-metrics test race
 # so CI and local habits can diverge later without repurposing either.
 verify: vet fmt lint-metrics test race conformance e2e-test examples
 
-# e2e-test runs the end-to-end benchmark's own tests. cmd/e2ebench is a
-# separate module (it reaches the repository's packages through a replace
-# directive), so the root `go test ./...` never compiles it; this target
-# catches a change to the registry, the rs engine's span names or
-# obs.Observable that would break the benchmark.
+# e2e-test vets and runs the end-to-end benchmark's own tests.
+# cmd/e2ebench is a separate module (it reaches the repository's packages
+# through a replace directive), so the root `go vet ./...` and
+# `go test ./...` never compile it; this target catches a change to the
+# shard API, the registry, the rs engine's span names or obs.Observable
+# that would break the benchmark.
 e2e-test:
-	cd cmd/e2ebench && $(GO) test ./...
+	cd cmd/e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # examples runs every program under examples/. Each one log.Fatal's when
 # its bytes or parities come out wrong, so a non-zero exit fails the

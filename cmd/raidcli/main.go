@@ -196,7 +196,7 @@ func addIOFlags(fs *flag.FlagSet) *ioFlags {
 	f := &ioFlags{}
 	addCodeFlags(fs, &f.code, &f.prime, &f.parities)
 	fs.IntVar(&f.workers, "workers", 1, "parallel coding workers (0 = all cores)")
-	fs.IntVar(&f.batch, "batch", 0, "stripes per streaming batch (0 = default)")
+	fs.IntVar(&f.batch, "batch", 0, "stripes per streaming batch (0 = as many as fit 1 MiB, at least one per worker)")
 	fs.BoolVar(&f.stats, "stats", false, "print operation statistics")
 	fs.BoolVar(&f.logJSON, "log-json", false, "stream the operation's causal event log as JSON lines on stderr")
 	fs.IntVar(&f.retries, "retries", 3, "transient-I/O retries per operation (0 disables)")

@@ -291,47 +291,3 @@ func runPool(name string, n, units int, cfg Config, ops *core.Ops,
 	}
 	return finish(nil)
 }
-
-// SplitBuffer carves a contiguous data buffer into stripes for the given
-// code and element size, copying the data into the stripes' data strips.
-// The final stripe is zero-padded. It is the standard preparation step
-// for EncodeAll over a large write.
-//
-// The stripes come from the process-wide stripe pool
-// (core.SharedStripePool); callers that are done with them can hand them
-// back via ReleaseStripes so steady-state bulk traffic allocates nothing
-// per stripe. Releasing is optional — unreleased stripes are ordinary
-// garbage.
-func SplitBuffer(code core.Code, elemSize int, data []byte) []*core.Stripe {
-	k, w := code.K(), code.W()
-	pool := core.SharedStripePool(k, code.M(), w, elemSize)
-	perStripe := k * w * elemSize
-	n := (len(data) + perStripe - 1) / perStripe
-	if n == 0 {
-		n = 1
-	}
-	stripes := make([]*core.Stripe, n)
-	for i := range stripes {
-		s := pool.Get()
-		off := i * perStripe
-		for t := 0; t < k; t++ {
-			lo := off + t*w*elemSize
-			if lo >= len(data) {
-				break
-			}
-			copy(s.Strips[t], data[lo:])
-		}
-		stripes[i] = s
-	}
-	return stripes
-}
-
-// ReleaseStripes returns stripes (e.g. from SplitBuffer) to the shared
-// stripe pool. The caller must not touch them afterwards.
-func ReleaseStripes(stripes []*core.Stripe) {
-	for _, s := range stripes {
-		if s != nil {
-			core.SharedStripePool(s.K, s.M(), s.W, s.ElemSize).Put(s)
-		}
-	}
-}

@@ -85,36 +85,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestSplitBuffer(t *testing.T) {
-	code, _ := liberation.New(3, 3)
-	data := make([]byte, 3*3*16*2+5) // two full stripes + ragged tail
-	rand.New(rand.NewSource(3)).Read(data)
-	stripes := SplitBuffer(code, 16, data)
-	if len(stripes) != 3 {
-		t.Fatalf("got %d stripes, want 3", len(stripes))
-	}
-	// Reassemble and compare (with zero padding at the end).
-	var reassembled []byte
-	for _, s := range stripes {
-		for t := 0; t < s.K; t++ {
-			reassembled = append(reassembled, s.Strips[t]...)
-		}
-	}
-	for i, b := range data {
-		if reassembled[i] != b {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-	for _, b := range reassembled[len(data):] {
-		if b != 0 {
-			t.Fatal("padding not zeroed")
-		}
-	}
-	if got := len(SplitBuffer(code, 16, nil)); got != 1 {
-		t.Errorf("empty buffer gave %d stripes, want 1", got)
-	}
-}
-
 // TestQueueWaitVsShutdownWait pins the split between the two idle-time
 // metrics: a producer tail after the last stripe (EOF probing, manifest
 // writing, a slow upstream reader closing) is teardown and must land in

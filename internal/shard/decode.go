@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -84,8 +83,10 @@ func DecodeOpts(manifestPath string, w io.Writer, opt Options) ([]ShardStatus, e
 // exponential backoff (Options.Retry), and rolling CRCs re-verify every
 // column end to end — a shard that fails mid-stream is quarantined and
 // the decode restarts without it (when w is rewindable, i.e. an
-// *os.File). Peak memory is O(BatchStripes × stripe) regardless of file
-// size.
+// *os.File). Shards are read batch by batch, one positional read per
+// shard per batch, straight into one pooled batch of about 1 MiB
+// (Options.BatchStripes overrides the size), so resident memory does
+// not grow with the file.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -332,42 +333,35 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 		return err
 	}
 	m := r.m
-	skip := make(map[int]bool, len(erased))
+	streams := append([]store.File(nil), files...)
 	for _, e := range erased {
-		skip[e] = true
+		streams[e] = nil
 	}
-	readers := newShardReaders(m, files, skip)
 	rolling := make([]uint32, m.NumShards())
-	stripes := streamBatch(r.opt, m, r.code)
-	defer releaseStripes(stripes)
+	b := r.batch()
+	defer putBatch(b)
 
-	for done := 0; done < m.Stripes; {
-		n := len(stripes)
-		if rem := m.Stripes - done; n > rem {
-			n = rem
-		}
-		if col, err := fillBatch(readers, stripes[:n], rolling); err != nil {
+	for first := 0; first < m.Stripes; first += b.n {
+		b.window(first, m.Stripes)
+		if col, err := fillBatch(streams, b, rolling); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
 		if len(erased) > 0 {
-			if err := decodeBatch(ctx, r.code, stripes[:n], erased, r.opt); err != nil {
+			if err := decodeBatch(ctx, r.code, b.live(), erased, r.opt); err != nil {
 				return err
 			}
-			for j := 0; j < n; j++ {
-				for _, e := range erased {
-					rolling[e] = crc32.Update(rolling[e], crc32.IEEETable, stripes[j].Strips[e])
-				}
+			for _, e := range erased {
+				rolling[e] = crc32.Update(rolling[e], crc32.IEEETable, b.col(e))
 			}
 		}
-		if err := sink.consume(stripes[:n]); err != nil {
+		if err := sink.consume(b); err != nil {
 			return err
 		}
-		done += n
 	}
 	// Streamed columns first: a mismatch there means the shard changed
 	// (or lied) while streaming and is grounds for quarantine + restart.
 	for i, sum := range rolling {
-		if !skip[i] && sum != m.Checksums[i] {
+		if streams[i] != nil && sum != m.Checksums[i] {
 			return &quarantineError{col: i, cause: fmt.Errorf(
 				"shard %d (%s) changed while streaming: checksum %08x, manifest %08x",
 				i, m.ShardName(i), sum, m.Checksums[i])}
@@ -395,38 +389,34 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 		return err
 	}
 	m := r.m
-	readers := newShardReaders(m, files, nil)
 	rolling := make([]uint32, m.NumShards())
-	stripes := streamBatch(r.opt, m, r.code)
-	defer releaseStripes(stripes)
+	b := r.batch()
+	defer putBatch(b)
 
-	for done := 0; done < m.Stripes; {
-		n := len(stripes)
-		if rem := m.Stripes - done; n > rem {
-			n = rem
-		}
-		if col, err := fillBatch(readers, stripes[:n], nil); err != nil {
+	for first := 0; first < m.Stripes; first += b.n {
+		b.window(first, m.Stripes)
+		if col, err := fillBatch(files, b, nil); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
-		for j := 0; j < n; j++ {
+		for j, s := range b.live() {
 			var cops core.Ops
-			col, cerr := r.corrector.CorrectColumn(stripes[j], &cops)
+			col, cerr := r.corrector.CorrectColumn(s, &cops)
 			r.reg.Count("shard.correct_column.xors", cops.XORs)
 			switch {
 			case cerr == nil && col != core.CleanColumn:
 				r.rep.Corrections++
 				r.reg.Count("shard.correct_column.total", 1)
 				obs.Emit(ctx, slog.LevelInfo, "shard.correct_column",
-					slog.Int("stripe", done+j), slog.Int("col", col))
+					slog.Int("stripe", b.first+j), slog.Int("col", col))
 			case cerr != nil:
 				r.reg.Count("shard.correct_column.failed", 1)
 				obs.EmitErr(ctx, slog.LevelWarn, "shard.correct_column.fallback", cerr,
-					slog.Int("stripe", done+j), slog.Int("suspects", len(soft)))
+					slog.Int("stripe", b.first+j), slog.Int("suspects", len(soft)))
 				switch {
 				case len(soft) >= 1 && len(soft) <= r.m.M:
 					// Not single-column, but we know which columns are
 					// suspect: erasure-decode them for this stripe.
-					if derr := r.code.Decode(stripes[j], soft, nil); derr != nil {
+					if derr := r.code.Decode(s, soft, nil); derr != nil {
 						return derr
 					}
 				case len(soft) == 0:
@@ -436,17 +426,16 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 				default:
 					return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
 						"stripe %d: corruption spans multiple columns and %d shards are quarantined",
-						done+j, len(soft))}
+						b.first+j, len(soft))}
 				}
 			}
-			for i := 0; i < m.NumShards(); i++ {
-				rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, stripes[j].Strips[i])
-			}
 		}
-		if err := sink.consume(stripes[:n]); err != nil {
+		for i := range rolling {
+			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, b.col(i))
+		}
+		if err := sink.consume(b); err != nil {
 			return err
 		}
-		done += n
 	}
 	// Post-correction columns must reproduce the manifest exactly; a
 	// mismatch means the column misbehaved in a way correction could not
@@ -467,7 +456,7 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 // exactly once when the recovery ends (success or not).
 type recoverSink interface {
 	begin(targets []int) error
-	consume(stripes []*core.Stripe) error
+	consume(b *batch) error
 	finish() error
 	abort()
 	// canRestart reports whether a later begin can undo consumed output.
@@ -510,14 +499,10 @@ func (s *decodeSink) begin([]int) error {
 	return nil
 }
 
-func (s *decodeSink) consume(stripes []*core.Stripe) error {
-	stripBytes, _ := s.m.shardShape()
-	for _, stripe := range stripes {
+func (s *decodeSink) consume(b *batch) error {
+	for _, stripe := range b.live() {
 		for t := 0; t < s.m.K && s.remaining > 0; t++ {
-			out := int64(stripBytes)
-			if out > s.remaining {
-				out = s.remaining
-			}
+			out := min(int64(b.sb), s.remaining)
 			if _, err := s.w.Write(stripe.Strips[t][:out]); err != nil {
 				return err
 			}
@@ -551,7 +536,6 @@ type repairSink struct {
 
 	targets  []int
 	files    map[int]store.File
-	writers  map[int]*bufio.Writer
 	rolling  map[int]uint32
 	repaired []int
 }
@@ -564,7 +548,6 @@ func (s *repairSink) begin(targets []int) error {
 	s.cleanup()
 	s.targets = append([]int(nil), targets...)
 	s.files = make(map[int]store.File, len(targets))
-	s.writers = make(map[int]*bufio.Writer, len(targets))
 	s.rolling = make(map[int]uint32, len(targets))
 	for _, e := range targets {
 		f, err := s.st.Create(s.tmpPath(e))
@@ -572,19 +555,15 @@ func (s *repairSink) begin(targets []int) error {
 			return err
 		}
 		s.files[e] = f
-		s.writers[e] = bufio.NewWriterSize(&store.OffsetWriter{F: f}, 256<<10)
 	}
 	return nil
 }
 
-func (s *repairSink) consume(stripes []*core.Stripe) error {
-	for _, stripe := range stripes {
-		for _, e := range s.targets {
-			strip := stripe.Strips[e]
-			if _, err := s.writers[e].Write(strip); err != nil {
-				return err
-			}
-			s.rolling[e] = crc32.Update(s.rolling[e], crc32.IEEETable, strip)
+func (s *repairSink) consume(b *batch) error {
+	for _, e := range s.targets {
+		var err error
+		if s.rolling[e], err = writeCol(s.files[e], b, e, s.rolling[e]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -597,9 +576,6 @@ func (s *repairSink) finish() error {
 		}
 	}
 	for _, e := range s.targets {
-		if err := s.writers[e].Flush(); err != nil {
-			return err
-		}
 		if err := s.files[e].Sync(); err != nil {
 			return err
 		}
@@ -613,8 +589,7 @@ func (s *repairSink) finish() error {
 		}
 	}
 	s.repaired = append([]int(nil), s.targets...)
-	s.files, s.writers = nil, nil
-	s.targets = nil
+	s.files, s.targets = nil, nil
 	return nil
 }
 
@@ -630,70 +605,15 @@ func (s *repairSink) cleanup() {
 		}
 		s.st.Remove(s.tmpPath(e))
 	}
-	s.files, s.writers, s.rolling = nil, nil, nil
-	s.targets = nil
+	s.files, s.rolling, s.targets = nil, nil, nil
 }
 
-// streamBatch sizes the batch for one streaming call and takes its
-// stripes from the shared pool.
-func streamBatch(opt Options, m *Manifest, code interface{ W() int }) []*core.Stripe {
-	n := opt.batch()
-	if n > m.Stripes {
-		n = m.Stripes
-	}
-	if n < 1 {
-		n = 1
-	}
-	pool := core.SharedStripePool(m.K, m.M, code.W(), m.ElemSize)
-	stripes := make([]*core.Stripe, n)
-	for i := range stripes {
-		stripes[i] = pool.Get()
-	}
-	return stripes
-}
-
-// releaseStripes hands a streaming batch back to the shared pool.
-func releaseStripes(stripes []*core.Stripe) {
-	for _, s := range stripes {
-		if s != nil {
-			core.SharedStripePool(s.K, s.M(), s.W, s.ElemSize).Put(s)
-		}
-	}
-}
-
-// newShardReaders wraps the streaming shard files in buffered readers;
-// skipped (erased) and absent slots stay nil.
-func newShardReaders(m *Manifest, files []store.File, skip map[int]bool) []*bufio.Reader {
-	_, shardSize := m.shardShape()
-	readers := make([]*bufio.Reader, len(files))
-	for i, f := range files {
-		if f != nil && !skip[i] {
-			readers[i] = bufio.NewReaderSize(store.SectionReader(f, shardSize), 128<<10)
-		}
-	}
-	return readers
-}
-
-// fillBatch reads the next strip of every streaming shard into each
-// stripe of the batch, updating the rolling CRCs when given. Skipped
-// strips are left as-is: the decoder rewrites them from scratch. On a
-// read failure (transient retries already exhausted below this layer) it
-// returns the failing column for quarantine.
-func fillBatch(readers []*bufio.Reader, stripes []*core.Stripe, rolling []uint32) (int, error) {
-	for _, s := range stripes {
-		for i, br := range readers {
-			if br == nil {
-				continue
-			}
-			if _, err := io.ReadFull(br, s.Strips[i]); err != nil {
-				return i, fmt.Errorf("shard: shard %d failed mid-stream: %w", i, err)
-			}
-			if rolling != nil {
-				rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, s.Strips[i])
-			}
-		}
-	}
-	return -1, nil
+// batch takes a pooled batch sized for this manifest and the options.
+func (r *recovery) batch() *batch {
+	m := r.m
+	sb, _ := m.shardShape()
+	return getBatch(batchShape{m.K, m.M, m.W, m.ElemSize,
+		r.opt.batchStripes(m.NumShards()*sb, m.Stripes)})
 }
 
 // decodeBatch reconstructs the erased strips of every stripe in the

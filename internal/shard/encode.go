@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"path/filepath"
@@ -57,13 +55,6 @@ func EncodeParallelObserved(r io.Reader, size int64, fileName string, k, p, elem
 		Options{Workers: workers, Registry: reg})
 }
 
-// encBatch is one unit of the encode pipeline: up to cap(stripes)
-// stripes owned by exactly one stage at a time.
-type encBatch struct {
-	stripes []*core.Stripe
-	n       int // stripes filled
-}
-
 // EncodeOpts is the streaming encoder behind Encode and EncodeParallel.
 //
 // Three stages run concurrently, handing batches of stripes around a
@@ -71,9 +62,10 @@ type encBatch struct {
 // stage encodes batch N (in-line, or over a pipeline worker pool when
 // opt.Workers > 1), and the writer drains batch N-1 into the shard
 // files in order, so the output is byte-identical to a sequential
-// encode no matter the worker count. Stripes come from the shared
-// stripe pool and are returned on completion; resident memory is
-// O(BatchStripes × stripe), independent of size.
+// encode no matter the worker count. Each column of a batch goes to its
+// shard with one positional write. The batches come from a pool; the
+// ring holds at most three of about 1 MiB each (Options.BatchStripes
+// overrides the size), independent of size.
 //
 // On any error every created shard file is removed: a failed encode
 // leaves no partial shard set (and no manifest) behind.
@@ -128,7 +120,6 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	st := opt.store(ctx)
 	var created []string
 	files := make([]store.File, k+parities)
-	writers := make([]*bufio.Writer, k+parities)
 	defer func() {
 		if err == nil {
 			return
@@ -151,34 +142,24 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		}
 		created = append(created, path)
 		files[i] = f
-		writers[i] = bufio.NewWriterSize(&store.OffsetWriter{F: f}, 256<<10)
 	}
 
 	// The batch ring: 3 batches so reading, encoding, and writing each
-	// own one at steady state (double buffering on both hand-offs).
-	const ringBatches = 3
-	batchN := opt.batch()
-	if batchN > stripes {
-		batchN = stripes
-	}
-	pool := core.SharedStripePool(k, parities, w, elemSize)
-	all := make([]*encBatch, 0, ringBatches)
-	free := make(chan *encBatch, ringBatches)
-	filled := make(chan *encBatch, 1)
-	encoded := make(chan *encBatch, 1)
-	for i := 0; i < ringBatches; i++ {
-		b := &encBatch{stripes: make([]*core.Stripe, batchN)}
-		for j := range b.stripes {
-			b.stripes[j] = pool.Get()
-		}
-		all = append(all, b)
-		free <- b
+	// own one at steady state (double buffering on both hand-offs), or
+	// fewer when the file spans fewer batches.
+	sb := w * elemSize
+	shape := batchShape{k, parities, w, elemSize, opt.batchStripes((k+parities)*sb, stripes)}
+	ring := make([]*batch, min(3, (stripes+shape.stripes-1)/shape.stripes))
+	free := make(chan *batch, len(ring))
+	filled := make(chan *batch, 1)
+	encoded := make(chan *batch, 1)
+	for i := range ring {
+		ring[i] = getBatch(shape)
+		free <- ring[i]
 	}
 	defer func() {
-		for _, b := range all {
-			for _, s := range b.stripes {
-				pool.Put(s)
-			}
+		for _, b := range ring {
+			putBatch(b)
 		}
 	}()
 
@@ -210,23 +191,19 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		remaining := stripes
-		for remaining > 0 {
+		for first := 0; first < stripes; {
 			t0 := now()
-			var b *encBatch
+			var b *batch
 			select {
 			case b = <-free:
 			case <-abort:
 				return
 			}
 			since("shard.encode.read.wait.seconds", t0)
-			n := batchN
-			if n > remaining {
-				n = remaining
-			}
+			b.window(first, stripes)
 			t1 := now()
-			for j := 0; j < n; j++ {
-				got, readErr := fillStripe(r, b.stripes[j], k)
+			for _, s := range b.live() {
+				got, readErr := fillStripe(r, s, k)
 				consumed += got
 				if readErr != nil {
 					fail(readErr)
@@ -234,14 +211,13 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 				}
 			}
 			since("shard.encode.read.seconds", t1)
-			b.n = n
 			select {
 			case filled <- b:
 				addGauge(reg, "shard.encode.queue_depth", 1)
 			case <-abort:
 				return
 			}
-			remaining -= n
+			first += b.n
 		}
 		close(filled)
 	}()
@@ -254,7 +230,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		defer wg.Done()
 		for {
 			t0 := now()
-			var b *encBatch
+			var b *batch
 			var ok bool
 			select {
 			case b, ok = <-filled:
@@ -269,10 +245,10 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 			t1 := now()
 			var encErr error
 			if workers > 1 {
-				encErr = pipeline.EncodeAll(code, b.stripes[:b.n], nil,
+				encErr = pipeline.EncodeAll(code, b.live(), nil,
 					pipeline.Config{Workers: workers, Registry: reg, Context: ctx})
 			} else {
-				for _, s := range b.stripes[:b.n] {
+				for _, s := range b.live() {
 					if encErr = code.Encode(s, nil); encErr != nil {
 						break
 					}
@@ -291,13 +267,14 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		}
 	}()
 
-	// Stage 3: writer (this goroutine). Drains batches in order, so
-	// shard bytes and checksums match the sequential path exactly.
+	// Stage 3: writer (this goroutine). Drains batches in order, one
+	// positional write per column, so shard bytes and checksums match the
+	// sequential path exactly.
 	sums := make([]uint32, k+parities)
 writeLoop:
 	for {
 		t0 := now()
-		var b *encBatch
+		var b *batch
 		var ok bool
 		select {
 		case b, ok = <-encoded:
@@ -309,14 +286,11 @@ writeLoop:
 		}
 		since("shard.encode.write.wait.seconds", t0)
 		t1 := now()
-		for j := 0; j < b.n; j++ {
-			for i := 0; i < k+parities; i++ {
-				strip := b.stripes[j].Strips[i]
-				if _, writeErr := writers[i].Write(strip); writeErr != nil {
-					fail(writeErr)
-					break writeLoop
-				}
-				sums[i] = crc32.Update(sums[i], crc32.IEEETable, strip)
+		for i, f := range files {
+			var writeErr error
+			if sums[i], writeErr = writeCol(f, b, i, sums[i]); writeErr != nil {
+				fail(writeErr)
+				break writeLoop
 			}
 		}
 		since("shard.encode.write.seconds", t1)
@@ -332,10 +306,7 @@ writeLoop:
 		err = fmt.Errorf("shard: read %d bytes, expected %d", consumed, size)
 		return nil, err
 	}
-	for i := range writers {
-		if err = writers[i].Flush(); err != nil {
-			return nil, err
-		}
+	for i := range files {
 		if err = files[i].Sync(); err != nil {
 			return nil, err
 		}

@@ -9,10 +9,12 @@
 // read → encode → write through a double-buffered batch pipeline (a
 // reader goroutine fills batch N+1 while the worker pool encodes batch N
 // and a writer goroutine drains batch N-1), and decoding/repair read all
-// k+m shards stripe-by-stripe through per-shard file readers. Peak
-// memory is O(batch × stripe) regardless of file size; shard health is
-// decided up front by a cheap stat+checksum probe and re-verified
-// incrementally by rolling CRCs while the stripes stream through.
+// k+m shards batch by batch. A batch is about 1 MiB of stripes laid out
+// column by column, so each shard's part of it moves with one positional
+// read or write, straight between the store and the batch. Peak memory
+// is a few batches regardless of file size; shard health is decided up
+// front by a cheap stat+checksum probe and re-verified incrementally by
+// rolling CRCs while the stripes stream through.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
@@ -36,6 +38,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/codes"
@@ -78,12 +81,6 @@ func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 // (implicitly Liberation) still load, as do version 2 and 3 manifests.
 const FormatVersion = 4
 
-// DefaultBatchStripes is the pipeline batch size used when
-// Options.BatchStripes is zero. It bounds the streaming paths' resident
-// memory at O(DefaultBatchStripes × stripe) while keeping the worker
-// pool fed.
-const DefaultBatchStripes = 32
-
 // Options tunes the streaming data path. The zero value is valid:
 // serial coding, default batch size, no metrics, the real filesystem
 // with the default retry policy.
@@ -92,8 +89,10 @@ type Options struct {
 	// in-line on the pipeline's coding stage, >1 fans stripes of each
 	// batch out over a pipeline worker pool, and <0 uses all cores.
 	Workers int
-	// BatchStripes is the number of stripes per pipeline batch
-	// (0 = DefaultBatchStripes). Peak memory scales with it.
+	// BatchStripes is the number of stripes per pipeline batch. Zero
+	// sizes batches to about 1 MiB, with at least one stripe per worker.
+	// Peak memory scales with it: one batch for decode and repair, up to
+	// three for encode.
 	BatchStripes int
 	// Registry, when non-nil, receives shard.* spans, the pipeline
 	// stage-wait histograms, and the queue-depth gauge, and is attached
@@ -136,13 +135,6 @@ func (o Options) codeName() string {
 		return o.Code
 	}
 	return codes.Default
-}
-
-func (o Options) batch() int {
-	if o.BatchStripes > 0 {
-		return o.BatchStripes
-	}
-	return DefaultBatchStripes
 }
 
 func (o Options) workerCount() int {
@@ -369,6 +361,9 @@ func nodeFault(err error) bool {
 // resident memory is O(1) regardless of shard size.
 const probeBufSize = 128 << 10
 
+// probeBufs recycles the probe's scratch buffers across calls.
+var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
+
 // probeShards makes the up-front health decision for every shard of m.
 // Shards are classified into three tiers:
 //
@@ -401,7 +396,8 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 		obs.EmitErr(pctx, slog.LevelWarn, "shard.unhealthy", status[i].Err, attrs...)
 	}
 	_, shardSize := m.shardShape()
-	buf := make([]byte, probeBufSize)
+	buf := probeBufs.Get().(*[probeBufSize]byte)
+	defer probeBufs.Put(buf)
 	files = make([]store.File, m.NumShards())
 	status = make([]ShardStatus, m.NumShards())
 	for i := range status {
@@ -447,7 +443,7 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 			f.Close()
 			continue
 		}
-		sum, crcErr := streamCRC(store.SectionReader(f, size), buf)
+		sum, crcErr := streamCRC(store.SectionReader(f, size), buf[:])
 		if crcErr != nil {
 			status[i].State = StateIOError
 			status[i].Err = crcErr

@@ -105,8 +105,9 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// SectionReader adapts a File to an io.Reader over [0, size), for the
-// streaming read paths (wrap it in a bufio.Reader for throughput).
+// SectionReader adapts a File to an io.Reader over [0, size), for reads
+// that walk a whole file through a scratch buffer (the manifest load,
+// the shard checksum probe).
 func SectionReader(f File, size int64) *io.SectionReader {
 	return io.NewSectionReader(f, 0, size)
 }

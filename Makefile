@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-parallel bench-baseline race-obs monitor-soak clean
+.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-baseline race-obs clean
 
 all: build
 
@@ -109,32 +109,17 @@ bench-gate:
 bench-correct:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -only liberation/correct
 
-# Intra-stripe parallel-encode scaling check: asserts >= 2x at 4 workers
-# on a >= 64 MiB stripe. Needs >= 4 real CPUs and a quiet machine; on
-# smaller hosts the test measures and logs without asserting.
-bench-parallel:
-	BENCH_PARALLEL=1 $(GO) test -count=1 -run TestEncodeShardedSpeedup -v ./internal/pipeline/
-
 # Regenerate the bench-gate baseline (run on a quiet machine, then commit).
 bench-baseline:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -write
 
 # Race-detector pass focused on the observability surfaces: concurrent
 # flight-recorder scrapes, event-log writes, traced degraded decodes,
-# monitoring-plane scrapes while the sampler ticks, and the node
-# fault-domain layer (gated stores, breakers, hedged reads).
+# and the node fault-domain layer (gated stores, breakers, hedged reads).
 race-obs:
 	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Node|Breaker|Hedge|Timeout' \
-		./internal/obs ./internal/shard ./internal/monitor ./cmd/raidcli ./cmd/raidmon \
+		./internal/obs ./internal/shard ./cmd/raidcli \
 		./internal/store ./internal/store/nodestore
-
-# monitor-soak is the monitoring-plane gate: a seeded faultstore chaos
-# schedule over repeated decodes must drive an alert through the full
-# ok -> pending -> firing -> resolved ladder and return the health
-# verdict to healthy. Deterministic (fake clock, seeded faults); every
-# failure reproduces exactly.
-monitor-soak:
-	$(GO) test -count=1 -run 'TestMonitorChaosSoak|TestAlertLadderEndToEnd' -v ./internal/monitor/
 
 clean:
 	$(GO) clean ./...

@@ -1,8 +1,8 @@
 // Command metriclint statically checks that every metric the codebase
 // emits is declared in the committed catalog (docs/METRICS.json), and
 // that every catalog entry still corresponds to an emission — the two
-// directions that keep dashboards, alert rules, and the label taxonomy
-// honest as the code moves.
+// directions that keep the catalog and the label taxonomy honest as the
+// code moves.
 //
 // The scanner is a pure go/ast pass (no type checking, no build): it
 // recognizes the obs registry's emitting methods (Count, CounterWith,
@@ -95,7 +95,7 @@ func (e emission) key() string {
 
 // dynSite is an emit call whose metric name the scanner could not
 // resolve to a literal. prefix holds the longest resolvable leading
-// literal (e.g. "monitor.transition." from "monitor.transition."+to),
+// literal (e.g. "faultstore.injected." from "faultstore.injected."+kind),
 // which a dynamic-exempt prefix entry in the catalog can cover.
 type dynSite struct {
 	file   string
@@ -443,7 +443,7 @@ func looksStringy(e ast.Expr, sc *fnScope) bool {
 }
 
 // literalPrefix returns the longest resolvable leading literal of a
-// concatenation ("monitor.transition." from "monitor.transition."+to).
+// concatenation ("faultstore.injected." from "faultstore.injected."+kind).
 func literalPrefix(e ast.Expr, sc *fnScope) string {
 	switch v := e.(type) {
 	case *ast.ParenExpr:

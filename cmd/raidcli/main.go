@@ -13,12 +13,6 @@
 //	raidcli repair [-code NAME] [-workers N] [-batch N] MANIFEST
 //	raidcli verify [-code NAME] MANIFEST
 //	raidcli info [-code NAME] MANIFEST
-//	raidcli watch [-url http://localhost:8080] [-interval 2s] [-n 0]
-//
-// Watch polls a running raidmon's monitoring plane (/api/v1/health and
-// /api/v1/alerts) and renders the array health verdict, its reasons,
-// and any pending or firing alerts as plain text. With -n 1 it doubles
-// as a scripted health probe: healthy exits 0, anything else exits 1.
 //
 // Encode, decode, repair, and verify all take -retries and
 // -retry-backoff to bound the transient-I/O retry loop. With
@@ -133,8 +127,6 @@ func run(cmd string, args []string) error {
 		return cmdVerify(args)
 	case "info":
 		return cmdInfo(args)
-	case "watch":
-		return cmdWatch(args)
 	default:
 		return errUsage
 	}
@@ -147,7 +139,6 @@ func usage() {
   raidcli repair [-code NAME] [-workers N] [-batch N] MANIFEST
   raidcli verify [-code NAME] MANIFEST
   raidcli info [-code NAME] MANIFEST
-  raidcli watch [-url http://localhost:8080] [-interval 2s] [-n 0]
 
 code selection:
   -code NAME            erasure code by registry name (encode selects, default

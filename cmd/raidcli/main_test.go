@@ -105,8 +105,10 @@ func TestCLIExitCodes(t *testing.T) {
 	if got := realMain(nil); got != exitUsage {
 		t.Errorf("no args: exit %d, want %d", got, exitUsage)
 	}
-	if got := realMain([]string{"bogus"}); got != exitUsage {
-		t.Errorf("bad subcommand: exit %d, want %d", got, exitUsage)
+	for _, sub := range []string{"bogus", "watch"} {
+		if got := realMain([]string{sub}); got != exitUsage {
+			t.Errorf("bad subcommand %q: exit %d, want %d", sub, got, exitUsage)
+		}
 	}
 	if got := realMain([]string{"decode", "-no-such-flag", "x"}); got != exitUsage {
 		t.Errorf("bad flag: exit %d, want %d", got, exitUsage)

@@ -64,19 +64,6 @@ type Updater interface {
 	Update(s *Stripe, col, row int, oldElem []byte, ops *Ops) (int, error)
 }
 
-// An ElemwiseEncoder is a Code whose Encode addresses the stripe
-// exclusively through Stripe.Elem — never through whole strips — and can
-// therefore encode an ElemRange view: the element byte-ranges of one
-// stripe are independent, so a large stripe splits across workers
-// (pipeline.EncodeSharded). Strip-granular codes (rs, crs) do not
-// implement it and politely fall back to a single-threaded encode.
-type ElemwiseEncoder interface {
-	Code
-	// ElemwiseEncode is a marker with no behavior; implementing it
-	// asserts the element-granularity contract above.
-	ElemwiseEncode()
-}
-
 // CleanColumn is returned by ColumnCorrector.CorrectColumn when no
 // corruption is present.
 const CleanColumn = -1
@@ -102,41 +89,6 @@ type Stripe struct {
 	W        int
 	ElemSize int
 	Strips   [][]byte // len K+M; each W*ElemSize bytes
-	// Stride is the byte distance between consecutive elements of a
-	// strip; zero means tightly packed (ElemSize). Only ElemRange views
-	// set it: a view addresses a sub-range of every element of its parent
-	// stripe, so its elements are Stride apart but ElemSize long. Views
-	// are valid wherever the stripe is accessed element-wise (Elem);
-	// whole-strip operations (Clone, EqualData, direct Strips access)
-	// assume packed strips and must not be used on views.
-	Stride int
-}
-
-// stride returns the element-to-element distance in bytes.
-func (s *Stripe) stride() int {
-	if s.Stride != 0 {
-		return s.Stride
-	}
-	return s.ElemSize
-}
-
-// ElemRange returns a view of s covering bytes [lo, hi) of every element.
-// The view aliases s (no data is copied) and has the same K and W with
-// ElemSize = hi-lo, so codes whose Encode addresses the stripe purely
-// through Elem (see ElemwiseEncoder) run on it unchanged — the basis of
-// the stripe-sharded parallel encode, which gives each worker a disjoint
-// element byte-range of one large stripe.
-func (s *Stripe) ElemRange(lo, hi int) *Stripe {
-	if lo < 0 || hi > s.ElemSize || lo >= hi {
-		panic(fmt.Sprintf("core: bad element range [%d,%d) of %d", lo, hi, s.ElemSize))
-	}
-	st := s.stride()
-	v := &Stripe{K: s.K, W: s.W, ElemSize: hi - lo, Stride: st,
-		Strips: make([][]byte, len(s.Strips))}
-	for i, strip := range s.Strips {
-		v.Strips[i] = strip[lo : (s.W-1)*st+hi]
-	}
-	return v
 }
 
 // NewStripe allocates a zeroed two-parity (RAID-6) stripe — shorthand for
@@ -169,11 +121,7 @@ func NewStripeFor(code Code, elemSize int) *Stripe {
 
 // Elem returns the element at (col, row) as a byte slice aliasing the strip.
 func (s *Stripe) Elem(col, row int) []byte {
-	st := s.Stride
-	if st == 0 {
-		st = s.ElemSize
-	}
-	off := row * st
+	off := row * s.ElemSize
 	return s.Strips[col][off : off+s.ElemSize : off+s.ElemSize]
 }
 

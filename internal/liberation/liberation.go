@@ -84,11 +84,6 @@ func (c *Code) P() int { return c.p }
 // W returns the column height, which equals p for Liberation codes.
 func (c *Code) W() int { return c.p }
 
-// ElemwiseEncode marks the code for stripe-sharded encoding: Encode
-// addresses the stripe only through Elem, so it runs unchanged on
-// core.ElemRange views (see core.ElemwiseEncoder).
-func (c *Code) ElemwiseEncode() {}
-
 // mod is <x>: x mod p in 0..p-1.
 func (c *Code) mod(x int) int { return core.Mod(x, c.p) }
 

@@ -29,12 +29,6 @@ func NewEventLog(w io.Writer, min slog.Level) *EventLog {
 	}
 }
 
-// NewEventLogHandler wraps an arbitrary slog.Handler (a text handler, a
-// test capture, an application's root logger) as an event sink.
-func NewEventLogHandler(h slog.Handler, min slog.Level) *EventLog {
-	return &EventLog{h: h, min: min}
-}
-
 // RecordEvent implements EventSink.
 func (l *EventLog) RecordEvent(ev Event) {
 	if l == nil || ev.Level < l.min {

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"net/http"
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // DefaultFlightSize is the ring capacity used when NewFlightRecorder is
 // given a non-positive size.
@@ -15,8 +10,8 @@ const DefaultFlightSize = 256
 // ring — the storage equivalent of an aircraft's flight recorder. When
 // a recovery fails, the tail of the ring is the causal record of what
 // the operation tried (every retry, quarantine, heal, and fallback),
-// attached to the typed error and served over /debug/flight, so a
-// post-mortem needs no live process and no external log pipeline.
+// attached to the typed error, so a post-mortem needs no live process
+// and no external log pipeline.
 //
 // Writes are one short critical section (no allocation); Snapshot copies
 // under the same lock, so a reader can never observe a torn record.
@@ -50,14 +45,6 @@ func (r *FlightRecorder) RecordEvent(ev Event) {
 	}
 	r.total++
 	r.mu.Unlock()
-}
-
-// Size returns the ring capacity.
-func (r *FlightRecorder) Size() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
 }
 
 // Total returns the lifetime record count (including overwritten
@@ -108,45 +95,4 @@ func (r *FlightRecorder) Tail(trace TraceID, max int) []Event {
 		events = events[len(events)-max:]
 	}
 	return events
-}
-
-// flightDump is the JSON shape FlightHandler serves.
-type flightDump struct {
-	Size   int     `json:"size"`
-	Total  uint64  `json:"total"`
-	Events []Event `json:"events"`
-}
-
-// FlightHandler serves the recorder's current contents as indented
-// JSON: {"size", "total", "events"}. Query parameters: ?trace=<hex id>
-// filters to one trace, ?n=<count> keeps only the newest n events.
-func FlightHandler(r *FlightRecorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var trace TraceID
-		if t := req.URL.Query().Get("trace"); t != "" {
-			id, err := strconv.ParseUint(t, 16, 64)
-			if err != nil {
-				http.Error(w, "bad trace id: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			trace = TraceID(id)
-		}
-		max := 0
-		if n := req.URL.Query().Get("n"); n != "" {
-			v, err := strconv.Atoi(n)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			max = v
-		}
-		dump := flightDump{Size: r.Size(), Total: r.Total(), Events: r.Tail(trace, max)}
-		if dump.Events == nil {
-			dump.Events = []Event{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(dump)
-	})
 }

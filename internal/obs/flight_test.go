@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"log/slog"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -223,59 +219,5 @@ func TestFlightTailConcurrentWrap(t *testing.T) {
 	// unbounded unfiltered Tail matches Snapshot.
 	if got := len(rec.Tail(0, 0)); got != 8 {
 		t.Errorf("final unfiltered tail holds %d events, want the ring size 8", got)
-	}
-}
-
-// TestFlightHandler exercises the /debug/flight JSON surface, including
-// the trace filter, while a live trace keeps writing.
-func TestFlightHandler(t *testing.T) {
-	rec := NewFlightRecorder(32)
-	tr := NewTracer(rec)
-	tr.Seed(0)
-	ctx, sp := StartOp(context.Background(), tr, nil, "op.a")
-	Emit(ctx, slog.LevelWarn, "op.a.event", slog.Int("shard", 1))
-	sp.End(nil)
-	_, sp2 := StartOp(context.Background(), tr, nil, "op.b")
-	sp2.End(nil)
-
-	srv := httptest.NewServer(FlightHandler(rec))
-	defer srv.Close()
-
-	get := func(q string) flightDump {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", q, resp.StatusCode)
-		}
-		var dump flightDump
-		if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-			t.Fatal(err)
-		}
-		return dump
-	}
-
-	dump := get("")
-	if dump.Size != 32 || dump.Total != 3 || len(dump.Events) != 3 {
-		t.Fatalf("dump = size %d total %d events %d, want 32/3/3", dump.Size, dump.Total, len(dump.Events))
-	}
-	filtered := get("?trace=" + sp.TraceID().String())
-	if len(filtered.Events) != 2 {
-		t.Fatalf("trace filter kept %d events, want 2", len(filtered.Events))
-	}
-	for _, ev := range filtered.Events {
-		if ev.Trace != sp.TraceID().String() {
-			t.Errorf("filtered event from wrong trace: %+v", ev)
-		}
-	}
-	if last := get("?n=1"); len(last.Events) != 1 || last.Events[0].Name != "op.b" {
-		t.Errorf("?n=1 = %+v, want just op.b", last.Events)
-	}
-
-	if resp, _ := srv.Client().Get(srv.URL + "?trace=zzz"); resp.StatusCode != 400 {
-		t.Errorf("bad trace id: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,9 +9,9 @@ import (
 // A Label is one dimension of a metric series: a key (from the small
 // fixed taxonomy — node, disk, code, op, worker — see docs/METRICS.json)
 // and a value drawn from a bounded set (a disk index, a code name).
-// Labels are what turn "raid.scrub.repairs.disk.3" string-surgery into a
-// first-class series raid.scrub.repairs{disk="3"} that the monitoring
-// plane can select, group, and attribute without parsing names.
+// Labels make a per-disk or per-node count a first-class series,
+// raid.scrub.repairs{disk="3"}, beside its family total, instead of a
+// name that readers have to parse.
 type Label struct {
 	Key   string
 	Value string
@@ -30,8 +29,7 @@ func Li(key string, v int) Label { return Label{Key: key, Value: strconv.Itoa(v)
 // "other" child (every value replaced by "other") and each collapsed
 // observation increments the obs.labels.dropped counter. The cap keeps a
 // mis-labelled emitter (a path or UUID used as a label value) from
-// growing the registry, the time-series store, and the exposition
-// without bound.
+// growing the registry and its snapshots without bound.
 const DefaultLabelCap = 64
 
 // LabelsDroppedCounter is the counter incremented once per observation
@@ -68,28 +66,9 @@ func equalLabels(a, b []Label) bool {
 	return true
 }
 
-// HasLabels reports whether labels (sorted or not) contains every label
-// in match.
-func HasLabels(labels, match []Label) bool {
-	for _, m := range match {
-		found := false
-		for _, l := range labels {
-			if l == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // SeriesName renders the canonical series identity: the bare base name
 // when labels is empty, otherwise base{k1="v1",k2="v2"} with keys in
-// sorted order. This string is the series' key everywhere downstream —
-// the snapshot maps, the time-series store, the query API.
+// sorted order. This string is the series' key in the snapshot maps.
 func SeriesName(base string, labels []Label) string {
 	if len(labels) == 0 {
 		return base
@@ -125,71 +104,6 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-func unescapeLabelValue(v string) string {
-	if !strings.Contains(v, `\`) {
-		return v
-	}
-	r := strings.NewReplacer(`\\`, `\`, `\"`, `"`)
-	return r.Replace(v)
-}
-
-// SplitSeries parses a canonical series name back into its base and
-// labels. A name without braces returns (name, nil). The inverse of
-// SeriesName for well-formed names; a malformed brace section is
-// returned un-split.
-func SplitSeries(series string) (base string, labels []Label) {
-	i := strings.IndexByte(series, '{')
-	if i < 0 || !strings.HasSuffix(series, "}") {
-		return series, nil
-	}
-	base = series[:i]
-	body := series[i+1 : len(series)-1]
-	for len(body) > 0 {
-		eq := strings.Index(body, `="`)
-		if eq < 0 {
-			return series, nil
-		}
-		key := body[:eq]
-		rest := body[eq+2:]
-		end := -1
-		for j := 0; j < len(rest); j++ {
-			if rest[j] == '\\' {
-				j++
-				continue
-			}
-			if rest[j] == '"' {
-				end = j
-				break
-			}
-		}
-		if end < 0 {
-			return series, nil
-		}
-		labels = append(labels, Label{Key: key, Value: unescapeLabelValue(rest[:end])})
-		body = rest[end+1:]
-		if strings.HasPrefix(body, ",") {
-			body = body[1:]
-		} else if len(body) > 0 {
-			return series, nil
-		}
-	}
-	return base, labels
-}
-
-// SeriesSuffix appends a structural suffix to a series name, keeping the
-// label set terminal: h{node="3"} + ".count" → h.count{node="3"}. Used
-// by the time-series store for the derived histogram series.
-func SeriesSuffix(series, suffix string) string {
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[:i] + suffix + series[i:]
-	}
-	return series + suffix
-}
-
-// BoundLabel renders a histogram bucket bound the way the Prometheus
-// exposition and the derived .le.<bound> series spell it.
-func BoundLabel(v float64) string { return trimFloat(v) }
-
 // family is the interned label-set table of one metric name: a flat
 // list scanned under a read lock — cardinality is capped, so the scan is
 // short and allocation-free.
@@ -220,7 +134,7 @@ func (f *family[M]) find(labels []Label) (m M, ok bool) {
 // mk on first use. When the family is at the cardinality cap, the set
 // collapses into the family's "other" child (same keys, every value
 // "other"); collapsed reports that.
-func (f *family[M]) intern(labels []Label, cap int, mk func() M) (m M, collapsed bool) {
+func (f *family[M]) intern(labels []Label, mk func() M) (m M, collapsed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range f.entries {
@@ -228,7 +142,7 @@ func (f *family[M]) intern(labels []Label, cap int, mk func() M) (m M, collapsed
 			return f.entries[i].metric, false
 		}
 	}
-	if len(f.entries) >= cap && !isOtherSet(labels) {
+	if len(f.entries) >= DefaultLabelCap && !isOtherSet(labels) {
 		other := make([]Label, len(labels))
 		for i, l := range labels {
 			other[i] = Label{Key: l.Key, Value: LabelOther}
@@ -270,23 +184,6 @@ func (f *family[M]) snapshotEntries() []famEntry[M] {
 	copy(out, f.entries)
 	f.mu.RUnlock()
 	return out
-}
-
-// labelCap resolves the registry's per-metric cardinality budget.
-func (r *Registry) labelCap() int {
-	if r.labelCapacity > 0 {
-		return r.labelCapacity
-	}
-	return DefaultLabelCap
-}
-
-// SetLabelCap overrides the per-metric label-set budget (DefaultLabelCap
-// when unset or n <= 0). Call before emitters start; the cap is read
-// without synchronization on the slow path only.
-func (r *Registry) SetLabelCap(n int) {
-	if r != nil {
-		r.labelCapacity = n
-	}
 }
 
 // counterFamily returns the labeled-counter family for name, creating it
@@ -346,7 +243,7 @@ func (r *Registry) histFamily(name string) *family[*Histogram] {
 // is Registry.Counter. A nil registry returns nil (all Counter methods
 // are nil-safe).
 //
-// Overflow: once name holds Registry.SetLabelCap distinct sets, new sets
+// Overflow: once name holds DefaultLabelCap distinct sets, new sets
 // collapse into the "other" child and each such call increments
 // obs.labels.dropped.
 func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
@@ -361,7 +258,7 @@ func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
 	if c, ok := f.find(labels); ok {
 		return c
 	}
-	c, collapsed := f.intern(labels, r.labelCap(), func() *Counter { return &Counter{} })
+	c, collapsed := f.intern(labels, func() *Counter { return &Counter{} })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}
@@ -381,7 +278,7 @@ func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
 	if g, ok := f.find(labels); ok {
 		return g
 	}
-	g, collapsed := f.intern(labels, r.labelCap(), func() *Gauge { return &Gauge{} })
+	g, collapsed := f.intern(labels, func() *Gauge { return &Gauge{} })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}
@@ -403,7 +300,7 @@ func (r *Registry) HistogramWith(name string, bounds []float64, labels ...Label)
 	if h, ok := f.find(labels); ok {
 		return h
 	}
-	h, collapsed := f.intern(labels, r.labelCap(), func() *Histogram { return newHistogram(bounds) })
+	h, collapsed := f.intern(labels, func() *Histogram { return newHistogram(bounds) })
 	if collapsed {
 		r.Counter(LabelsDroppedCounter).Inc()
 	}
@@ -436,14 +333,4 @@ func (r *Registry) ObserveWith(name string, bounds []float64, v float64, labels 
 	if r != nil {
 		r.HistogramWith(name, bounds, labels...).Observe(v)
 	}
-}
-
-// sortedLabelKeys returns the sorted distinct keys of a label set.
-func sortedLabelKeys(labels []Label) []string {
-	keys := make([]string, 0, len(labels))
-	for _, l := range labels {
-		keys = append(keys, l.Key)
-	}
-	sort.Strings(keys)
-	return keys
 }

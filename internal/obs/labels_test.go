@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -18,31 +17,9 @@ func TestSeriesNameRoundTrip(t *testing.T) {
 		{"esc", []Label{L("op", `a"b\c`)}, `esc{op="a\"b\\c"}`},
 	}
 	for _, c := range cases {
-		got := SeriesName(c.base, c.labels)
-		if got != c.want {
+		if got := SeriesName(c.base, c.labels); got != c.want {
 			t.Errorf("SeriesName(%q, %v) = %q, want %q", c.base, c.labels, got, c.want)
 		}
-		base, labels := SplitSeries(got)
-		if base != c.base {
-			t.Errorf("SplitSeries(%q) base = %q, want %q", got, base, c.base)
-		}
-		if len(labels) != len(c.labels) {
-			t.Fatalf("SplitSeries(%q) labels = %v, want %d labels", got, labels, len(c.labels))
-		}
-		for _, l := range c.labels {
-			if !HasLabels(labels, []Label{l}) {
-				t.Errorf("SplitSeries(%q) labels %v missing %v", got, labels, l)
-			}
-		}
-	}
-}
-
-func TestSeriesSuffix(t *testing.T) {
-	if got := SeriesSuffix(`h{node="3"}`, ".count"); got != `h.count{node="3"}` {
-		t.Errorf("SeriesSuffix = %q", got)
-	}
-	if got := SeriesSuffix("h", ".count"); got != "h.count" {
-		t.Errorf("SeriesSuffix = %q", got)
 	}
 }
 
@@ -92,8 +69,7 @@ func TestLabeledCounterHotPathAllocs(t *testing.T) {
 
 func TestLabelCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetLabelCap(4)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultLabelCap; i++ {
 		r.CountWith("capped", 1, Li("node", i))
 	}
 	if v := r.Counter(LabelsDroppedCounter).Value(); v != 0 {
@@ -115,8 +91,8 @@ func TestLabelCardinalityCap(t *testing.T) {
 		t.Fatal("over-cap label set interned its own series")
 	}
 	// The family aggregate counts everything, collapsed or not.
-	if s.Counters["capped"] != 7 {
-		t.Fatalf("aggregate capped = %d, want 7", s.Counters["capped"])
+	if want := uint64(DefaultLabelCap + 3); s.Counters["capped"] != want {
+		t.Fatalf("aggregate capped = %d, want %d", s.Counters["capped"], want)
 	}
 	// Interned children stay live past the cap.
 	r.CountWith("capped", 1, Li("node", 2))
@@ -142,11 +118,7 @@ func TestSnapshotLabeledRendering(t *testing.T) {
 	if s.Counters["raid.scrub.repairs"] != 3 {
 		t.Errorf("aggregate = %d, want 3", s.Counters["raid.scrub.repairs"])
 	}
-	// Flat-name compatibility alias (the pre-label spelling).
-	if s.Counters["raid.scrub.repairs.disk.3"] != 2 {
-		t.Errorf("flat alias missing: %v", s.Counters)
-	}
-	if s.Gauges[`node.down{node="2"}`] != 1 || s.Gauges["node.down.node.2"] != 1 {
+	if s.Gauges[`node.down{node="2"}`] != 1 || s.Gauges["node.down"] != 1 {
 		t.Errorf("gauge rendering: %v", s.Gauges)
 	}
 	agg := s.Histograms["op.seconds"]
@@ -155,6 +127,24 @@ func TestSnapshotLabeledRendering(t *testing.T) {
 	}
 	if s.Histograms[`op.seconds{node="1"}`].Count != 1 {
 		t.Errorf("histogram child missing: %v", mapsKeys(s.Histograms))
+	}
+
+	// Exactly the canonical children plus the bare family totals: no
+	// other spelling of a labeled series.
+	for _, c := range []struct {
+		got  []string
+		want []string
+	}{
+		{mapsKeys(s.Counters), []string{"raid.scrub.repairs",
+			`raid.scrub.repairs{disk="3"}`, `raid.scrub.repairs{disk="5"}`}},
+		{mapsKeys(s.Gauges), []string{"node.down", `node.down{node="2"}`}},
+		{mapsKeys(s.Histograms), []string{"op.seconds",
+			`op.seconds{node="1"}`, `op.seconds{node="2"}`}},
+	} {
+		slices.Sort(c.got)
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("snapshot keys = %q, want %q", c.got, c.want)
+		}
 	}
 }
 
@@ -174,55 +164,6 @@ func TestSnapshotUnlabeledNameWins(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusLabels(t *testing.T) {
-	r := NewRegistry()
-	r.CountWith("nodestore.down.total", 4, L("node", "1"))
-	r.CountWith("nodestore.down.total", 2, L("node", "3"))
-	r.ObserveWith("store.node.seconds", []float64{0.001, 0.01}, 0.002, L("node", "3"))
-	var b strings.Builder
-	r.Snapshot().WritePrometheus(&b)
-	out := b.String()
-
-	for _, want := range []string{
-		"# TYPE nodestore_down_total counter\n",
-		"nodestore_down_total 6\n", // aggregate
-		`nodestore_down_total{node="1"} 4` + "\n",
-		`nodestore_down_total{node="3"} 2` + "\n",
-		`store_node_seconds_bucket{node="3",le="0.01"} 1` + "\n",
-		`store_node_seconds_sum{node="3"} 0.002` + "\n",
-		`store_node_seconds_count{node="3"} 1` + "\n",
-		// flat alias for dashboards scraping the dotted spelling
-		"nodestore_down_total_node_1 4\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// One TYPE line per metric name.
-	if n := strings.Count(out, "# TYPE nodestore_down_total counter"); n != 1 {
-		t.Errorf("TYPE emitted %d times, want 1", n)
-	}
-	// All samples of a name are contiguous under its TYPE line.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	lastBase, seen := "", map[string]bool{}
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "# TYPE ") {
-			base := strings.Fields(ln)[2]
-			if seen[base] {
-				t.Errorf("metric %s split across groups", base)
-			}
-			seen[base] = true
-			lastBase = base
-			continue
-		}
-		name := ln[:strings.IndexAny(ln, "{ ")]
-		name = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if name != lastBase {
-			t.Errorf("sample %q under TYPE %s", ln, lastBase)
-		}
-	}
-}
-
 func mapsKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -239,5 +180,3 @@ func BenchmarkLabeledCounterHit(b *testing.B) {
 		r.CounterWith("bench", L("node", "7")).Inc()
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debug churn

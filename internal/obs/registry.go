@@ -7,9 +7,8 @@
 // The paper's entire evaluation rests on two observables — XOR counts
 // normalized to the k-1 lower bound (Figures 5-8) and encode/decode wall
 // time (Figures 9-13). This package makes both first-class runtime
-// metrics, so a running array or bulk pipeline can be watched the way a
-// production RAID stack is operated: rebuild progress, degraded-read
-// amplification, scrub hit rates, XORs per parity bit.
+// metrics, read per operation through Registry.Snapshot: XORs per parity
+// element, throughput, rebuild progress, degraded reads, scrub repairs.
 //
 // Everything here is safe for concurrent use: hot-path mutation is one
 // atomic add per event, and Snapshot readers never block writers.
@@ -17,7 +16,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -90,12 +88,10 @@ type Registry struct {
 	hists    map[string]*Histogram
 
 	// Labeled families (see labels.go): one interned label-set table per
-	// metric name, each capped at labelCap() distinct sets.
+	// metric name, each capped at DefaultLabelCap distinct sets.
 	cfam map[string]*family[*Counter]
 	gfam map[string]*family[*Gauge]
 	hfam map[string]*family[*Histogram]
-
-	labelCapacity int
 }
 
 // NewRegistry returns an empty registry.
@@ -195,15 +191,4 @@ func (r *Registry) Observe(name string, bounds []float64, v float64) {
 	if r != nil {
 		r.Histogram(name, bounds).Observe(v)
 	}
-}
-
-// names returns the sorted metric names of one kind (for deterministic
-// rendering).
-func sortedNames[M any](m map[string]M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

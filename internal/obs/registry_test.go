@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -97,12 +95,12 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Count("a.xors", 30)
 	r.SetGauge("g", 0.5)
 	r.Histogram("a.seconds", LatencyBuckets).Observe(0.001)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Counters["a.xors"] != 30 || back.Gauges["g"] != 0.5 {
@@ -110,48 +108,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if sp, ok := back.Spans["a"]; !ok || sp.Calls != 3 || sp.XORs != 30 {
 		t.Errorf("span family not reassembled: %+v", back.Spans)
-	}
-}
-
-func TestPrometheusRendering(t *testing.T) {
-	r := NewRegistry()
-	r.Count("raid.degraded_reads", 7)
-	r.SetGauge("raid.rebuild.progress", 0.25)
-	r.Histogram("enc.seconds", []float64{0.001, 0.01}).Observe(0.002)
-	var buf bytes.Buffer
-	r.Snapshot().WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE raid_degraded_reads counter",
-		"raid_degraded_reads 7",
-		"# TYPE raid_rebuild_progress gauge",
-		"raid_rebuild_progress 0.25",
-		"# TYPE enc_seconds histogram",
-		`enc_seconds_bucket{le="0.001"} 0`,
-		`enc_seconds_bucket{le="0.01"} 1`,
-		`enc_seconds_bucket{le="+Inf"} 1`,
-		"enc_seconds_sum 0.002",
-		"enc_seconds_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTextRenderingDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Count("b.calls", 1)
-	r.Count("a.calls", 1)
-	r.Count("zz", 5)
-	var one, two bytes.Buffer
-	r.Snapshot().WriteText(&one)
-	r.Snapshot().WriteText(&two)
-	if one.String() != two.String() {
-		t.Error("text rendering is not deterministic")
-	}
-	if !strings.Contains(one.String(), "zz") {
-		t.Errorf("text rendering missing counter:\n%s", one.String())
 	}
 }
 

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -44,17 +40,13 @@ type SpanStats struct {
 // Snapshot captures every metric in the registry. Safe to call while
 // writers are mutating; a nil registry yields an empty snapshot.
 //
-// Labeled metrics appear three ways, all under the counter/gauge/
+// Labeled metrics appear two ways, both under the counter/gauge/
 // histogram maps keyed by canonical series name (see SeriesName):
 //
 //   - every child:        raid.scrub.repairs{disk="3"}
 //   - the family total:   raid.scrub.repairs — the sum (merge, for
 //     histograms) of the children, emitted only when no unlabeled metric
-//     already owns the bare name, so a migrated emitter keeps its old
-//     aggregate series alive for free;
-//   - a flat-name alias for single-label children:
-//     raid.scrub.repairs.disk.3 — the pre-label dotted spelling, kept so
-//     existing dashboards and committed BENCH_obs series keep resolving.
+//     already owns the bare name.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -112,11 +104,6 @@ func (r *Registry) Snapshot() Snapshot {
 			v := e.metric.Value()
 			total += v
 			s.Counters[SeriesName(base, e.labels)] = v
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Counters[alias]; !taken {
-					s.Counters[alias] = v
-				}
-			}
 		}
 		if _, taken := s.Counters[base]; !taken {
 			s.Counters[base] = total
@@ -132,11 +119,6 @@ func (r *Registry) Snapshot() Snapshot {
 			v := e.metric.Value()
 			total += v
 			s.Gauges[SeriesName(base, e.labels)] = v
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Gauges[alias]; !taken {
-					s.Gauges[alias] = v
-				}
-			}
 		}
 		if _, taken := s.Gauges[base]; !taken {
 			s.Gauges[base] = total
@@ -156,11 +138,6 @@ func (r *Registry) Snapshot() Snapshot {
 				agg = mergeHistogramSnapshots(agg, hs)
 			}
 			s.Histograms[SeriesName(base, e.labels)] = hs
-			if alias, ok := flatAlias(base, e.labels); ok {
-				if _, taken := s.Histograms[alias]; !taken {
-					s.Histograms[alias] = hs
-				}
-			}
 		}
 		if _, taken := s.Histograms[base]; !taken {
 			s.Histograms[base] = agg
@@ -194,58 +171,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteText renders the snapshot as a human-readable report with
-// deterministic ordering.
-func (s Snapshot) WriteText(w io.Writer) {
-	if len(s.Spans) > 0 {
-		fmt.Fprintln(w, "spans:")
-		for _, name := range sortedNames(s.Spans) {
-			sp := s.Spans[name]
-			fmt.Fprintf(w, "  %-24s calls=%d errors=%d bytes=%d xors=%d copies=%d zeros=%d\n",
-				name, sp.Calls, sp.Errors, sp.Bytes, sp.XORs, sp.Copies, sp.Zeros)
-			if sp.Latency.Count > 0 {
-				fmt.Fprintf(w, "  %-24s latency p50=%s p90=%s p99=%s mean=%s\n",
-					"", fmtSeconds(sp.Latency.P50), fmtSeconds(sp.Latency.P90),
-					fmtSeconds(sp.Latency.P99), fmtSeconds(sp.Latency.Mean))
-			}
-			if sp.BytesPerSec > 0 || sp.XORsPerUnit > 0 {
-				fmt.Fprintf(w, "  %-24s throughput=%.1f MB/s xors/unit=%.4f\n",
-					"", sp.BytesPerSec/1e6, sp.XORsPerUnit)
-			}
-		}
-	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, name := range sortedNames(s.Counters) {
-			fmt.Fprintf(w, "  %-40s %d\n", name, s.Counters[name])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, name := range sortedNames(s.Gauges) {
-			fmt.Fprintf(w, "  %-40s %g\n", name, s.Gauges[name])
-		}
-	}
-}
-
-// flatAlias spells a single-label child the way the pre-label stack
-// did: base.key.value (raid.scrub.repairs{disk="3"} →
-// raid.scrub.repairs.disk.3). Multi-label children have no historical
-// flat spelling and alias nothing.
-func flatAlias(base string, labels []Label) (string, bool) {
-	if len(labels) != 1 {
-		return "", false
-	}
-	return base + "." + labels[0].Key + "." + labels[0].Value, true
-}
-
 // mergeHistogramSnapshots folds b into a (the family aggregate). The
 // children of one family share bucket bounds by construction; on a
 // mismatch the merge keeps a unchanged rather than inventing buckets.
@@ -276,110 +201,4 @@ func mergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
 		out.P99 = out.Quantile(0.99)
 	}
 	return out
-}
-
-func fmtSeconds(v float64) string {
-	switch {
-	case v >= 1:
-		return fmt.Sprintf("%.3gs", v)
-	case v >= 1e-3:
-		return fmt.Sprintf("%.3gms", v*1e3)
-	default:
-		return fmt.Sprintf("%.3gµs", v*1e6)
-	}
-}
-
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Metric names have non-alphanumeric runes
-// replaced with underscores; labeled series render with proper brace
-// syntax (metric{node="3",code="liberation"}), grouped so every sample
-// of one metric name sits under a single # TYPE line; histograms emit
-// cumulative _bucket series plus _sum and _count, with the le label
-// merged after the series' own labels.
-func (s Snapshot) WritePrometheus(w io.Writer) {
-	writeGrouped(w, s.Counters, "counter", func(w io.Writer, pn, labels string, v uint64) {
-		fmt.Fprintf(w, "%s%s %d\n", pn, labels, v)
-	})
-	writeGrouped(w, s.Gauges, "gauge", func(w io.Writer, pn, labels string, v float64) {
-		fmt.Fprintf(w, "%s%s %g\n", pn, labels, v)
-	})
-	writeGrouped(w, s.Histograms, "histogram", func(w io.Writer, pn, labels string, h HistogramSnapshot) {
-		cum := uint64(0)
-		for i, n := range h.Counts {
-			cum += n
-			le := "+Inf"
-			if i < len(h.Bounds) {
-				le = trimFloat(h.Bounds[i])
-			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", pn, mergeLE(labels, le), cum)
-		}
-		fmt.Fprintf(w, "%s_sum%s %g\n", pn, labels, h.Sum)
-		fmt.Fprintf(w, "%s_count%s %d\n", pn, labels, h.Count)
-	})
-}
-
-// writeGrouped renders one metric map: series are grouped by base name
-// (sorted), each group gets one # TYPE line, and within a group the
-// unlabeled aggregate renders first, then the children in canonical
-// order.
-func writeGrouped[V any](w io.Writer, m map[string]V, typ string,
-	render func(io.Writer, string, string, V)) {
-	for _, base := range groupBases(m) {
-		pn := promName(base)
-		fmt.Fprintf(w, "# TYPE %s %s\n", pn, typ)
-		if v, ok := m[base]; ok {
-			render(w, pn, "", v)
-		}
-		for _, series := range sortedNames(m) {
-			sb, labels := SplitSeries(series)
-			if sb != base || len(labels) == 0 {
-				continue
-			}
-			var b strings.Builder
-			writeLabelSet(&b, labels)
-			render(w, pn, b.String(), m[series])
-		}
-	}
-}
-
-// groupBases returns the sorted distinct base names of a metric map.
-func groupBases[V any](m map[string]V) []string {
-	seen := make(map[string]bool, len(m))
-	var out []string
-	for series := range m {
-		base, _ := SplitSeries(series)
-		if !seen[base] {
-			seen[base] = true
-			out = append(out, base)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// mergeLE appends the le label to an already-rendered label set.
-func mergeLE(labels, le string) string {
-	if labels == "" {
-		return fmt.Sprintf("{le=%q}", le)
-	}
-	return fmt.Sprintf("%s,le=%q}", strings.TrimSuffix(labels, "}"), le)
-}
-
-func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9' && i > 0:
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func trimFloat(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }

@@ -1,8 +1,6 @@
 package raidsim
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -65,14 +63,7 @@ func (a *Array) count(name string, n uint64) {
 }
 
 // countDisk bumps a disk-labeled event counter: the snapshot renders
-// the child as name{disk="N"}, the family total under the bare name,
-// and the legacy dotted alias name.disk.N for old dashboards.
+// the child as name{disk="N"} and the family total under the bare name.
 func (a *Array) countDisk(name string, disk int, n uint64) {
 	a.obs.CountWith(name, n, obs.Li("disk", disk))
-}
-
-// scrubRepairCounter names the flat compatibility alias of the per-disk
-// scrub repair series (the child itself is raid.scrub.repairs{disk=N}).
-func scrubRepairCounter(disk int) string {
-	return fmt.Sprintf("raid.scrub.repairs.disk.%d", disk)
 }

@@ -2,7 +2,7 @@ package raidsim
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,6 +10,12 @@ import (
 	"repro/internal/liberation"
 	"repro/internal/obs"
 )
+
+// scrubRepairSeries names disk's child of the per-disk scrub repair
+// counter.
+func scrubRepairSeries(disk int) string {
+	return obs.SeriesName("raid.scrub.repairs", []obs.Label{obs.Li("disk", disk)})
+}
 
 // newTestRegistry attaches a fresh registry to the array.
 func newTestRegistry(a *Array) *obs.Registry {
@@ -79,7 +85,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	check("raid.parity_elem_writes", a.Stats.ParityElemWrites)
 	check("raid.degraded_reads", a.Stats.DegradedReads)
 	check("raid.stripes_rebuilt", a.Stats.StripesRebuilt)
-	check("raid.scrub_repairs", a.Stats.ScrubRepairs)
+	check("raid.scrub.repairs", a.Stats.ScrubRepairs)
 	if a.Stats.DegradedReads == 0 || a.Stats.SmallWrites == 0 || a.Stats.ScrubRepairs == 0 {
 		t.Fatalf("workload did not exercise all paths: %+v", a.Stats)
 	}
@@ -87,12 +93,12 @@ func TestMetricsMatchStats(t *testing.T) {
 	// Per-disk scrub repair attribution: exactly the corrupted disk.
 	repairs := uint64(0)
 	for d := 0; d < a.NumDisks(); d++ {
-		repairs += snap.Counters[fmt.Sprintf("raid.scrub.repairs.disk.%d", d)]
+		repairs += snap.Counters[scrubRepairSeries(d)]
 	}
 	if repairs != a.Stats.ScrubRepairs {
 		t.Errorf("per-disk scrub repairs sum %d, want %d", repairs, a.Stats.ScrubRepairs)
 	}
-	if snap.Counters["raid.scrub.repairs.disk.1"] == 0 {
+	if snap.Counters[scrubRepairSeries(1)] == 0 {
 		t.Error("repair not attributed to corrupted disk 1")
 	}
 
@@ -119,7 +125,7 @@ func TestMetricsMatchStats(t *testing.T) {
 }
 
 // TestMetricsConcurrentReaders runs array traffic while other goroutines
-// snapshot and render the registry — the -race acceptance test for this
+// snapshot and marshal the registry — the -race acceptance test for this
 // package. The array itself is single-writer (as documented); only the
 // registry is shared.
 func TestMetricsConcurrentReaders(t *testing.T) {
@@ -139,15 +145,15 @@ func TestMetricsConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sink bytes.Buffer
 			for {
 				select {
 				case <-done:
 					return
 				default:
-					snap := reg.Snapshot()
-					sink.Reset()
-					snap.WriteText(&sink)
+					if _, err := json.Marshal(reg.Snapshot()); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()

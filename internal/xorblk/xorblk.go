@@ -14,8 +14,7 @@
 // loads/stores on little-endian machines), and the ragged tail — at most 7
 // bytes once the head is aligned — finishes byte-wise. Aligning on the
 // destination keeps the stores (the expensive half of a read-modify-write
-// XOR) on word boundaries even when callers slice mid-element, e.g. the
-// element-range views behind the stripe-sharded parallel encoder.
+// XOR) on word boundaries even when callers slice mid-element.
 package xorblk
 
 import (

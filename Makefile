@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-correct bench-baseline race-obs clean
+.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-baseline race-obs clean
 
 all: build
 
@@ -97,17 +97,11 @@ bench-obs:
 	BENCH_OBS_JSON=artifacts/BENCH_obs.json $(GO) test -count=1 -run TestObservedWorkloadDeterministic .
 
 # Perf-regression gate: measure the core coding hot paths and fail on any
-# exact-XOR-count increase or a >15% calibrated throughput regression
-# against the checked-in baseline. BENCH_GATE_TOL overrides the tolerance.
+# exact-XOR-count change or a >15% calibrated throughput regression
+# against the checked-in baseline. The single-column correction bench
+# carries its own tighter band in the baseline (tol_ns_frac).
 bench-gate:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json
-
-# Focused gate on the single-column correction hot path: the streamed
-# CorrectColumn carries its own tightened ns/op band in the baseline
-# (tol_ns_frac), so a correct-path regression fails here even when it
-# would squeak under the gate-wide tolerance.
-bench-correct:
-	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -only liberation/correct
 
 # Regenerate the bench-gate baseline (run on a quiet machine, then commit).
 bench-baseline:

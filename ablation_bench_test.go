@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crs"
 	"repro/internal/liberation"
-	"repro/internal/xorblk"
 )
 
 // BenchmarkAblationPairReuse isolates the paper's central idea: encoding
@@ -111,32 +110,6 @@ func BenchmarkAblationSmartVsDumbSchedule(b *testing.B) {
 				if err := c.Decode(s, []int{2, 7}, nil); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFusedXor measures what schedule fusion buys at the
-// kernel level: one fused three-source accumulation vs. three separate
-// passes over the same destination block.
-func BenchmarkAblationFusedXor(b *testing.B) {
-	for _, size := range []int{4096, 1 << 16} {
-		dst := make([]byte, size)
-		a := make([]byte, size)
-		c := make([]byte, size)
-		d := make([]byte, size)
-		b.Run(fmt.Sprintf("three-passes/size=%dKB", size/1024), func(b *testing.B) {
-			b.SetBytes(3 * int64(size))
-			for i := 0; i < b.N; i++ {
-				xorblk.XorInto(dst, a)
-				xorblk.XorInto(dst, c)
-				xorblk.XorInto(dst, d)
-			}
-		})
-		b.Run(fmt.Sprintf("fused/size=%dKB", size/1024), func(b *testing.B) {
-			b.SetBytes(3 * int64(size))
-			for i := 0; i < b.N; i++ {
-				xorblk.XorInto3(dst, a, c, d)
 			}
 		})
 	}

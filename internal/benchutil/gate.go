@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
-	"repro/internal/xorblk"
 )
 
 // The perf-regression gate measures a small fixed set of core hot paths —
@@ -20,8 +19,8 @@ import (
 // machine-independent) and wall-clock timing (which is not). CompareCore
 // then holds a current report against a checked-in baseline: any
 // XOR-count increase fails outright, while timing is judged with a
-// tolerance after normalising by the machines' raw XOR-kernel throughput,
-// so a slower CI runner does not read as a code regression.
+// tolerance after normalising by the machines' raw copy throughput, so a
+// slower CI runner does not read as a code regression.
 
 // Shape of the gated workloads. Fixed forever: changing them invalidates
 // the checked-in baseline.
@@ -32,7 +31,7 @@ const (
 	gfElem   = 4 * KB // element size of the GF(2^8) benches
 )
 
-// calibBlock is the buffer size of the calibration kernel: large enough to
+// calibBlock is the buffer size of the calibration copy: large enough to
 // stream, small enough to stay in L2 so the number reflects the CPU, not
 // the DRAM bus.
 const calibBlock = 64 * KB
@@ -98,17 +97,19 @@ func measure(benchTime time.Duration, bytesPerOp int, fn func()) (nsPerOp, mbPer
 	return nsPerOp, mbPerSec, bytesAlloc, allocs
 }
 
-// calibrate measures the raw XOR-kernel throughput of this machine in
-// MB/s: the common scale factor behind every gated bench, used by
-// CompareCore to tell "this machine is slower" apart from "this code got
-// slower".
+// calibrate measures this machine's raw copy throughput in MB/s: the
+// common scale factor behind every gated bench, used by CompareCore to
+// tell "this machine is slower" apart from "this code got slower". It
+// times the builtin copy, which no change to this repository can speed up
+// or slow down; timing one of the gated kernels instead would let a
+// kernel change move its own yardstick and cancel out.
 func calibrate(benchTime time.Duration) float64 {
 	dst := make([]byte, calibBlock)
 	src := make([]byte, calibBlock)
 	for i := range src {
 		src[i] = byte(i)
 	}
-	_, mbps, _, _ := measure(benchTime, calibBlock, func() { xorblk.XorInto(dst, src) })
+	_, mbps, _, _ := measure(benchTime, calibBlock, func() { copy(dst, src) })
 	return mbps
 }
 

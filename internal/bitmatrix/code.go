@@ -52,9 +52,8 @@ type Code struct {
 	LazyEncodeSchedule bool
 
 	encSched Schedule
-	encFast  FusedSchedule
 	decMu    sync.Mutex
-	decCache map[[2]int]FusedSchedule
+	decCache map[[2]int]Schedule
 
 	obs        *obs.Registry // optional metrics sink (see Instrument)
 	spanPrefix string        // name up to the parameter list, e.g. "liberation-orig"
@@ -69,13 +68,12 @@ func NewCode(name string, k, w int, gen *Matrix, enc, dec Scheduling) (*Code, er
 			gen.R, gen.C, 2*w, k*w)
 	}
 	c := &Code{name: name, k: k, w: w, gen: gen, enc: enc, dec: dec,
-		decCache: make(map[[2]int]FusedSchedule)}
+		decCache: make(map[[2]int]Schedule)}
 	c.spanPrefix = name
 	if i := strings.IndexByte(name, '('); i >= 0 {
 		c.spanPrefix = name[:i]
 	}
 	c.encSched = c.buildEncodeSchedule()
-	c.encFast = c.encSched.Fuse()
 	return c, nil
 }
 
@@ -124,7 +122,7 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 		c.buildEncodeSchedule().Run(s, ops)
 		return nil
 	}
-	c.encFast.Run(s, ops)
+	c.encSched.Run(s, ops)
 	return nil
 }
 
@@ -161,19 +159,18 @@ func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 		return nil
 	}
 	c.decMu.Lock()
-	fused, ok := c.decCache[key]
+	sch, ok := c.decCache[key]
 	c.decMu.Unlock()
 	if !ok {
-		sch, err := c.DecodeSchedule(erased)
-		if err != nil {
+		var err error
+		if sch, err = c.DecodeSchedule(erased); err != nil {
 			return err
 		}
-		fused = sch.Fuse()
 		c.decMu.Lock()
-		c.decCache[key] = fused
+		c.decCache[key] = sch
 		c.decMu.Unlock()
 	}
-	fused.Run(s, ops)
+	sch.Run(s, ops)
 	return nil
 }
 

@@ -159,41 +159,3 @@ func TestScheduleXORCount(t *testing.T) {
 		t.Errorf("executed XORs = %d, want %d", ops.XORs, want)
 	}
 }
-
-func TestFusedScheduleEquivalence(t *testing.T) {
-	k, w := 5, 5
-	gen := toyGenerator(k, w)
-	c, err := NewCode("toy", k, w, gen, Dumb, Smart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := c.DecodeSchedule([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := sch.Fuse()
-	if fused.XORCount() != sch.XORCount() {
-		t.Fatalf("fused XOR count %d != %d", fused.XORCount(), sch.XORCount())
-	}
-	// Run both on identical stripes and compare every strip.
-	orig := core.NewStripe(k, w, 16)
-	orig.FillRandom(rand.New(rand.NewSource(6)))
-	if err := c.Encode(orig, nil); err != nil {
-		t.Fatal(err)
-	}
-	a := orig.Clone()
-	b := orig.Clone()
-	a.ZeroStrip(0)
-	a.ZeroStrip(2)
-	b.ZeroStrip(0)
-	b.ZeroStrip(2)
-	var opsA, opsB core.Ops
-	sch.Run(a, &opsA)
-	fused.Run(b, &opsB)
-	if !a.Equal(b) {
-		t.Error("fused execution diverges from plain execution")
-	}
-	if opsA.XORs != opsB.XORs {
-		t.Errorf("counted XORs differ: %d vs %d", opsA.XORs, opsB.XORs)
-	}
-}

@@ -79,28 +79,3 @@ func (o *Ops) String() string {
 	}
 	return fmt.Sprintf("ops{xors=%d copies=%d zeros=%d}", o.XORs, o.Copies, o.Zeros)
 }
-
-// XorInto2 sets dst ^= a ^ b (two accumulations in one pass, counted as
-// two XORs).
-func (o *Ops) XorInto2(dst, a, b []byte) {
-	if o != nil {
-		o.XORs += 2
-	}
-	xorblk.XorInto2(dst, a, b)
-}
-
-// XorInto3 sets dst ^= a ^ b ^ c (counted as three XORs).
-func (o *Ops) XorInto3(dst, a, b, c []byte) {
-	if o != nil {
-		o.XORs += 3
-	}
-	xorblk.XorInto3(dst, a, b, c)
-}
-
-// XorInto4 sets dst ^= a ^ b ^ c ^ d (counted as four XORs).
-func (o *Ops) XorInto4(dst, a, b, c, d []byte) {
-	if o != nil {
-		o.XORs += 4
-	}
-	xorblk.XorInto4(dst, a, b, c, d)
-}

@@ -84,21 +84,11 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 		return err
 	}
 	p, k := c.p, c.k
-	// Row parities, batched through the fused kernels (same XOR count,
-	// one pass over pe per four sources).
+	// Row parities.
 	for i := 0; i < p-1; i++ {
 		pe := s.Elem(k, i)
 		ops.Copy(pe, s.Elem(0, i))
-		j := 1
-		for ; j+4 <= k; j += 4 {
-			ops.XorInto4(pe, s.Elem(j, i), s.Elem(j+1, i), s.Elem(j+2, i), s.Elem(j+3, i))
-		}
-		switch k - j {
-		case 3:
-			ops.XorInto3(pe, s.Elem(j, i), s.Elem(j+1, i), s.Elem(j+2, i))
-		case 2:
-			ops.XorInto2(pe, s.Elem(j, i), s.Elem(j+1, i))
-		case 1:
+		for j := 1; j < k; j++ {
 			ops.XorInto(pe, s.Elem(j, i))
 		}
 	}

@@ -9,7 +9,8 @@
 // Multiplication is a lookup in a 64 KiB product table built at init: row
 // c multiplies by c, so a slice kernel indexes one row by source byte with
 // no zero branch. Dot, the fused kernel behind every Reed-Solomon strip,
-// folds two sources per pass; an all-ones row runs on package xorblk.
+// folds two sources per pass; an all-ones row is a copy plus one
+// xorblk.XorInto per further source, on the standard library's XOR.
 package gf
 
 import (

@@ -28,7 +28,6 @@ type correctScratch struct {
 	elemSize int
 	dP, dQ   [][]byte // syndrome rows, p each
 	pred     [][]byte // predicted dQ rows for the candidate column
-	srcs     [][]byte // gather buffer for the fused row XORs
 	nzP, nzQ []int    // rows with a nonzero syndrome, in order
 	dirty    []int    // pred rows touched by the current candidate
 	nzQSet   []bool   // per-row: dQ[row] != 0
@@ -49,7 +48,6 @@ func (c *Code) getScratch(elemSize int) *correctScratch {
 		dP:       make([][]byte, p),
 		dQ:       make([][]byte, p),
 		pred:     make([][]byte, p),
-		srcs:     make([][]byte, 0, c.k+2),
 		nzP:      make([]int, 0, p),
 		nzQ:      make([]int, 0, p),
 		dirty:    make([]int, 0, 2*p),
@@ -68,24 +66,6 @@ func (c *Code) getScratch(elemSize int) *correctScratch {
 		sc.pred[i] = carve()
 	}
 	return sc
-}
-
-// xorRow sets dst to the XOR of srcs (at least two) through the fused
-// kernels, counting len(srcs)-1 XORs — the cost of one syndrome row.
-func xorRow(ops *core.Ops, dst []byte, srcs [][]byte) {
-	ops.Xor(dst, srcs[0], srcs[1])
-	i := 2
-	for ; i+4 <= len(srcs); i += 4 {
-		ops.XorInto4(dst, srcs[i], srcs[i+1], srcs[i+2], srcs[i+3])
-	}
-	switch len(srcs) - i {
-	case 3:
-		ops.XorInto3(dst, srcs[i], srcs[i+1], srcs[i+2])
-	case 2:
-		ops.XorInto2(dst, srcs[i], srcs[i+1])
-	case 1:
-		ops.XorInto(dst, srcs[i])
-	}
 }
 
 // CorrectColumn scans a full stripe (no erasures) for a single silently
@@ -131,33 +111,33 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 	sc := c.getScratch(s.ElemSize)
 	defer c.scratch.Put(sc)
 
-	// Stream both syndromes row by row off the live stripe. The clean
-	// case (the overwhelming majority under scrubbing) ends here: both
-	// nonzero-row lists stay empty and nothing was allocated or cloned.
+	// Stream both syndromes row by row off the live stripe, each row one
+	// Xor and then one XorInto per further source: len(sources)-1 XORs.
+	// The clean case (the overwhelming majority under scrubbing) ends
+	// here: both nonzero-row lists stay empty and nothing was allocated
+	// or cloned.
 	sc.nzP, sc.nzQ = sc.nzP[:0], sc.nzQ[:0]
 	for i := 0; i < p; i++ {
-		srcs := sc.srcs[:0]
-		for t := 0; t < k; t++ {
-			srcs = append(srcs, s.Elem(t, i))
+		dP := sc.dP[i]
+		ops.Xor(dP, s.Elem(k, i), s.Elem(0, i))
+		for t := 1; t < k; t++ {
+			ops.XorInto(dP, s.Elem(t, i))
 		}
-		srcs = append(srcs, s.Elem(k, i))
-		xorRow(ops, sc.dP[i], srcs)
-		if !xorblk.IsZero(sc.dP[i]) {
+		if !xorblk.IsZero(dP) {
 			sc.nzP = append(sc.nzP, i)
 		}
 
-		srcs = srcs[:0]
-		for t := 0; t < k; t++ {
-			srcs = append(srcs, s.Elem(t, c.mod(i+t)))
+		dQ := sc.dQ[i]
+		ops.Xor(dQ, s.Elem(k+1, i), s.Elem(0, i))
+		for t := 1; t < k; t++ {
+			ops.XorInto(dQ, s.Elem(t, c.mod(i+t)))
 		}
 		if i != 0 {
 			if ecol := c.mod(-2 * i); ecol < k {
-				srcs = append(srcs, s.Elem(ecol, c.mod(-i-1)))
+				ops.XorInto(dQ, s.Elem(ecol, c.mod(-i-1)))
 			}
 		}
-		srcs = append(srcs, s.Elem(k+1, i))
-		xorRow(ops, sc.dQ[i], srcs)
-		nz := !xorblk.IsZero(sc.dQ[i])
+		nz := !xorblk.IsZero(dQ)
 		sc.nzQSet[i] = nz
 		if nz {
 			sc.nzQ = append(sc.nzQ, i)

@@ -422,16 +422,15 @@ func (c *Code) decodeDataPair(s *core.Stripe, l, r int, ops *core.Ops) error {
 	key := [2]int{l, r}
 	c.plans.decMu.Lock()
 	if c.plans.dec == nil {
-		c.plans.dec = make(map[[2]int]bitmatrix.FusedSchedule)
+		c.plans.dec = make(map[[2]int]bitmatrix.Schedule)
 	}
 	sch, ok := c.plans.dec[key]
 	c.plans.decMu.Unlock()
 	if !ok {
-		plain, err := c.dataPairSchedule(l, r, nil)
-		if err != nil {
+		var err error
+		if sch, err = c.dataPairSchedule(l, r, nil); err != nil {
 			return err
 		}
-		sch = plain.Fuse()
 		c.plans.decMu.Lock()
 		c.plans.dec[key] = sch
 		c.plans.decMu.Unlock()

@@ -11,16 +11,15 @@ import (
 // planCache holds the compiled, data-independent operation sequences of
 // the optimal algorithms. Algorithm 1's flow depends only on (k, p), so
 // it is compiled once into a flat op list and executed with the same
-// tight runner the bit-matrix schedules use — but, unlike the original
+// runner the bit-matrix schedules use — but, unlike the original
 // implementation, the plan is derived directly from the code's geometry
 // with no matrix inversion or scheduling search anywhere.
 type planCache struct {
 	encOnce sync.Once
 	enc     bitmatrix.Schedule
-	encFast bitmatrix.FusedSchedule
 
 	decMu sync.Mutex
-	dec   map[[2]int]bitmatrix.FusedSchedule
+	dec   map[[2]int]bitmatrix.Schedule
 }
 
 // Encode computes the P and Q parity strips with the paper's Algorithm 1
@@ -47,11 +46,7 @@ func (c *Code) encodeFull(s *core.Stripe, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, 2, c.p); err != nil {
 		return err
 	}
-	c.plans.encOnce.Do(func() {
-		c.plans.enc = c.buildEncodeSchedule()
-		c.plans.encFast = c.plans.enc.Fuse()
-	})
-	c.plans.encFast.Run(s, ops)
+	c.EncodeSchedule().Run(s, ops)
 	return nil
 }
 
@@ -59,12 +54,11 @@ func (c *Code) encodeFull(s *core.Stripe, ops *core.Ops) error {
 // contributions are exactly the paper's (pairs first, then each data
 // element into the constraints its pair does not already cover), but the
 // plan is emitted grouped by destination element — all of a Q element's
-// accumulations, then all of a P element's — which the fused executor
-// turns into few multi-source passes with a cache-resident destination.
-// The reordering is sound because every grouped source is a data element
-// (never written) and the pair seeds are placed before either group; the
-// symbolic verifier proves the reordered plan equals the generator map
-// for every (k, p).
+// accumulations, then all of a P element's — so each destination stays in
+// L1 while its sources stream through it. The reordering is sound because
+// every grouped source is a data element (never written) and the pair
+// seeds are placed before either group; the symbolic verifier proves the
+// reordered plan equals the generator map for every (k, p).
 func (c *Code) buildEncodeSchedule() bitmatrix.Schedule {
 	p, k := c.p, c.k
 	var sch bitmatrix.Schedule
@@ -133,10 +127,7 @@ func (c *Code) EncodeXORs() int { return 2 * c.p * (c.k - 1) }
 // and symbolic verification). The returned schedule is shared; callers
 // must not modify it.
 func (c *Code) EncodeSchedule() bitmatrix.Schedule {
-	c.plans.encOnce.Do(func() {
-		c.plans.enc = c.buildEncodeSchedule()
-		c.plans.encFast = c.plans.enc.Fuse()
-	})
+	c.plans.encOnce.Do(func() { c.plans.enc = c.buildEncodeSchedule() })
 	return c.plans.enc
 }
 

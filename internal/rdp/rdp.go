@@ -98,58 +98,28 @@ func (c *Code) encodeP(s *core.Stripe, ops *core.Ops) error {
 	for i := 0; i < c.p-1; i++ {
 		pe := s.Elem(c.k, i)
 		ops.Copy(pe, s.Elem(0, i))
-		j := 1
-		for ; j+4 <= c.k; j += 4 {
-			ops.XorInto4(pe, s.Elem(j, i), s.Elem(j+1, i), s.Elem(j+2, i), s.Elem(j+3, i))
-		}
-		switch c.k - j {
-		case 3:
-			ops.XorInto3(pe, s.Elem(j, i), s.Elem(j+1, i), s.Elem(j+2, i))
-		case 2:
-			ops.XorInto2(pe, s.Elem(j, i), s.Elem(j+1, i))
-		case 1:
+		for j := 1; j < c.k; j++ {
 			ops.XorInto(pe, s.Elem(j, i))
 		}
 	}
 	return nil
 }
 
-// encodeQ computes the diagonal parity from the data and P strips. The
-// per-diagonal contributions are gathered into batches of four and run
-// through the fused kernels, so qe crosses the cache once per four
-// accumulations; the counted XORs are identical to the one-at-a-time
-// loop.
+// encodeQ computes the diagonal parity from the data and P strips: each
+// Q element is a copy of its diagonal's first cell, then one XorInto per
+// further cell.
 func (c *Code) encodeQ(s *core.Stripe, ops *core.Ops) error {
 	p, k := c.p, c.k
 	for d := 0; d < p-1; d++ {
 		qe := s.Elem(k+1, d)
 		acc := false
-		var buf [4][]byte
-		nb := 0
-		flush := func() {
-			switch nb {
-			case 4:
-				ops.XorInto4(qe, buf[0], buf[1], buf[2], buf[3])
-			case 3:
-				ops.XorInto3(qe, buf[0], buf[1], buf[2])
-			case 2:
-				ops.XorInto2(qe, buf[0], buf[1])
-			case 1:
-				ops.XorInto(qe, buf[0])
-			}
-			nb = 0
-		}
 		add := func(col, row int) {
-			if !acc {
-				ops.Copy(qe, s.Elem(col, row))
-				acc = true
+			if acc {
+				ops.XorInto(qe, s.Elem(col, row))
 				return
 			}
-			buf[nb] = s.Elem(col, row)
-			nb++
-			if nb == 4 {
-				flush()
-			}
+			ops.Copy(qe, s.Elem(col, row))
+			acc = true
 		}
 		for j := 0; j < k; j++ {
 			if row := c.mod(d - j); row != p-1 {
@@ -159,7 +129,6 @@ func (c *Code) encodeQ(s *core.Stripe, ops *core.Ops) error {
 		if row := c.mod(d + 1); row != p-1 {
 			add(k, row) // the P-column cell of diagonal d
 		}
-		flush()
 		if !acc {
 			ops.Zero(qe)
 		}

@@ -47,9 +47,6 @@ func FuzzKernels(f *testing.F) {
 			}
 		}
 		run("XorInto", ref(1), func(got []byte) { XorInto(got, a) })
-		run("XorInto2", ref(2), func(got []byte) { XorInto2(got, a, b) })
-		run("XorInto3", ref(3), func(got []byte) { XorInto3(got, a, b, c) })
-		run("XorInto4", ref(4), func(got []byte) { XorInto4(got, a, b, c, d) })
 		run("Xor", ref(1), func(got []byte) { Xor(got, got, a) })
 		run("XorMany", ref(4), func(got []byte) {
 			tmp := make([]byte, n)

@@ -2,7 +2,6 @@ package xorblk
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,11 +90,10 @@ func TestXorMany(t *testing.T) {
 	}
 }
 
-// TestRaggedAndMisaligned pins the head/tail split: every kernel must
-// agree with the byte-loop reference for element sizes that are not word
-// multiples (1, 7, 31, 4097, ...) and for buffers whose first byte is not
-// 8-byte aligned — the shapes where a broken head/tail handoff silently
-// corrupts or drops bytes.
+// TestRaggedAndMisaligned holds every kernel to the byte-loop reference
+// for element sizes that are not word multiples (1, 7, 31, 4097, ...) and
+// for buffers whose first byte is not 8-byte aligned — the shapes where a
+// wide kernel's head or tail handling silently corrupts or drops bytes.
 func TestRaggedAndMisaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 2, 7, 8, 9, 15, 31, 32, 33, 63, 100, 1023, 4097} {
@@ -134,38 +132,11 @@ func TestRaggedAndMisaligned(t *testing.T) {
 				}
 			}
 			check("XorInto", 1, func(dst []byte) { XorInto(dst, a) })
-			check("XorInto2", 2, func(dst []byte) { XorInto2(dst, a, b) })
-			check("XorInto3", 3, func(dst []byte) { XorInto3(dst, a, b, c) })
-			check("XorInto4", 4, func(dst []byte) { XorInto4(dst, a, b, c, d) })
 			check("XorMany", 4, func(dst []byte) {
 				tmp := make([]byte, n)
 				XorMany(tmp, dst, a, b, c, d)
 				copy(dst, tmp)
 			})
-		}
-	}
-}
-
-func TestXorInto4(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{0, 7, 8, 16, 33, 100, 4097} {
-		d0 := make([]byte, n)
-		a := make([]byte, n)
-		b := make([]byte, n)
-		c := make([]byte, n)
-		d := make([]byte, n)
-		for _, s := range [][]byte{d0, a, b, c, d} {
-			rng.Read(s)
-		}
-		want := append([]byte(nil), d0...)
-		XorInto(want, a)
-		XorInto(want, b)
-		XorInto(want, c)
-		XorInto(want, d)
-		got := append([]byte(nil), d0...)
-		XorInto4(got, a, b, c, d)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("XorInto4 wrong at n=%d", n)
 		}
 	}
 }
@@ -188,13 +159,34 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
+// TestLengthMismatchPanics pins the equal-length contract of every
+// kernel, on each operand: XORBytes itself only requires dst to be long
+// enough, so a short or long source must be caught here, never silently
+// XOR a prefix and leave stale destination bytes behind.
 func TestLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	XorInto(make([]byte, 4), make([]byte, 5))
+	four, five := make([]byte, 4), make([]byte, 5)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Xor/a", func() { Xor(make([]byte, 4), five, four) }},
+		{"Xor/b", func() { Xor(make([]byte, 4), four, five) }},
+		{"Xor/dst", func() { Xor(make([]byte, 5), four, four) }},
+		{"XorInto/short-src", func() { XorInto(make([]byte, 5), four) }},
+		{"XorInto/long-src", func() { XorInto(make([]byte, 4), five) }},
+		{"XorMany/first", func() { XorMany(make([]byte, 5), four, five) }},
+		{"XorMany/later", func() { XorMany(make([]byte, 5), five, four) }},
+		{"XorMany/none", func() { XorMany(make([]byte, 5)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			tc.fn()
+		})
+	}
 }
 
 func BenchmarkXorInto4K(b *testing.B) {
@@ -212,67 +204,5 @@ func BenchmarkXorInto64K(b *testing.B) {
 	b.SetBytes(65536)
 	for i := 0; i < b.N; i++ {
 		XorInto(dst, src)
-	}
-}
-
-// BenchmarkXorIntoMulti proves the fused kernels keep parity with the
-// XorInto main loop: each sub-benchmark accounts bytes per source
-// accumulated, so MB/s is directly comparable across XorInto, XorInto2,
-// and XorInto3 (the fused kernels should be at least as fast — they
-// touch dst once instead of per source).
-func BenchmarkXorIntoMulti(b *testing.B) {
-	for _, size := range []int{4096, 65536} {
-		dst := make([]byte, size)
-		a := make([]byte, size)
-		c := make([]byte, size)
-		d := make([]byte, size)
-		b.Run(fmt.Sprintf("XorInto/size=%d", size), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				XorInto(dst, a)
-			}
-		})
-		b.Run(fmt.Sprintf("XorInto2/size=%d", size), func(b *testing.B) {
-			b.SetBytes(2 * int64(size))
-			for i := 0; i < b.N; i++ {
-				XorInto2(dst, a, c)
-			}
-		})
-		b.Run(fmt.Sprintf("XorInto3/size=%d", size), func(b *testing.B) {
-			b.SetBytes(3 * int64(size))
-			for i := 0; i < b.N; i++ {
-				XorInto3(dst, a, c, d)
-			}
-		})
-	}
-}
-
-func TestXorIntoMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 7, 8, 33, 100} {
-		a := make([]byte, n)
-		b := make([]byte, n)
-		c := make([]byte, n)
-		d0 := make([]byte, n)
-		rng.Read(a)
-		rng.Read(b)
-		rng.Read(c)
-		rng.Read(d0)
-
-		want := append([]byte(nil), d0...)
-		XorInto(want, a)
-		XorInto(want, b)
-		got := append([]byte(nil), d0...)
-		XorInto2(got, a, b)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("XorInto2 wrong at n=%d", n)
-		}
-
-		XorInto(want, c)
-		got = append([]byte(nil), d0...)
-		XorInto3(got, a, b, c)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("XorInto3 wrong at n=%d", n)
-		}
 	}
 }

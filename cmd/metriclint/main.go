@@ -10,10 +10,10 @@
 // obs package, resolves metric-name arguments through string literals,
 // package constants, local assignments, and literal concatenation, and
 // propagates through repo-local helper functions whose name parameter
-// flows into an emit call (e.g. pipeline's runPool, raidsim's
-// countDisk) — so a call like EncodeAllReport(...) is charged with the
-// pipeline.encode span family even though the literal lives two frames
-// up.
+// flows into an emit call (e.g. shard's observeWait, raidsim's
+// countDisk) — so a call like countDisk("raid.scrub.repairs", disk, 1)
+// is charged with the raid.scrub.repairs family even though the emit
+// call lives a frame down.
 //
 // Checks:
 //

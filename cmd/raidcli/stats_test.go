@@ -60,12 +60,12 @@ func TestStatsFlag(t *testing.T) {
 
 	manifest := filepath.Join(dir, "data.bin.manifest.json")
 
-	// Parallel encode reports the pool span too.
+	// A parallel encode bills the same k-1 XORs per parity element.
 	out = capture(t, func() error {
 		return run("encode", []string{"-k", "4", "-elem", "64", "-out", dir, "-workers", "2", "-stats", blob})
 	})
-	if !strings.Contains(out, "pipeline.encode") {
-		t.Errorf("parallel encode -stats missing pipeline span:\n%s", out)
+	if line := statsLine(out, "liberation.encode"); !strings.Contains(line, "xors/unit=3.000") {
+		t.Errorf("parallel encode -stats liberation.encode line does not read xors/unit=3.000:\n%s", out)
 	}
 
 	// Lose a shard: decode and repair must show decode spans.
@@ -107,9 +107,10 @@ func TestStatsFlag(t *testing.T) {
 	}
 }
 
-// TestStatsPipelineUnits pins the pool span's denominator: pipeline.encode
-// bills parity elements (stripes × M × W), so its xors/unit reads the same
-// k-1 bound as the code's own encode span rather than XORs per stripe.
+// TestStatsPipelineUnits pins the encode span's denominator under a
+// parallel encode: liberation.encode bills parity elements (stripes × M ×
+// W), so its xors/unit reads the k-1 bound rather than XORs per stripe,
+// whichever goroutine coded each stripe.
 func TestStatsPipelineUnits(t *testing.T) {
 	dir := t.TempDir()
 	blob := filepath.Join(dir, "data.bin")
@@ -122,13 +123,21 @@ func TestStatsPipelineUnits(t *testing.T) {
 		return run("encode", []string{"-k", "8", "-p", "11", "-elem", "64", "-workers", "2",
 			"-out", dir, "-stats", blob})
 	})
+	line := statsLine(out, "liberation.encode")
+	if line == "" {
+		t.Fatalf("no liberation.encode line in -stats output:\n%s", out)
+	}
+	if !strings.Contains(line, "xors/unit=7.000") || !strings.Contains(line, "(lower bound k-1 = 7)") {
+		t.Errorf("liberation.encode line does not read xors/unit=7.000 against k-1 = 7 for k=8, p=11:\n%s", line)
+	}
+}
+
+// statsLine returns the -stats line of the named span, or "".
+func statsLine(out, span string) string {
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "pipeline.encode ") {
-			if !strings.Contains(line, "xors/unit=7.000") {
-				t.Errorf("pipeline.encode line does not read xors/unit=7.000 for k=8, p=11:\n%s", line)
-			}
-			return
+		if strings.HasPrefix(line, span+" ") {
+			return line
 		}
 	}
-	t.Errorf("no pipeline.encode line in -stats output:\n%s", out)
+	return ""
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // ObsReport is the machine-readable observability artifact the bench
@@ -46,16 +45,17 @@ func RunObservedWorkload(k, p, elemSize, stripes int) (*ObsReport, error) {
 		}
 		batch[i] = s
 	}
-	cfg := pipeline.Config{Workers: 2, Registry: reg}
-	if err := pipeline.EncodeAll(code, batch, nil, cfg); err != nil {
-		return nil, err
+	for _, s := range batch {
+		if err := code.Encode(s, nil); err != nil {
+			return nil, err
+		}
 	}
 	for _, s := range batch {
 		s.ZeroStrip(0)
 		s.ZeroStrip(2)
-	}
-	if err := pipeline.DecodeAll(code, batch, []int{0, 2}, nil, cfg); err != nil {
-		return nil, err
+		if err := code.Decode(s, []int{0, 2}, nil); err != nil {
+			return nil, err
+		}
 	}
 
 	return &ObsReport{

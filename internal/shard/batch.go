@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -97,6 +98,45 @@ func (b *batch) off() int64 { return int64(b.first) * int64(b.sb) }
 
 // live returns the stripes in use.
 func (b *batch) live() []*core.Stripe { return b.stripes[:b.n] }
+
+// forEachStripe runs fn on every stripe. With one worker it runs in
+// line; otherwise it splits the stripes into up to workers contiguous
+// runs, codes the first on the calling goroutine and each other on its
+// own, and waits for all of them. (The caller takes a run rather than
+// idling in Wait until the scheduler starts every goroutine.) Stripes
+// share no memory, so no ordering or output byte depends on the split.
+// A run stops at its first error while the others finish theirs, and
+// the runs' errors come back joined.
+func forEachStripe(stripes []*core.Stripe, workers int, fn func(*core.Stripe) error) error {
+	runs := min(workers, len(stripes))
+	if runs <= 1 {
+		for _, s := range stripes {
+			if err := fn(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, runs)
+	run := func(r int) {
+		for _, s := range stripes[r*len(stripes)/runs : (r+1)*len(stripes)/runs] {
+			if errs[r] = fn(s); errs[r] != nil {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 1; r < runs; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(r)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	return errors.Join(errs...)
+}
 
 // batchStripes returns the stripes per batch for a set of total stripes
 // of stripeBytes each: Options.BatchStripes when set, otherwise as many

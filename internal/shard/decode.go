@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
@@ -36,36 +35,12 @@ type Report struct {
 	Degraded bool
 }
 
-// Decode reconstructs the original file from the shard set described by
-// the manifest at manifestPath (shards are looked up in the same
-// directory) and writes it to w. Missing or checksum-corrupt shards are
-// treated per the degradation ladder (quarantine → CorrectColumn →
-// erasure decode); up to m hard losses are tolerated (m being the
-// code's parity count), and purely silent per-stripe single-column
-// corruption is healed even beyond that. It returns the per-shard
-// status that recovery observed.
-func Decode(manifestPath string, w io.Writer) ([]ShardStatus, error) {
-	return DecodeOpts(manifestPath, w, Options{})
-}
-
-// DecodeObserved is Decode with a metrics registry attached (see
-// EncodeObserved); recovery work shows up as liberation.decode spans
-// under a shard.decode span, with the health probe as shard.probe.
-func DecodeObserved(manifestPath string, w io.Writer, reg *obs.Registry) ([]ShardStatus, error) {
-	return DecodeOpts(manifestPath, w, Options{Registry: reg})
-}
-
-// DecodeOpts is the streaming decoder behind Decode; see DecodeReport
-// for the full result.
-func DecodeOpts(manifestPath string, w io.Writer, opt Options) ([]ShardStatus, error) {
-	rep, err := DecodeReport(manifestPath, w, opt)
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Status, err
-}
-
-// DecodeReport is the self-healing streaming decoder.
+// DecodeReport is the self-healing streaming decoder. It reconstructs
+// the original file from the shard set described by the manifest at
+// manifestPath (shards are looked up in the same directory), writes it
+// to w, and reports what recovery observed: up to m hard losses are
+// tolerated (m being the code's parity count), and purely silent
+// per-stripe single-column corruption is healed even beyond that.
 //
 // The up-front probe (stat + streamed CRC-32, O(1) memory) classifies
 // every shard: clean, soft-quarantined (present but checksum-corrupt),
@@ -86,7 +61,8 @@ func DecodeOpts(manifestPath string, w io.Writer, opt Options) ([]ShardStatus, e
 // *os.File). Shards are read batch by batch, one positional read per
 // shard per batch, straight into one pooled batch of about 1 MiB
 // (Options.BatchStripes overrides the size), so resident memory does
-// not grow with the file.
+// not grow with the file. A cancelled Options.Context stops the decode
+// before its next batch.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -115,26 +91,14 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 	return r.rep, err
 }
 
-// Repair reconstructs missing/corrupt shards in place (writing repaired
-// shard files back into the manifest's directory) and returns the indices
-// repaired.
-func Repair(manifestPath string) ([]int, error) {
-	return RepairOpts(manifestPath, Options{})
-}
-
-// RepairObserved is Repair with a metrics registry attached (see
-// EncodeObserved).
-func RepairObserved(manifestPath string, reg *obs.Registry) ([]int, error) {
-	return RepairOpts(manifestPath, Options{Registry: reg})
-}
-
-// RepairOpts is the streaming repairer behind Repair. It shares the
-// probe, the degradation ladder, and the bounded-memory stripe loop with
-// DecodeReport, but routes the reconstructed strips into fresh shard
-// files written next to the originals: each repaired shard streams into
-// a temporary file whose rolling CRC must reproduce the manifest
-// checksum before it is synced and renamed over the broken shard, so a
-// failed repair never clobbers anything.
+// RepairOpts reconstructs missing or corrupt shards in place and
+// returns the indices repaired. It shares the probe, the degradation
+// ladder, and the bounded-memory stripe loop with DecodeReport, but
+// routes the reconstructed strips into fresh shard files written next
+// to the originals: each repaired shard streams into a temporary file
+// whose rolling CRC must reproduce the manifest checksum before it is
+// synced and renamed over the broken shard, so a failed repair (a
+// cancelled Options.Context included) never clobbers anything.
 func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.repair",
@@ -341,13 +305,18 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 	b := r.batch()
 	defer putBatch(b)
 
+	workers := r.opt.workerCount()
+	decode := func(s *core.Stripe) error { return r.code.Decode(s, erased, nil) }
 	for first := 0; first < m.Stripes; first += b.n {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
+		}
 		b.window(first, m.Stripes)
 		if col, err := fillBatch(streams, b, rolling); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
 		if len(erased) > 0 {
-			if err := decodeBatch(ctx, r.code, b.live(), erased, r.opt); err != nil {
+			if err := forEachStripe(b.live(), workers, decode); err != nil {
 				return err
 			}
 			for _, e := range erased {
@@ -394,6 +363,9 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 	defer putBatch(b)
 
 	for first := 0; first < m.Stripes; first += b.n {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
+		}
 		b.window(first, m.Stripes)
 		if col, err := fillBatch(files, b, nil); err != nil {
 			return &quarantineError{col: col, cause: err}
@@ -614,19 +586,4 @@ func (r *recovery) batch() *batch {
 	sb, _ := m.shardShape()
 	return getBatch(batchShape{m.K, m.M, m.W, m.ElemSize,
 		r.opt.batchStripes(m.NumShards()*sb, m.Stripes)})
-}
-
-// decodeBatch reconstructs the erased strips of every stripe in the
-// batch, over a worker pool when the options ask for one.
-func decodeBatch(ctx context.Context, code core.Code, stripes []*core.Stripe, erased []int, opt Options) error {
-	if workers := opt.workerCount(); workers > 1 {
-		return pipeline.DecodeAll(code, stripes, erased, nil,
-			pipeline.Config{Workers: workers, Registry: opt.Registry, Context: ctx})
-	}
-	for _, s := range stripes {
-		if err := code.Decode(s, erased, nil); err != nil {
-			return err
-		}
-	}
-	return nil
 }

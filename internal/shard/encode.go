@@ -11,61 +11,25 @@ import (
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
-// Encode splits the contents of r (size bytes) into k+m shards written
-// to outDir (m being the code's parity count, 2 for the default
-// liberation code), returning the manifest (also written to outDir).
-// p = 0 selects the smallest usable prime automatically.
-func Encode(r io.Reader, size int64, fileName string, k, p, elemSize int, outDir string) (*Manifest, error) {
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir, Options{})
-}
-
-// EncodeObserved is Encode with a metrics registry attached to the
-// underlying code: the per-algorithm spans (liberation.encode) and a
-// shard.encode span covering the whole file land in reg. A nil registry
-// makes it identical to Encode.
-func EncodeObserved(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, reg *obs.Registry) (*Manifest, error) {
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir, Options{Registry: reg})
-}
-
-// EncodeParallel is Encode with the stripe encoding fanned out over a
-// worker pool (workers <= 0 uses all cores): stripes are read in
-// batches, encoded concurrently (each stripe is independent), and
-// written out in order so shard files and checksums are byte-identical
-// to the sequential path.
-func EncodeParallel(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, workers int) (*Manifest, error) {
-	return EncodeParallelObserved(r, size, fileName, k, p, elemSize, outDir, workers, nil)
-}
-
-// EncodeParallelObserved is EncodeParallel with a metrics registry
-// attached to both the code (liberation.encode spans) and the worker
-// pool (pipeline.encode spans and queue-wait histograms). A nil
-// registry makes it identical to EncodeParallel.
-func EncodeParallelObserved(r io.Reader, size int64, fileName string, k, p, elemSize int,
-	outDir string, workers int, reg *obs.Registry) (*Manifest, error) {
-	if workers <= 0 {
-		workers = -1 // historical EncodeParallel semantics: 0 = all cores
-	}
-	return EncodeOpts(r, size, fileName, k, p, elemSize, outDir,
-		Options{Workers: workers, Registry: reg})
-}
-
-// EncodeOpts is the streaming encoder behind Encode and EncodeParallel.
+// EncodeOpts splits the contents of r (size bytes) into k+m shards
+// written to outDir (m being the code's parity count, 2 for the default
+// liberation code; Options.Code picks another), writes the manifest
+// beside them and returns it. p = 0 selects the smallest usable prime
+// automatically.
 //
 // Three stages run concurrently, handing batches of stripes around a
 // fixed ring: a reader goroutine fills batch N+1 from r, the coding
-// stage encodes batch N (in-line, or over a pipeline worker pool when
-// opt.Workers > 1), and the writer drains batch N-1 into the shard
-// files in order, so the output is byte-identical to a sequential
-// encode no matter the worker count. Each column of a batch goes to its
-// shard with one positional write. The batches come from a pool; the
-// ring holds at most three of about 1 MiB each (Options.BatchStripes
-// overrides the size), independent of size.
+// stage encodes batch N (split over up to Options.Workers goroutines),
+// and the writer drains batch N-1 into the shard files in order, so the
+// output is byte-identical to a sequential encode no matter the worker
+// count. Each column of a batch goes to its shard with one positional
+// write. The batches come from a pool; the ring holds at most three of
+// about 1 MiB each (Options.BatchStripes overrides the size),
+// independent of size. A cancelled Options.Context stops the encode
+// before its next batch is coded.
 //
 // On any error every created shard file is removed: a failed encode
 // leaves no partial shard set (and no manifest) behind.
@@ -76,7 +40,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	}
 	reg := opt.Registry
 	codeName := opt.codeName()
-	code, err := newCode(codeName, k, p, reg)
+	code, err := codes.NewObserved(codeName, k, p, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -222,9 +186,9 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		close(filled)
 	}()
 
-	// Stage 2: coding. In-line for the serial path (keeping the span
-	// profile of a sequential encode), a pipeline pool otherwise.
+	// Stage 2: coding.
 	workers := opt.workerCount()
+	encode := func(s *core.Stripe) error { return code.Encode(s, nil) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -242,19 +206,12 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 				return
 			}
 			since("shard.encode.encode.wait.seconds", t0)
-			t1 := now()
-			var encErr error
-			if workers > 1 {
-				encErr = pipeline.EncodeAll(code, b.live(), nil,
-					pipeline.Config{Workers: workers, Registry: reg, Context: ctx})
-			} else {
-				for _, s := range b.live() {
-					if encErr = code.Encode(s, nil); encErr != nil {
-						break
-					}
-				}
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				fail(fmt.Errorf("shard: stopped at stripe %d: %w", b.first, ctxErr))
+				return
 			}
-			if encErr != nil {
+			t1 := now()
+			if encErr := forEachStripe(b.live(), workers, encode); encErr != nil {
 				fail(encErr)
 				return
 			}

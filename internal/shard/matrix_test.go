@@ -32,71 +32,76 @@ func TestCodeMatrixRoundTrip(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/k=%d,p=%d", info.Name, sh.K, sh.P), func(t *testing.T) {
-				const elem = 32
-				code, err := codes.New(info.Name, sh.K, sh.P)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir := t.TempDir()
-				size := int64(sh.K*code.W()*elem*3 + 17) // 3 stripes + a partial tail
-				content := make([]byte, size)
-				rand.New(rand.NewSource(size)).Read(content)
-				m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin",
-					sh.K, sh.P, elem, dir, Options{Code: info.Name})
-				if err != nil {
-					t.Fatalf("EncodeOpts: %v", err)
-				}
-				if m.Version != FormatVersion || m.Code != info.Name || m.W != code.W() {
-					t.Fatalf("manifest records version=%d code=%q w=%d, want %d %q %d",
-						m.Version, m.Code, m.W, FormatVersion, info.Name, code.W())
-				}
-				manifest := filepath.Join(dir, ManifestName(m.FileName))
+				for _, workers := range []int{0, 4} {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						opt := Options{Code: info.Name, Workers: workers}
+						const elem = 32
+						code, err := codes.New(info.Name, sh.K, sh.P)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dir := t.TempDir()
+						size := int64(sh.K*code.W()*elem*3 + 17) // 3 stripes + a partial tail
+						content := make([]byte, size)
+						rand.New(rand.NewSource(size)).Read(content)
+						m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin",
+							sh.K, sh.P, elem, dir, opt)
+						if err != nil {
+							t.Fatalf("EncodeOpts: %v", err)
+						}
+						if m.Version != FormatVersion || m.Code != info.Name || m.W != code.W() {
+							t.Fatalf("manifest records version=%d code=%q w=%d, want %d %q %d",
+								m.Version, m.Code, m.W, FormatVersion, info.Name, code.W())
+						}
+						manifest := filepath.Join(dir, ManifestName(m.FileName))
 
-				decodeAndCompare(t, dir, m, content) // clean path
+						decodeAndCompare(t, dir, m, content, opt) // clean path
 
-				// Degraded: the full parity budget gone at once — a data
-				// shard plus the last parity (the hard erasure case for the
-				// RAID-6 families), padded with more data shards up to M
-				// losses so an m=3 family proves its triple-fault claim on
-				// the real shard path.
-				lost := []int{1, m.NumShards() - 1}
-				for i := 2; len(lost) < m.M; i++ {
-					lost = append(lost, i)
-				}
-				for _, i := range lost {
-					if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				decodeAndCompare(t, dir, m, content)
-				if repaired, err := Repair(manifest); err != nil || len(repaired) != m.M {
-					t.Fatalf("Repair after %d-shard loss: %v, %v", m.M, repaired, err)
-				}
+						// Degraded: the full parity budget gone at once — a data
+						// shard plus the last parity (the hard erasure case for the
+						// RAID-6 families), padded with more data shards up to M
+						// losses so an m=3 family proves its triple-fault claim on
+						// the real shard path.
+						lost := []int{1, m.NumShards() - 1}
+						for i := 2; len(lost) < m.M; i++ {
+							lost = append(lost, i)
+						}
+						for _, i := range lost {
+							if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
+								t.Fatal(err)
+							}
+						}
+						decodeAndCompare(t, dir, m, content, opt)
+						if repaired, err := RepairOpts(manifest, opt); err != nil || len(repaired) != m.M {
+							t.Fatalf("Repair after %d-shard loss: %v, %v", m.M, repaired, err)
+						}
 
-				// Silent corruption: flip a byte mid-shard. The probe
-				// quarantines the shard by CRC; ColumnCorrector codes heal
-				// it in stream, the rest fall through to erasure decode.
-				path := filepath.Join(dir, m.ShardName(0))
-				b, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
+						// Silent corruption: flip a byte mid-shard. The probe
+						// quarantines the shard by CRC; ColumnCorrector codes heal
+						// it in stream, the rest fall through to erasure decode.
+						path := filepath.Join(dir, m.ShardName(0))
+						b, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b[len(b)/2] ^= 0x40
+						if err := os.WriteFile(path, b, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						status := decodeAndCompare(t, dir, m, content, opt)
+						if status[0].Valid {
+							t.Error("corrupt shard reported valid")
+						}
+						if _, err := RepairOpts(manifest, opt); err != nil {
+							t.Fatalf("Repair after corruption: %v", err)
+						}
+						if err := Verify(manifest, Options{}); err != nil {
+							t.Fatalf("Verify after repair: %v", err)
+						}
+						_, healer := code.(core.ColumnCorrector)
+						t.Logf("%s: ok (column correction: %v)", info.Name, healer)
+					})
 				}
-				b[len(b)/2] ^= 0x40
-				if err := os.WriteFile(path, b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				status := decodeAndCompare(t, dir, m, content)
-				if status[0].Valid {
-					t.Error("corrupt shard reported valid")
-				}
-				if _, err := Repair(manifest); err != nil {
-					t.Fatalf("Repair after corruption: %v", err)
-				}
-				if err := Verify(manifest, Options{}); err != nil {
-					t.Fatalf("Verify after repair: %v", err)
-				}
-				_, healer := code.(core.ColumnCorrector)
-				t.Logf("%s: ok (column correction: %v)", info.Name, healer)
 			})
 		}
 	}
@@ -124,15 +129,15 @@ func TestManifestV1Fixture(t *testing.T) {
 
 	// Repair mutates the shard set, so run the whole cycle on a copy.
 	dir := copyFixture(t, fixture)
-	decodeAndCompare(t, dir, m, want)
+	decodeAndCompare(t, dir, m, want, Options{})
 
 	manifest := filepath.Join(dir, ManifestName(m.FileName))
 	if err := os.Remove(filepath.Join(dir, m.ShardName(2))); err != nil {
 		t.Fatal(err)
 	}
-	decodeAndCompare(t, dir, m, want)
-	if repaired, err := Repair(manifest); err != nil || len(repaired) != 1 {
-		t.Fatalf("Repair(v1): %v, %v", repaired, err)
+	decodeAndCompare(t, dir, m, want, Options{})
+	if repaired, err := RepairOpts(manifest, Options{}); err != nil || len(repaired) != 1 {
+		t.Fatalf("RepairOpts(v1): %v, %v", repaired, err)
 	}
 	if err := Verify(manifest, Options{}); err != nil {
 		t.Fatalf("Verify(v1) after repair: %v", err)
@@ -166,8 +171,8 @@ func TestRSFixture(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			decodeAndCompare(t, dir, m, want)
-			if _, err := Repair(filepath.Join(dir, ManifestName(m.FileName))); err != nil {
+			decodeAndCompare(t, dir, m, want, Options{})
+			if _, err := RepairOpts(filepath.Join(dir, ManifestName(m.FileName)), Options{}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < m.NumShards(); i++ {

@@ -73,7 +73,7 @@ func TestManifestRecordsPlacement(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	decodeAndCompare(t, dir, m, content)
+	decodeAndCompare(t, dir, m, content, Options{})
 }
 
 // TestManifestPlacementValidation checks a corrupt placement block is
@@ -217,7 +217,7 @@ func TestRepairReplacesOntoSpareNode(t *testing.T) {
 	if err := Verify(manifestPath, Options{}); err != nil {
 		t.Errorf("Verify after repair = %v, want nil", err)
 	}
-	decodeAndCompare(t, dir, m, content)
+	decodeAndCompare(t, dir, m, content, Options{})
 	assertNoRepairTemps(t, dir)
 }
 

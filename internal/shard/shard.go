@@ -7,8 +7,8 @@
 //
 // The data path is streaming in both directions. Encoding overlaps
 // read → encode → write through a double-buffered batch pipeline (a
-// reader goroutine fills batch N+1 while the worker pool encodes batch N
-// and a writer goroutine drains batch N-1), and decoding/repair read all
+// reader goroutine fills batch N+1 while the coding stage encodes batch
+// N and a writer goroutine drains batch N-1), and decoding/repair read all
 // k+m shards batch by batch. A batch is about 1 MiB of stripes laid out
 // column by column, so each shard's part of it moves with one positional
 // read or write, straight between the store and the batch. Peak memory
@@ -47,18 +47,11 @@ import (
 	"repro/internal/store"
 )
 
-// newCode resolves a code by registry name (p = 0 selects the smallest
-// usable prime for the array codes) and attaches the optional metrics
-// registry to codes that support instrumentation.
-func newCode(name string, k, p int, reg *obs.Registry) (core.Code, error) {
-	return codes.NewObserved(name, k, p, reg)
-}
-
 // manifestCode constructs the code a manifest was encoded with and
 // cross-checks the manifest's recorded strip width against it, so a
 // manifest that lies about its geometry fails before any shard I/O.
 func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
-	code, err := newCode(m.Code, m.K, m.P, reg)
+	code, err := codes.NewObserved(m.Code, m.K, m.P, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +78,19 @@ const FormatVersion = 4
 // serial coding, default batch size, no metrics, the real filesystem
 // with the default retry policy.
 type Options struct {
-	// Workers sets the stripe-coding pool size: 0 or 1 encode/decode
-	// in-line on the pipeline's coding stage, >1 fans stripes of each
-	// batch out over a pipeline worker pool, and <0 uses all cores.
+	// Workers sets how many goroutines code each batch's stripes: 0 or 1
+	// code them in line, n > 1 splits each batch into up to n contiguous
+	// runs coded concurrently, and <0 uses all cores. Encode and erasure
+	// decode use it; the correction rung always runs in line.
 	Workers int
-	// BatchStripes is the number of stripes per pipeline batch. Zero
+	// BatchStripes is the number of stripes per streaming batch. Zero
 	// sizes batches to about 1 MiB, with at least one stripe per worker.
 	// Peak memory scales with it: one batch for decode and repair, up to
 	// three for encode.
 	BatchStripes int
-	// Registry, when non-nil, receives shard.* spans, the pipeline
+	// Registry, when non-nil, receives shard.* spans, the encode
 	// stage-wait histograms, and the queue-depth gauge, and is attached
-	// to the underlying code (liberation.* spans) and worker pool.
+	// to the underlying code (liberation.* spans).
 	Registry *obs.Registry
 	// Tracer, when non-nil, roots a causal trace per operation: every
 	// retry, quarantine, CorrectColumn heal, and erasure fallback is a
@@ -113,8 +107,10 @@ type Options struct {
 	// that hangs past it is abandoned and retried as a transient
 	// KindTimeout fault instead of stalling the data path forever.
 	Retry store.RetryPolicy
-	// Context cancels in-flight I/O (including backoff sleeps between
-	// retries). Nil means context.Background().
+	// Context cancels the operation: encode, decode and repair stop
+	// before their next batch with an error wrapping Context.Err(), and
+	// in-flight I/O stops at its next backoff sleep between retries.
+	// Nil means context.Background().
 	Context context.Context
 	// Heal makes decode scan every stripe with the paper's single-column
 	// error correction even when the up-front probe found all shards

@@ -13,24 +13,24 @@ func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, conte
 	dir = t.TempDir()
 	content = make([]byte, size)
 	rand.New(rand.NewSource(size + int64(k))).Read(content)
-	m, err := Encode(bytes.NewReader(content), size, "blob.bin", k, p, elem, dir)
+	m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, p, elem, dir, Options{})
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("EncodeOpts: %v", err)
 	}
 	return dir, content, m
 }
 
-func decodeAndCompare(t *testing.T, dir string, m *Manifest, want []byte) []ShardStatus {
+func decodeAndCompare(t *testing.T, dir string, m *Manifest, want []byte, opt Options) []ShardStatus {
 	t.Helper()
 	var out bytes.Buffer
-	status, err := Decode(filepath.Join(dir, ManifestName(m.FileName)), &out)
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, opt)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeReport: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("decoded %d bytes, mismatch with original %d bytes", out.Len(), len(want))
 	}
-	return status
+	return rep.Status
 }
 
 func TestRoundTripSizes(t *testing.T) {
@@ -38,7 +38,7 @@ func TestRoundTripSizes(t *testing.T) {
 	// exact multiple, and multi-stripe.
 	for _, size := range []int64{0, 1, 100, 4 * 5 * 64, 4*5*64*3 + 17} {
 		dir, content, m := encodeTestFile(t, size, 4, 0, 64)
-		status := decodeAndCompare(t, dir, m, content)
+		status := decodeAndCompare(t, dir, m, content, Options{})
 		for _, st := range status {
 			if !st.Present || !st.Valid {
 				t.Errorf("size=%d: shard %d unhealthy on clean decode", size, st.Index)
@@ -55,7 +55,7 @@ func TestRecoverFromMissingShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	status := decodeAndCompare(t, dir, m, content)
+	status := decodeAndCompare(t, dir, m, content, Options{})
 	if status[2].Present || status[m.K+1].Present {
 		t.Error("missing shards reported as present")
 	}
@@ -75,7 +75,7 @@ func TestRecoverFromCorruptShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	status := decodeAndCompare(t, dir, m, content)
+	status := decodeAndCompare(t, dir, m, content, Options{})
 	if status[0].Valid || status[4].Valid {
 		t.Error("corrupt shards reported valid")
 	}
@@ -89,7 +89,7 @@ func TestTooManyLosses(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if _, err := Decode(filepath.Join(dir, ManifestName(m.FileName)), &out); err == nil {
+	if _, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, Options{}); err == nil {
 		t.Error("decode with 3 missing shards succeeded")
 	}
 }
@@ -107,22 +107,22 @@ func TestRepair(t *testing.T) {
 	if err := os.WriteFile(pPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := Repair(manifest)
+	repaired, err := RepairOpts(manifest, Options{})
 	if err != nil {
-		t.Fatalf("Repair: %v", err)
+		t.Fatalf("RepairOpts: %v", err)
 	}
 	if len(repaired) != 2 {
 		t.Fatalf("repaired %v, want 2 shards", repaired)
 	}
 	// After repair, everything must be healthy and decodable.
-	status := decodeAndCompare(t, dir, m, content)
+	status := decodeAndCompare(t, dir, m, content, Options{})
 	for _, st := range status {
 		if !st.Valid {
 			t.Errorf("shard %d still invalid after repair", st.Index)
 		}
 	}
 	// Repairing a healthy set is a no-op.
-	repaired, err = Repair(manifest)
+	repaired, err = RepairOpts(manifest, Options{})
 	if err != nil || repaired != nil {
 		t.Errorf("no-op repair gave %v, %v", repaired, err)
 	}
@@ -160,11 +160,12 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 	rand.New(rand.NewSource(5)).Read(content)
 	dirSeq := t.TempDir()
 	dirPar := t.TempDir()
-	mSeq, err := Encode(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirSeq)
+	mSeq, err := EncodeOpts(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirSeq, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mPar, err := EncodeParallel(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirPar, 4)
+	mPar, err := EncodeOpts(bytes.NewReader(content), int64(len(content)), "f.bin", 5, 7, 64, dirPar,
+		Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 	}
 	// And the parallel set decodes.
 	var out bytes.Buffer
-	if _, err := Decode(filepath.Join(dirPar, ManifestName("f.bin")), &out); err != nil {
+	if _, err := DecodeReport(filepath.Join(dirPar, ManifestName("f.bin")), &out, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), content) {

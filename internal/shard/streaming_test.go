@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,15 +48,15 @@ func TestStreamingGolden(t *testing.T) {
 							}
 						}
 						var out bytes.Buffer
-						if _, err := Decode(manifest, &out); err != nil {
-							t.Fatalf("Decode erasures (%d,%d): %v", a, b, err)
+						if _, err := DecodeReport(manifest, &out, Options{}); err != nil {
+							t.Fatalf("DecodeReport erasures (%d,%d): %v", a, b, err)
 						}
 						if !bytes.Equal(out.Bytes(), content) {
 							t.Fatalf("decode erasures (%d,%d): output differs from original", a, b)
 						}
-						repaired, err := Repair(manifest)
+						repaired, err := RepairOpts(manifest, Options{})
 						if err != nil {
-							t.Fatalf("Repair erasures (%d,%d): %v", a, b, err)
+							t.Fatalf("RepairOpts erasures (%d,%d): %v", a, b, err)
 						}
 						if len(repaired) != 2 {
 							t.Fatalf("Repair erasures (%d,%d): repaired %v, want 2 shards", a, b, repaired)
@@ -147,8 +149,8 @@ func TestStreamingOptionsMatchDefaults(t *testing.T) {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				if _, err := DecodeOpts(filepath.Join(dir, ManifestName(m.FileName)), &out, opt); err != nil {
-					t.Fatalf("%s: DecodeOpts: %v", name, err)
+				if _, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, opt); err != nil {
+					t.Fatalf("%s: DecodeReport: %v", name, err)
 				}
 				if !bytes.Equal(out.Bytes(), content) {
 					t.Fatalf("%s: decode output differs from original", name)
@@ -206,8 +208,8 @@ func TestConcurrentStreamsSharePools(t *testing.T) {
 				}
 				manifest := filepath.Join(dir, ManifestName(m.FileName))
 				var out bytes.Buffer
-				if _, err := DecodeOpts(manifest, &out, Options{BatchStripes: 2}); err != nil {
-					t.Errorf("goroutine %d: DecodeOpts: %v", g, err)
+				if _, err := DecodeReport(manifest, &out, Options{BatchStripes: 2}); err != nil {
+					t.Errorf("goroutine %d: DecodeReport: %v", g, err)
 					return
 				}
 				if !bytes.Equal(out.Bytes(), content) {
@@ -260,7 +262,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 	content := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(content)
 	wantCRC := crc32.ChecksumIEEE(content)
-	m, err := Encode(bytes.NewReader(content), size, "big.bin", k, 0, elem, dir)
+	m, err := EncodeOpts(bytes.NewReader(content), size, "big.bin", k, 0, elem, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 
 	decodeOnce := func() *crcWriter {
 		w := &crcWriter{}
-		if _, err := Decode(manifest, w); err != nil {
+		if _, err := DecodeReport(manifest, w, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -338,7 +340,7 @@ func TestEncodeBoundedAllocation(t *testing.T) {
 	rand.New(rand.NewSource(8)).Read(content)
 	dir := t.TempDir()
 	encodeOnce := func() *Manifest {
-		m, err := Encode(bytes.NewReader(content), size, "obj.bin", 4, 0, 4096, dir)
+		m, err := EncodeOpts(bytes.NewReader(content), size, "obj.bin", 4, 0, 4096, dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,14 +439,130 @@ func TestEncodeCleansUpOnError(t *testing.T) {
 	}
 }
 
+// TestCancelledContextStops: a cancelled Options.Context stops encode,
+// decode (erasure and heal rungs) and repair on a healthy store, with or
+// without the parallel split, and the error wraps context.Canceled. A
+// stopped encode leaves no shard behind and a stopped repair no temp file.
+func TestCancelledContextStops(t *testing.T) {
+	const size = 4 * 5 * 64 * 20
+	content := make([]byte, size)
+	rand.New(rand.NewSource(9)).Read(content)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, row := range []struct {
+		op   string
+		lose bool // remove data shard 1 of an encoded set first
+		run  func(dir, manifest string, opt Options) error
+	}{
+		{"encode", false, func(dir, _ string, opt Options) error {
+			_, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, dir, opt)
+			return err
+		}},
+		{"decode/lost", true, func(_, manifest string, opt Options) error {
+			_, err := DecodeReport(manifest, io.Discard, opt)
+			return err
+		}},
+		{"decode/heal", false, func(_, manifest string, opt Options) error {
+			opt.Heal = true
+			_, err := DecodeReport(manifest, io.Discard, opt)
+			return err
+		}},
+		{"repair/lost", true, func(_, manifest string, opt Options) error {
+			_, err := RepairOpts(manifest, opt)
+			return err
+		}},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", row.op, workers), func(t *testing.T) {
+				dir := t.TempDir()
+				manifest := filepath.Join(dir, ManifestName("blob.bin"))
+				if row.op != "encode" {
+					m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, dir, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if row.lose {
+						if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				err := row.run(dir, manifest, Options{Workers: workers, Context: cancelled})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					if row.op == "encode" || strings.HasSuffix(e.Name(), ".repair") {
+						t.Errorf("leftover file %q after a cancelled %s", e.Name(), row.op)
+					}
+				}
+			})
+		}
+	}
+}
+
+// cancelWriter takes every byte it is given and cancels its context on
+// the first write.
+type cancelWriter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (w *cancelWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	w.cancel()
+	return len(p), nil
+}
+
+// TestContextCancelledMidStream: a context cancelled while a degraded
+// decode is under way, serial or split over workers, stops it before its
+// next batch. The output holds exactly the first batch and the error
+// wraps context.Canceled.
+func TestContextCancelledMidStream(t *testing.T) {
+	const (
+		stripeBytes = 4 * 5 * 64 // k=4, p=5, 64-byte elements
+		size        = 20 * stripeBytes
+		batch       = 4 // stripes per batch
+	)
+	content := make([]byte, size)
+	rand.New(rand.NewSource(10)).Read(content)
+	dir := t.TempDir()
+	m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &cancelWriter{cancel: cancel}
+			_, err := DecodeReport(filepath.Join(dir, ManifestName("blob.bin")), w,
+				Options{Workers: workers, BatchStripes: batch, Context: ctx})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if w.n != batch*stripeBytes {
+				t.Errorf("wrote %d bytes before stopping, want one batch (%d)", w.n, batch*stripeBytes)
+			}
+		})
+	}
+}
+
 // TestEncodeShortReaderFails pins the size reconciliation: a reader that
 // runs dry before the declared size is an error, and still cleans up.
 func TestEncodeShortReaderFails(t *testing.T) {
 	dir := t.TempDir()
 	content := make([]byte, 1000)
-	_, err := Encode(bytes.NewReader(content), 5000, "blob.bin", 4, 0, 64, dir)
+	_, err := EncodeOpts(bytes.NewReader(content), 5000, "blob.bin", 4, 0, 64, dir, Options{})
 	if err == nil {
-		t.Fatal("Encode with short reader succeeded, want error")
+		t.Fatal("EncodeOpts with short reader succeeded, want error")
 	}
 	entries, readErr := os.ReadDir(dir)
 	if readErr != nil {

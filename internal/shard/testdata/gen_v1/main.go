@@ -1,8 +1,8 @@
 // Command gen_v1 regenerates the committed version 1 shard fixture used
 // by TestManifestV1Fixture: a small deterministic file encoded with the
 // liberation code (k=3, p=5, 32-byte elements), whose manifest is then
-// rewritten to the pre-registry version 1 layout — no "w" field, and the
-// code named only by the historical constant "liberation".
+// rewritten to the pre-registry version 1 layout — no "w" or "m" field,
+// and the code named only by the historical constant "liberation".
 //
 // Run from the repository root:
 //
@@ -33,8 +33,8 @@ func main() {
 	if err := os.WriteFile(filepath.Join(dir, "blob.bin"), content, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := shard.Encode(bytes.NewReader(content), int64(len(content)),
-		"blob.bin", 3, 5, 32, dir); err != nil {
+	if _, err := shard.EncodeOpts(bytes.NewReader(content), int64(len(content)),
+		"blob.bin", 3, 5, 32, dir, shard.Options{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -50,6 +50,7 @@ func main() {
 	}
 	m["version"] = 1
 	delete(m, "w")
+	delete(m, "m")
 	out, err := json.Marshal(m)
 	if err != nil {
 		log.Fatal(err)

@@ -152,7 +152,7 @@ func TestChaosTripleSoak(t *testing.T) {
 		if verr := Verify(manifestPath, Options{}); verr != nil {
 			t.Fatalf("seed=%d: Verify after repair = %v", seed, verr)
 		}
-		decodeAndCompare(t, dir, man, content)
+		decodeAndCompare(t, dir, man, content, Options{})
 		assertNoRepairTemps(t, dir)
 		os.RemoveAll(dir)
 	}

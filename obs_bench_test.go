@@ -49,7 +49,7 @@ func TestObservedWorkloadDeterministic(t *testing.T) {
 	if enc.XORsPerUnit != float64(k-1) {
 		t.Errorf("encode XORs/unit = %v, want %d", enc.XORsPerUnit, k-1)
 	}
-	if _, ok := rep.Snapshot.Spans["pipeline.decode"]; !ok {
-		t.Error("no pipeline.decode span in report")
+	if _, ok := rep.Snapshot.Spans["liberation.decode"]; !ok {
+		t.Error("no liberation.decode span in report")
 	}
 }

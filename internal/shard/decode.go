@@ -99,6 +99,22 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 // whose rolling CRC must reproduce the manifest checksum before it is
 // synced and renamed over the broken shard, so a failed repair (a
 // cancelled Options.Context included) never clobbers anything.
+//
+// Because nothing is renamed until every rolling CRC matches, the first
+// attempt skips the probe's checksum pass: it opens and size-checks the
+// shards, erasure-decodes the ones missing or the wrong size, and lets
+// the stream's rolling CRCs verify each survivor in the one read it
+// takes. When no survivor is corrupt, that is the whole repair. When
+// one is, its checksum misses at the end of that stream, and the repair
+// restarts into the ladder with the checksums the stream rolled as the
+// probe's verdicts, so the corrupt shard is rebuilt or corrected and no
+// survivor is read more than twice, as with a probe before the stream.
+// A read that fails restarts into the full checksum probe. Options.Heal
+// applies only after a checksum probe: with no suspect known,
+// correcting in stream could leave a corrupt shard as it is on disk.
+// DecodeReport keeps its up-front probe because its writer cannot take
+// back bytes already written, so it must not stream a survivor it has
+// not verified.
 func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.repair",
@@ -159,27 +175,41 @@ func newRecovery(m *Manifest, code core.Code, opt Options, st store.Store,
 	return r
 }
 
-// maxAttempts bounds the restart loop defensively; the quarantine budget
-// (at most m hard erasures) terminates it much earlier in practice.
-func (r *recovery) maxAttempts() int { return r.m.M + 3 }
-
 // run executes probe → ladder → stream attempts until one succeeds, the
 // quarantine budget is exhausted, or the error is not a mid-stream
 // quarantine.
+//
+// Repair's first attempt is the fast pass (see RepairOpts): the probe
+// reads no checksums and the stream's rolling CRCs verify the
+// survivors. A failed fast pass quarantines nothing and is not charged
+// to the attempt budget. A checksum miss restarts with the checksums
+// the stream rolled, which the probe takes instead of reading the
+// shards again; a read failure or an unrecoverable verdict restarts
+// into the full probe.
 func (r *recovery) run(sink recoverSink) error {
 	r.rep = &Report{}
 	r.forced = make(map[int]error)
 	r.counted = make(map[int]bool)
 	defer sink.abort()
+	// The budget bounds the restart loop defensively; the quarantine
+	// budget (at most m hard erasures) terminates it much earlier.
+	budget := r.m.M + 3
+	// sums are the checksums the next probe takes instead of reading
+	// the shards; nil makes it read them (see probeShards).
+	var sums map[int]uint32
+	_, fast := sink.(*repairSink)
+	if fast {
+		sums = map[int]uint32{}
+	}
 	for {
 		r.rep.Attempts++
 		actx, asp := obs.StartSpanCtx(r.ctx, r.reg, "shard.attempt",
 			slog.Int("attempt", r.rep.Attempts))
 		files, status, hard, soft := probeShards(actx, r.m, r.dir, r.st,
-			nodeMapperOf(r.opt.Store), r.reg, r.forced)
+			nodeMapperOf(r.opt.Store), r.reg, r.forced, sums)
 		r.rep.Status = status
 		r.noteQuarantines(actx, status)
-		err := r.attempt(actx, files, status, hard, soft, sink)
+		err := r.attempt(actx, files, status, hard, soft, sink, r.opt.Heal && sums == nil)
 		for _, f := range files {
 			if f != nil {
 				f.Close()
@@ -192,9 +222,24 @@ func (r *recovery) run(sink recoverSink) error {
 			}
 			return nil
 		}
+		sums = nil
 		var q *quarantineError
+		if fast {
+			fast = false
+			budget++
+			var u *UnrecoverableError
+			if errors.As(err, &q) || errors.As(err, &u) {
+				attrs := []obs.Attr{slog.Int("attempt", r.rep.Attempts)}
+				if q != nil {
+					attrs = append(attrs, slog.Int("shard", q.col), slog.String("name", r.m.ShardName(q.col)))
+					sums = q.sums
+				}
+				obs.EmitErr(r.ctx, slog.LevelWarn, "shard.fastpass.miss", err, attrs...)
+				continue
+			}
+		}
 		if !errors.As(err, &q) {
-			if nodeFault(err) && sink.canRestart() && r.rep.Attempts < r.maxAttempts() {
+			if nodeFault(err) && sink.canRestart() && r.rep.Attempts < budget {
 				// A node went dark under the sink mid-stream: the temp a
 				// shard was streaming into is unreachable. Restart the
 				// attempt — begin recreates the temps and a placement-
@@ -207,7 +252,7 @@ func (r *recovery) run(sink recoverSink) error {
 			}
 			return err
 		}
-		if r.rep.Attempts >= r.maxAttempts() {
+		if r.rep.Attempts >= budget {
 			return &UnrecoverableError{Status: r.rep.Status,
 				Reason: fmt.Sprintf("gave up after %d attempts: %v", r.rep.Attempts, q)}
 		}
@@ -248,17 +293,19 @@ func (r *recovery) noteQuarantines(ctx context.Context, status []ShardStatus) {
 
 // attempt runs one rung of the degradation ladder over one streaming
 // pass, recording which rung was chosen as a shard.rung event in the
-// attempt's trace.
-func (r *recovery) attempt(ctx context.Context, files []store.File, status []ShardStatus, hard, soft []int, sink recoverSink) error {
+// attempt's trace. heal is Options.Heal after a checksum probe and false
+// otherwise: with no suspects known, a correction rung could heal a
+// corrupt survivor in stream and leave it corrupt on disk.
+func (r *recovery) attempt(ctx context.Context, files []store.File, status []ShardStatus, hard, soft []int, sink recoverSink, heal bool) error {
 	if len(hard) > r.m.M {
 		return &UnrecoverableError{Status: status,
 			Reason: fmt.Sprintf("%d shards beyond repair, can tolerate %d", len(hard), r.m.M)}
 	}
-	if len(hard) == 0 && (len(soft) > 0 || r.opt.Heal) {
+	if len(hard) == 0 && (len(soft) > 0 || heal) {
 		// Correction-first — except that a sink that cannot rewind (a
 		// plain io.Writer) must not gamble on a rung that may need a
 		// quarantine restart when the plain erasure rung would do.
-		if r.opt.Heal || len(soft) > r.m.M || sink.canRestart() {
+		if heal || len(soft) > r.m.M || sink.canRestart() {
 			if r.corrector == nil {
 				// The code cannot localize silent corruption: record why
 				// the heal rung was skipped and drop to erasure decode.
@@ -327,12 +374,20 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 			return err
 		}
 	}
-	// Streamed columns first: a mismatch there means the shard changed
-	// (or lied) while streaming and is grounds for quarantine + restart.
+	// Streamed columns first: a mismatch there means the shard is corrupt
+	// (on the fast pass) or changed while streaming, and is grounds for a
+	// restart. The error carries every streamed column's checksum, which
+	// a restart after the fast pass takes as its probe's verdicts.
 	for i, sum := range rolling {
 		if streams[i] != nil && sum != m.Checksums[i] {
-			return &quarantineError{col: i, cause: fmt.Errorf(
-				"shard %d (%s) changed while streaming: checksum %08x, manifest %08x",
+			sums := make(map[int]uint32, len(streams))
+			for j, f := range streams {
+				if f != nil {
+					sums[j] = rolling[j]
+				}
+			}
+			return &quarantineError{col: i, sums: sums, cause: fmt.Errorf(
+				"shard %d (%s) streamed checksum %08x, manifest %08x",
 				i, m.ShardName(i), sum, m.Checksums[i])}
 		}
 	}

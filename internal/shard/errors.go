@@ -18,7 +18,9 @@ var ErrManifest = errors.New("shard: bad manifest")
 type ShardState int
 
 const (
-	// StateOK: present and its probe checksum matched.
+	// StateOK: present and its checksum matched — or, on repair's fast
+	// pass, which reads no checksums, present and right-sized, left for
+	// the stream's rolling CRC to verify.
 	StateOK ShardState = iota
 	// StateMissing: the shard file does not exist.
 	StateMissing
@@ -184,6 +186,9 @@ func stampFlight(ctx context.Context, err error) {
 type quarantineError struct {
 	col   int
 	cause error
+	// sums holds, for a checksum mismatch found at the end of a stream,
+	// the rolling CRC of every shard that stream read in full.
+	sums map[int]uint32
 }
 
 func (e *quarantineError) Error() string {

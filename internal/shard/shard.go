@@ -8,13 +8,18 @@
 // The data path is streaming in both directions. Encoding overlaps
 // read → encode → write through a double-buffered batch pipeline (a
 // reader goroutine fills batch N+1 while the coding stage encodes batch
-// N and a writer goroutine drains batch N-1), and decoding/repair read all
-// k+m shards batch by batch. A batch is about 1 MiB of stripes laid out
-// column by column, so each shard's part of it moves with one positional
-// read or write, straight between the store and the batch. Peak memory
-// is a few batches regardless of file size; shard health is decided up
-// front by a cheap stat+checksum probe and re-verified incrementally by
-// rolling CRCs while the stripes stream through.
+// N and a writer goroutine drains batch N-1), and decoding/repair read the
+// surviving shards batch by batch. A batch is about 1 MiB of stripes laid
+// out column by column, so each shard's part of it moves with one
+// positional read or write, straight between the store and the batch.
+// Peak memory is a few batches regardless of file size. Rolling CRCs
+// verify every column while the stripes stream through. Decode also
+// decides shard health up front with a stat+checksum probe, because its
+// writer cannot take back bytes it has been given; repair writes temp
+// files it renames only after the rolling CRCs match, so its first pass
+// only stats the shards and reads each survivor once. When a survivor
+// is corrupt, that pass's checksums name it and the repair restarts on
+// them; only a failed read sends it back to the checksum probe.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
@@ -370,18 +375,29 @@ var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
 //   - hard-erased (missing, truncated, unreadable, or force-quarantined
 //     from a previous attempt): cannot be streamed at all.
 //
+// With sums nil the probe reads every right-sized shard for its CRC.
+// Otherwise it reads nothing (repair; see recovery.run): a shard with a
+// checksum in sums, rolled by the previous attempt's stream, is judged
+// by it, and any other right-sized shard counts as clean, unverified
+// until this attempt's rolling CRCs check it. Repair's fast pass passes
+// an empty set. Decode and Verify always read: a decode's writer cannot
+// take back bytes from a shard that turns out corrupt, and Verify reads
+// nothing else.
+//
 // The caller owns every non-nil file. The work is recorded as a
-// shard.probe span (a child of ctx's trace when one is active), and
-// every unhealthy shard as a shard.unhealthy event naming the shard and
-// its state. When mapper is non-nil (a node-mapped store) each status is
-// attributed to the node holding the shard, so a whole-node outage reads
-// as such in the report instead of as unrelated per-shard failures.
+// shard.probe span (a child of ctx's trace when one is active) whose
+// checksums attribute says whether the CRC pass ran, and every unhealthy
+// shard as a shard.unhealthy event naming the shard and its state. When
+// mapper is non-nil (a node-mapped store) each status is attributed to
+// the node holding the shard, so a whole-node outage reads as such in
+// the report instead of as unrelated per-shard failures.
 func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
-	mapper store.NodeMapper, reg *obs.Registry,
-	forced map[int]error) (files []store.File, status []ShardStatus, hard, soft []int) {
+	mapper store.NodeMapper, reg *obs.Registry, forced map[int]error,
+	sums map[int]uint32) (files []store.File, status []ShardStatus, hard, soft []int) {
 	pctx, sp := obs.StartSpanCtx(ctx, reg, "shard.probe")
 	defer func() {
-		sp.Attr(slog.Int("hard", len(hard)), slog.Int("soft", len(soft))).End(nil)
+		sp.Attr(slog.Bool("checksums", sums == nil),
+			slog.Int("hard", len(hard)), slog.Int("soft", len(soft))).End(nil)
 	}()
 	note := func(i int) {
 		attrs := []obs.Attr{slog.Int("shard", i), slog.String("name", status[i].Name),
@@ -392,8 +408,11 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 		obs.EmitErr(pctx, slog.LevelWarn, "shard.unhealthy", status[i].Err, attrs...)
 	}
 	_, shardSize := m.shardShape()
-	buf := probeBufs.Get().(*[probeBufSize]byte)
-	defer probeBufs.Put(buf)
+	var buf *[probeBufSize]byte
+	if sums == nil {
+		buf = probeBufs.Get().(*[probeBufSize]byte)
+		defer probeBufs.Put(buf)
+	}
 	files = make([]store.File, m.NumShards())
 	status = make([]ShardStatus, m.NumShards())
 	for i := range status {
@@ -439,7 +458,15 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 			f.Close()
 			continue
 		}
-		sum, crcErr := streamCRC(store.SectionReader(f, size), buf[:])
+		sum, streamed := sums[i]
+		if sums != nil && !streamed {
+			files[i] = f // unverified: this attempt's rolling CRC checks it
+			continue
+		}
+		var crcErr error
+		if sums == nil {
+			sum, crcErr = streamCRC(store.SectionReader(f, size), buf[:])
+		}
 		if crcErr != nil {
 			status[i].State = StateIOError
 			status[i].Err = crcErr
@@ -488,7 +515,7 @@ func Verify(manifestPath string, opt Options) (err error) {
 	}
 	countShardOp(opt.Registry, "verify", m.Code)
 	files, status, hard, soft := probeShards(ctx, m, filepath.Dir(manifestPath), st,
-		nodeMapperOf(opt.Store), opt.Registry, nil)
+		nodeMapperOf(opt.Store), opt.Registry, nil, nil)
 	for _, f := range files {
 		if f != nil {
 			f.Close()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -172,6 +173,69 @@ func TestDecodeCausalTrace(t *testing.T) {
 		if logged[name] != n {
 			t.Errorf("event log has %d %q lines, flight recorder %d", logged[name], name, n)
 		}
+	}
+}
+
+// TestRepairFastPassTrace pins how a repair's fast pass reads in its
+// trace: a probe span with checksums=false, the fast attempt's erasure
+// rung, and, when a survivor's streamed checksum misses, one warn event
+// naming it before the restart's probe, health verdicts, quarantine and
+// rung. The restart's probe reads no checksums either: it takes the ones
+// the fast pass's stream rolled.
+func TestRepairFastPassTrace(t *testing.T) {
+	dir, _, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, m.ShardName(2))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[9] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	flight := obs.NewFlightRecorder(256)
+	tracer := obs.NewTracer(flight)
+	tracer.Seed(45)
+	repaired, err := RepairOpts(filepath.Join(dir, ManifestName(m.FileName)), Options{Tracer: tracer})
+	if err != nil {
+		t.Fatalf("RepairOpts: %v", err)
+	}
+	if fmt.Sprint(repaired) != "[1 2]" {
+		t.Fatalf("repaired %v, want [1 2]", repaired)
+	}
+
+	// The ladder's events in flight-recorder order. Spans land on End,
+	// so each probe follows the shard.unhealthy verdicts it emitted.
+	var got []string
+	for _, ev := range flight.Snapshot() {
+		switch ev.Name {
+		case "shard.probe":
+			got = append(got, fmt.Sprintf("probe checksums=%v", ev.Attrs["checksums"]))
+		case "shard.unhealthy":
+			got = append(got, fmt.Sprintf("unhealthy %v %v", ev.Attrs["shard"], ev.Attrs["state"]))
+		case "shard.quarantine":
+			got = append(got, fmt.Sprintf("quarantine %v", ev.Attrs["shard"]))
+		case "shard.rung":
+			got = append(got, fmt.Sprintf("rung %v erased=%v", ev.Attrs["rung"], ev.Attrs["erased"]))
+		case "shard.fastpass.miss":
+			if ev.Level != slog.LevelWarn || ev.Attrs["name"] != m.ShardName(2) {
+				t.Errorf("shard.fastpass.miss level %v attrs %v, want warn naming %s", ev.Level, ev.Attrs, m.ShardName(2))
+			}
+			got = append(got, fmt.Sprintf("miss %v", ev.Attrs["shard"]))
+		}
+	}
+	want := []string{
+		"unhealthy 1 missing", "probe checksums=false", "rung erasure erased=1",
+		"miss 2",
+		"unhealthy 1 missing", "unhealthy 2 corrupt", "probe checksums=false",
+		"quarantine 2", "rung erasure erased=2",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("repair trace:\n got  %q\n want %q", got, want)
 	}
 }
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-baseline race-obs clean
+.PHONY: all build test race vet fmt lint-metrics check verify fallback e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-baseline race-obs clean
 
 all: build
 
@@ -38,7 +38,14 @@ check: vet fmt lint-metrics test race
 # verify is the CI gate (see .github/workflows/verify.yml): the same
 # stages as check plus the registry conformance matrix, named separately
 # so CI and local habits can diverge later without repurposing either.
-verify: vet fmt lint-metrics test race conformance e2e-test examples
+verify: vet fmt lint-metrics test race conformance fallback e2e-test examples
+
+# fallback runs the GF(2^8) table kernels as the only path, on any runner:
+# GOARCH=386 assembles no gf_amd64.s, and its test binaries run natively
+# on an amd64 host. arm64 (also table-only) is built and vetted, not run.
+fallback:
+	GOARCH=386 $(GO) test -count=1 ./internal/gf ./internal/rs
+	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/rs
 
 # e2e-test vets and runs the end-to-end benchmark's own tests.
 # cmd/e2ebench is a separate module (it reaches the repository's packages

@@ -30,14 +30,20 @@ func Run(t *testing.T, code core.Code) {
 	}
 }
 
-func freshStripe(code core.Code, seed int64) *core.Stripe {
-	s := core.NewStripeFor(code, 16)
+// elemSizes are the element sizes the erasures and garbage-tolerant
+// subtests run at: 16 bytes, and 72 = 2×32 + 8, which straddles the
+// 32-byte block of gf's GFNI kernel, so a code with one element per strip
+// (rs, rs3) decodes through two SIMD blocks and a ragged tail.
+var elemSizes = []int{16, 72}
+
+func freshStripe(code core.Code, elemSize int, seed int64) *core.Stripe {
+	s := core.NewStripeFor(code, elemSize)
 	s.FillRandom(rand.New(rand.NewSource(seed)))
 	return s
 }
 
 func deterministic(t *testing.T, code core.Code) {
-	a := freshStripe(code, 1)
+	a := freshStripe(code, 16, 1)
 	b := a.Clone()
 	if err := code.Encode(a, nil); err != nil {
 		t.Fatal(err)
@@ -59,8 +65,8 @@ func deterministic(t *testing.T, code core.Code) {
 }
 
 func linear(t *testing.T, code core.Code) {
-	a := freshStripe(code, 2)
-	b := freshStripe(code, 3)
+	a := freshStripe(code, 16, 2)
+	b := freshStripe(code, 16, 3)
 	sum := core.NewStripeFor(code, 16)
 	for col := 0; col < code.K(); col++ {
 		xorblk.Xor(sum.Strips[col], a.Strips[col], b.Strips[col])
@@ -95,51 +101,55 @@ func zero(t *testing.T, code core.Code) {
 }
 
 func erasures(t *testing.T, code core.Code) {
-	orig := freshStripe(code, 6)
-	if err := code.Encode(orig, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Every erasure pattern of size 1..M — the complete set a code with M
-	// parities must survive (singles and pairs for RAID-6, plus every
-	// triple for an m=3 family, and so on).
-	for _, erased := range core.ErasureSubsets(code.K()+code.M(), code.M()) {
-		s := orig.Clone()
-		for _, e := range erased {
-			s.ZeroStrip(e)
+	for _, size := range elemSizes {
+		orig := freshStripe(code, size, 6)
+		if err := code.Encode(orig, nil); err != nil {
+			t.Fatal(err)
 		}
-		if err := code.Decode(s, erased, nil); err != nil {
-			t.Fatalf("erased %v: %v", erased, err)
-		}
-		if !s.Equal(orig) {
-			t.Errorf("erased %v: stripe not restored", erased)
+		// Every erasure pattern of size 1..M — the complete set a code
+		// with M parities must survive (singles and pairs for RAID-6, plus
+		// every triple for an m=3 family, and so on).
+		for _, erased := range core.ErasureSubsets(code.K()+code.M(), code.M()) {
+			s := orig.Clone()
+			for _, e := range erased {
+				s.ZeroStrip(e)
+			}
+			if err := code.Decode(s, erased, nil); err != nil {
+				t.Fatalf("elem %d, erased %v: %v", size, erased, err)
+			}
+			if !s.Equal(orig) {
+				t.Errorf("elem %d, erased %v: stripe not restored", size, erased)
+			}
 		}
 	}
 }
 
 func garbage(t *testing.T, code core.Code) {
 	// Erased strips may contain arbitrary bytes, not just zeros.
-	orig := freshStripe(code, 7)
-	if err := code.Encode(orig, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := orig.Clone()
 	erased := []int{0}
 	if code.M() >= 2 { // a data strip plus the last parity, budget permitting
 		erased = append(erased, code.K()+code.M()-1)
 	}
-	for i, e := range erased {
-		rand.New(rand.NewSource(8 + int64(i))).Read(s.Strips[e])
-	}
-	if err := code.Decode(s, erased, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Equal(orig) {
-		t.Error("decode assumed zeroed erasure buffers")
+	for _, size := range elemSizes {
+		orig := freshStripe(code, size, 7)
+		if err := code.Encode(orig, nil); err != nil {
+			t.Fatal(err)
+		}
+		s := orig.Clone()
+		for i, e := range erased {
+			rand.New(rand.NewSource(8 + int64(i))).Read(s.Strips[e])
+		}
+		if err := code.Decode(s, erased, nil); err != nil {
+			t.Fatalf("elem %d: %v", size, err)
+		}
+		if !s.Equal(orig) {
+			t.Errorf("elem %d: decode assumed zeroed erasure buffers", size)
+		}
 	}
 }
 
 func overload(t *testing.T, code core.Code) {
-	s := freshStripe(code, 10)
+	s := freshStripe(code, 16, 10)
 	tooMany := make([]int, code.M()+1)
 	for i := range tooMany {
 		tooMany[i] = i
@@ -156,7 +166,7 @@ func overload(t *testing.T, code core.Code) {
 }
 
 func updates(t *testing.T, code core.Code, u core.Updater) {
-	s := freshStripe(code, 11)
+	s := freshStripe(code, 16, 11)
 	if err := code.Encode(s, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,23 @@
 // solution the paper's introduction contrasts the XOR-based array codes
 // with.
 //
-// Multiplication is a lookup in a 64 KiB product table built at init: row
-// c multiplies by c, so a slice kernel indexes one row by source byte with
-// no zero branch. Dot, the fused kernel behind every Reed-Solomon strip,
-// folds two sources per pass; an all-ones row is a copy plus one
-// xorblk.XorInto per further source, on the standard library's XOR.
+// Scalar multiplication is a lookup in a 64 KiB product table built at
+// init. Multiplying by a constant c is also linear over GF(2), an 8×8 bit
+// matrix, and init builds that matrix for every c as well. The slice
+// kernels (MulSlice, MulXorSlice and Dot, the fused kernel behind every
+// Reed-Solomon strip) pick their path from the CPU alone:
+//
+//   - On amd64 with GFNI and AVX2, the block-aligned prefix of each slice
+//     runs through VGF2P8AFFINEQB, 32 bytes per instruction
+//     (gf_amd64.s). Dot takes one source per pass over dst: a 4 KiB strip
+//     stays in L1 between passes, so reloading dst costs little next to
+//     the loads of the sources.
+//   - The table kernels run the ragged tail (under 32 bytes), every byte
+//     on other CPUs and architectures, and serve the tests as the oracle
+//     for the GFNI path. Dot's table kernel folds two sources per pass.
+//
+// An all-ones Dot row is a copy plus one xorblk.XorInto per further
+// source, on the standard library's XOR.
 package gf
 
 import (
@@ -27,6 +39,11 @@ var (
 	expTable [255]byte // exp[i] = g^i
 	logTable [256]byte
 	mulTable [256][256]byte // mulTable[a][b] = a * b
+
+	// affine[c] is multiplication by c as the 8×8 bit matrix
+	// VGF2P8AFFINEQB takes: byte 7-i of the qword holds the input bits
+	// whose parity is output bit i.
+	affine [256]uint64
 )
 
 func init() {
@@ -42,6 +59,15 @@ func init() {
 	for a := 1; a < 256; a++ {
 		for b := 1; b < 256; b++ {
 			mulTable[a][b] = expTable[(int(logTable[a])+int(logTable[b]))%255]
+		}
+	}
+	for c := range affine {
+		for i := 0; i < 8; i++ { // output bit
+			var row uint64
+			for j := 0; j < 8; j++ { // input bit
+				row |= uint64(mulTable[c][1<<j]>>i&1) << j
+			}
+			affine[c] |= row << (8 * (7 - i))
 		}
 	}
 }
@@ -69,6 +95,15 @@ func Exp(n int) byte {
 	return expTable[n]
 }
 
+// simdLen returns the prefix of an n-byte slice the GFNI kernels run: n
+// rounded down to whole 32-byte blocks, or 0 without GFNI.
+func simdLen(n int) int {
+	if !hasGFNI {
+		return 0
+	}
+	return n &^ 31
+}
+
 // MulSlice sets dst[i] = c * src[i] for all i.
 func MulSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
@@ -78,10 +113,11 @@ func MulSlice(dst, src []byte, c byte) {
 		copy(dst, src)
 		return
 	}
-	t := &mulTable[c]
-	for i, v := range src {
-		dst[i] = t[v]
+	n := simdLen(len(dst))
+	if n > 0 {
+		gfniMul(dst[:n], src, affine[c])
 	}
+	mulSliceTable(dst[n:], src[n:], c)
 }
 
 // MulXorSlice sets dst[i] ^= c * src[i] for all i.
@@ -94,17 +130,35 @@ func MulXorSlice(dst, src []byte, c byte) {
 	case 1:
 		xorblk.XorInto(dst, src)
 	default:
-		t := &mulTable[c]
-		for i, v := range src {
-			dst[i] ^= t[v]
+		n := simdLen(len(dst))
+		if n > 0 {
+			gfniMulXor(dst[:n], src, affine[c])
 		}
+		mulXorSliceTable(dst[n:], src[n:], c)
+	}
+}
+
+// mulSliceTable is MulSlice's table kernel; src must be as long as dst.
+func mulSliceTable(dst, src []byte, c byte) {
+	t := &mulTable[c]
+	for i, v := range src[:len(dst)] {
+		dst[i] = t[v]
+	}
+}
+
+// mulXorSliceTable is MulXorSlice's table kernel.
+func mulXorSliceTable(dst, src []byte, c byte) {
+	t := &mulTable[c]
+	for i, v := range src[:len(dst)] {
+		dst[i] ^= t[v]
 	}
 }
 
 // Dot sets dst = coeffs[0]*srcs[0] + ... + coeffs[n-1]*srcs[n-1], the
 // zero vector when n = 0. Every source must match len(dst), and dst may
 // not alias any source. An all-ones coefficient vector runs as
-// xorblk.XorMany; otherwise the sources are folded two per pass over dst.
+// xorblk.XorMany; otherwise the GFNI kernels take the block-aligned
+// prefix one source per pass, and the table kernel the rest.
 func Dot(dst []byte, srcs [][]byte, coeffs []byte) {
 	if len(srcs) != len(coeffs) {
 		panic("gf: length mismatch")
@@ -116,20 +170,41 @@ func Dot(dst []byte, srcs [][]byte, coeffs []byte) {
 		}
 		ones = ones && coeffs[j] == 1
 	}
-	if ones && len(srcs) > 0 {
+	switch {
+	case len(srcs) == 0:
+		clear(dst)
+		return
+	case ones:
 		xorblk.XorMany(dst, srcs...)
 		return
 	}
+	n := simdLen(len(dst))
+	if n > 0 {
+		gfniMul(dst[:n], srcs[0], affine[coeffs[0]])
+		for j := 1; j < len(srcs); j++ {
+			gfniMulXor(dst[:n], srcs[j], affine[coeffs[j]])
+		}
+	}
+	if n < len(dst) {
+		dotTable(dst[n:], srcs, coeffs, n)
+	}
+}
+
+// dotTable is Dot's table kernel for dst = the bytes from off onward of
+// the dot product: source j contributes srcs[j][off:off+len(dst)], sliced
+// in place so the tail allocates nothing.
+func dotTable(dst []byte, srcs [][]byte, coeffs []byte, off int) {
+	end := off + len(dst)
 	// An odd source count starts with a single multiply-into, so every
 	// later pass pairs two sources.
 	j := len(srcs) % 2
 	if j == 1 {
-		MulSlice(dst, srcs[0], coeffs[0])
+		mulSliceTable(dst, srcs[0][off:end], coeffs[0])
 	} else {
 		clear(dst)
 	}
 	for ; j < len(srcs); j += 2 {
-		mulXor2(dst, srcs[j], srcs[j+1], &mulTable[coeffs[j]], &mulTable[coeffs[j+1]])
+		mulXor2(dst, srcs[j][off:end], srcs[j+1][off:end], &mulTable[coeffs[j]], &mulTable[coeffs[j+1]])
 	}
 }
 

@@ -16,11 +16,18 @@
 // Every strip the engine writes is one gf.Dot over k source strips: a
 // parity over the data on encode, a lost data strip over the k survivors
 // on decode. An all-ones row (all of P) runs as plain word XORs.
+//
+// A decode's coefficient rows depend only on which strips are lost, not
+// on the bytes, so Decode derives them (a t×t inversion folded over the k
+// survivors) once per erasure set and caches them on the code as a
+// decodePlan; every later stripe with the same losses is t dot products.
+// With gf's GFNI kernel under Dot, deriving them per stripe (20 small
+// allocations) would be about a third of an rs3 triple-erasure decode.
 package rs
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gf"
@@ -34,6 +41,9 @@ type MCode struct {
 	k, m   int
 	name   string
 	parity [][]byte // m×k parity submatrix of the systematic generator
+
+	planMu sync.Mutex
+	plans  map[erasureSet]*decodePlan // decode plans by erasure set (see plan)
 
 	obs *obs.Registry // optional metrics sink (see Instrument)
 }
@@ -120,7 +130,8 @@ func dot(dst []byte, srcs [][]byte, coeffs []byte, ops *core.Ops) {
 // coefficient rows over the k surviving strips; each lost data strip is
 // then one dot product. Lost parities are re-encoded from the full data.
 // Any t surviving parity rows suffice: every square submatrix of an MDS
-// parity matrix is invertible.
+// parity matrix is invertible. The rows depend only on the erasure set,
+// so they are derived once per set and cached on the code (see plan).
 func (c *MCode) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	return obs.Observed(c.obs, "rsm.decode", s.DataSize(), len(erased), ops,
 		func(o *core.Ops) error { return c.decode(s, erased, o) })
@@ -130,77 +141,139 @@ func (c *MCode) decode(s *core.Stripe, erased []int, ops *core.Ops) error {
 	if err := s.CheckShape(c.k, c.m, 1); err != nil {
 		return err
 	}
-	k := c.k
-	lost := make([]int, 0, len(erased))
+	var set erasureSet
+	n := 0
 	for _, e := range erased {
-		if e < 0 || e >= k+c.m {
+		if e < 0 || e >= c.k+c.m {
 			return fmt.Errorf("%w: erased=%v", core.ErrParams, erased)
 		}
-		if !contains(lost, e) {
-			lost = append(lost, e)
+		if !set.has(e) {
+			set.add(e)
+			n++
 		}
 	}
-	if len(lost) > c.m {
+	if n > c.m {
 		return core.ErrTooManyErasures
 	}
-	sort.Ints(lost)
-	t := sort.SearchInts(lost, k)
-	lostData, lostParity := lost[:t], lost[t:]
-
-	if t > 0 {
-		// The k survivors are the intact data strips, then the first t
-		// intact parities (rows). Row l of a is parity row rows[l] over the
-		// lost columns; row l of b is that row over the survivors, where
-		// its own parity enters as a unit column.
-		rows, srcs := make([]int, 0, t), make([][]byte, 0, k)
-		for j := 0; j < k; j++ {
-			if !contains(lostData, j) {
-				srcs = append(srcs, s.Strips[j])
-			}
+	p, err := c.plan(set)
+	if err != nil {
+		return err
+	}
+	if len(p.coeffs) > 0 {
+		srcs := make([][]byte, len(p.survivors))
+		for i, j := range p.survivors {
+			srcs[i] = s.Strips[j]
 		}
-		for i := 0; len(rows) < t; i++ {
-			if !contains(lostParity, k+i) {
-				rows = append(rows, i)
-				srcs = append(srcs, s.Strips[k+i])
-			}
-		}
-		a, b := make([][]byte, t), make([][]byte, t)
-		for l, i := range rows {
-			b[l] = make([]byte, k)
-			b[l][k-t+l] = 1
-			for j, f := range c.parity[i] {
-				if contains(lostData, j) {
-					a[l] = append(a[l], f)
-				} else {
-					b[l][j-len(a[l])] = f // j's place among the survivors
-				}
-			}
-		}
-		inv, err := gf.InvertMatrix(a)
-		if err != nil {
-			// Unreachable for an MDS parity matrix; surface it rather than
-			// writing garbage if the tables are ever miscomputed.
-			return fmt.Errorf("rs: lost-column system not invertible: %w", err)
-		}
-		// a·lost = b·survivors, so lost strip x is row x of inv·b dotted
-		// with the survivors.
-		for x, row := range gf.MulMatrix(inv, b) {
-			dot(s.Strips[lostData[x]], srcs, row, ops)
+		for x, row := range p.coeffs {
+			dot(s.Strips[p.lostData[x]], srcs, row, ops)
 		}
 	}
-	for _, e := range lostParity {
-		c.encodeParity(s, e-k, ops)
+	for _, e := range p.lostParity {
+		c.encodeParity(s, e-c.k, ops)
 	}
 	return nil
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+// erasureSet is a set of strip indices, one bit per strip: up to 257, for
+// New's k = 255 and its two parities.
+type erasureSet [5]uint64
+
+func (s *erasureSet) add(e int)      { s[e/64] |= 1 << (e % 64) }
+func (s *erasureSet) has(e int) bool { return s[e/64]&(1<<(e%64)) != 0 }
+
+// decodePlan is what Decode derives from an erasure set, independent of
+// the stripe's bytes.
+type decodePlan struct {
+	lostData   []int    // lost data strips, ascending
+	survivors  []int    // the k source strips: intact data, then the first t intact parities
+	coeffs     [][]byte // lost data strip lostData[x] is coeffs[x] dotted with the survivors
+	lostParity []int    // lost parity strips, re-encoded from the restored data
+}
+
+// maxPlans bounds the plan cache. A shard set or an array loses one set
+// of strips at a time, so a handful of plans serve a whole stream; a
+// caller that sweeps every erasure set of a wide code would otherwise
+// grow the cache without limit, so a full cache starts over.
+const maxPlans = 1024
+
+// plan returns the decode plan for a set of at most m erasures, from the
+// code's cache or freshly derived. Concurrent decodes may derive the same
+// plan twice; either copy is correct.
+func (c *MCode) plan(set erasureSet) (*decodePlan, error) {
+	c.planMu.Lock()
+	p, ok := c.plans[set]
+	c.planMu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := c.newPlan(set)
+	if err != nil {
+		return nil, err
+	}
+	c.planMu.Lock()
+	if c.plans == nil || len(c.plans) >= maxPlans {
+		c.plans = make(map[erasureSet]*decodePlan)
+	}
+	c.plans[set] = p
+	c.planMu.Unlock()
+	return p, nil
+}
+
+func (c *MCode) newPlan(set erasureSet) (*decodePlan, error) {
+	k := c.k
+	p := &decodePlan{}
+	for e := 0; e < k+c.m; e++ {
+		if !set.has(e) {
+			continue
+		}
+		if e < k {
+			p.lostData = append(p.lostData, e)
+		} else {
+			p.lostParity = append(p.lostParity, e)
 		}
 	}
-	return false
+	t := len(p.lostData)
+	if t == 0 {
+		return p, nil
+	}
+	// The k survivors are the intact data strips, then the first t intact
+	// parities (rows). Row l of a is parity row rows[l] over the lost
+	// columns; row l of b is that row over the survivors, where its own
+	// parity enters as a unit column.
+	rows := make([]int, 0, t)
+	for j := 0; j < k; j++ {
+		if !set.has(j) {
+			p.survivors = append(p.survivors, j)
+		}
+	}
+	for i := 0; len(rows) < t; i++ {
+		if !set.has(k + i) {
+			rows = append(rows, i)
+			p.survivors = append(p.survivors, k+i)
+		}
+	}
+	a, b := make([][]byte, t), make([][]byte, t)
+	for l, i := range rows {
+		b[l] = make([]byte, k)
+		b[l][k-t+l] = 1
+		for j, f := range c.parity[i] {
+			if set.has(j) {
+				a[l] = append(a[l], f)
+			} else {
+				b[l][j-len(a[l])] = f // j's place among the survivors
+			}
+		}
+	}
+	inv, err := gf.InvertMatrix(a)
+	if err != nil {
+		// Unreachable for an MDS parity matrix; surface it rather than
+		// writing garbage if the tables are ever miscomputed.
+		return nil, fmt.Errorf("rs: lost-column system not invertible: %w", err)
+	}
+	// a·lost = b·survivors, so lost strip x is row x of inv·b dotted with
+	// the survivors.
+	p.coeffs = gf.MulMatrix(inv, b)
+	return p, nil
 }
 
 // Update patches all m parities after an in-place change of the data

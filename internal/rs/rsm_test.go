@@ -2,7 +2,9 @@ package rs_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/codetest"
@@ -203,5 +205,50 @@ func TestMDecodeOpsAccounting(t *testing.T) {
 				t.Errorf("%s erased %v: stripe not restored", c.Name(), erased)
 			}
 		}
+	}
+}
+
+// TestConcurrentDecodePlans decodes 16 different erasure sets of up to
+// three strips at once on one code, each goroutine three times (a plan
+// miss, then hits), so the decode-plan cache is shared under the race
+// detector. Every stripe must come back byte for byte.
+func TestConcurrentDecodePlans(t *testing.T) {
+	c, err := rs.NewM(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.NewStripeFor(c, 72)
+	ref.FillRandom(rand.New(rand.NewSource(7)))
+	if err := c.Encode(ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	sets := core.ErasureSubsets(c.K()+c.M(), c.M()) // 9 singles, 36 pairs, 84 triples
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		erased := sets[g*len(sets)/16]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				s := ref.Clone()
+				for _, e := range erased {
+					rand.New(rand.NewSource(int64(round))).Read(s.Strips[e])
+				}
+				if err := c.Decode(s, erased, nil); err != nil {
+					errs <- fmt.Errorf("erased %v: %w", erased, err)
+					return
+				}
+				if !s.Equal(ref) {
+					errs <- fmt.Errorf("erased %v, round %d: stripe not restored", erased, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

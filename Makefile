@@ -64,12 +64,13 @@ examples:
 
 # conformance runs the registry-driven matrices explicitly and verbosely:
 # the codetest battery, the full shard round-trip for every registered
-# code at every advertised (k, p) shape, and the per-code pin of repair's
-# bytes read (each survivor exactly once). Redundant with `test` except
-# for -count=1 — CI wants these exercised even when cached — and for the
-# legible per-code subtest listing when something breaks.
+# code at every advertised (k, p) shape, and the per-code pins of
+# repair's and decode's bytes read (each survivor exactly once).
+# Redundant with `test` except for -count=1 — CI wants these exercised
+# even when cached — and for the legible per-code subtest listing when
+# something breaks.
 conformance:
-	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce' \
+	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce|TestDecodeReadsEachSurvivorOnce' \
 		./internal/codes ./internal/shard
 
 # chaos is the extended fault-injection soak (~30s): thousands of seeded

@@ -374,7 +374,7 @@ func cmdEncode(args []string) error {
 func cmdDecode(args []string) error {
 	fs := flag.NewFlagSet("decode", flag.ContinueOnError)
 	out := fs.String("out", "", "output file (default: recovered.<name>)")
-	heal := fs.Bool("heal", false, "scan every stripe for silent corruption while decoding")
+	heal := fs.Bool("heal", false, "scan every stripe with column correction while decoding a version 1-4 set (version 5 sets check every strip)")
 	iof := addIOFlags(fs)
 	if err := parseFlags(fs, args, 1, "one manifest"); err != nil {
 		return err

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 var tracePattern = regexp.MustCompile(`(?m)^trace: ([0-9a-f]{16})$`)
@@ -82,14 +84,29 @@ func TestTraceIDPrinted(t *testing.T) {
 	}
 }
 
-// TestLogJSON runs a degraded decode under -log-json and checks the
-// stderr stream is JSON lines carrying the causal record — the probe's
-// findings, the quarantine, the heals — all correlated to the trace ID
-// printed on stdout.
-func TestLogJSON(t *testing.T) {
-	dir, _, manifest := traceFixture(t)
+// asVersion4 rewrites a freshly encoded manifest as version 4: the same
+// fields without the strip sums, which is exactly the version 4 format.
+func asVersion4(t *testing.T, manifest string) {
+	t.Helper()
+	m, err := shard.LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Version, m.StripSums = 4, nil
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Corrupt one shard so the decode is genuinely degraded.
+// logJSONDecode flips a byte of stripe 0 of shard d01, decodes under
+// -log-json, and returns the stderr stream's JSON lines after checking
+// that each carries the trace ID printed on stdout.
+func logJSONDecode(t *testing.T, dir, manifest string) []map[string]any {
+	t.Helper()
 	shardPath := filepath.Join(dir, "data.bin.shard.d01")
 	b, err := os.ReadFile(shardPath)
 	if err != nil {
@@ -109,7 +126,7 @@ func TestLogJSON(t *testing.T) {
 	}
 	trace := match[1]
 
-	names := make(map[string]int)
+	var recs []map[string]any
 	for _, line := range strings.Split(stderr, "\n") {
 		if !strings.HasPrefix(line, "{") {
 			continue // the degraded-mode warning shares stderr
@@ -121,12 +138,57 @@ func TestLogJSON(t *testing.T) {
 		if rec["trace"] != trace {
 			t.Errorf("log line %v in trace %v, want %v", rec["msg"], rec["trace"], trace)
 		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestLogJSON runs a degraded decode of a version 4 set under -log-json
+// and checks the stderr stream is JSON lines carrying the causal record
+// — the probe's findings, the quarantine, the heals — all correlated to
+// the trace ID printed on stdout.
+func TestLogJSON(t *testing.T) {
+	dir, _, manifest := traceFixture(t)
+	asVersion4(t, manifest)
+
+	names := make(map[string]int)
+	for _, rec := range logJSONDecode(t, dir, manifest) {
 		names[rec["msg"].(string)]++
 	}
 	for _, want := range []string{"raidcli.decode", "shard.decode", "shard.probe",
 		"shard.unhealthy", "shard.quarantine"} {
 		if names[want] == 0 {
 			t.Errorf("event log missing %q lines (have %v)", want, names)
+		}
+	}
+}
+
+// TestLogJSONV5 is the version 5 twin of TestLogJSON: the decode finds
+// the corrupt strip in stream, so the probe reads no checksums, one
+// shard.unhealthy and one shard.quarantine line name shard 1 and stripe
+// 0, and nothing is corrected.
+func TestLogJSONV5(t *testing.T) {
+	dir, _, manifest := traceFixture(t)
+	names := make(map[string]int)
+	for _, rec := range logJSONDecode(t, dir, manifest) {
+		msg := rec["msg"].(string)
+		names[msg]++
+		switch msg {
+		case "shard.probe":
+			if rec["checksums"] != false {
+				t.Errorf("shard.probe line %v, want checksums=false", rec)
+			}
+		case "shard.unhealthy", "shard.quarantine":
+			// JSON numbers decode as float64.
+			if rec["shard"] != 1.0 || rec["stripe"] != 0.0 || rec["state"] != "corrupt" {
+				t.Errorf("%s line %v, want shard=1 stripe=0 state=corrupt", msg, rec)
+			}
+		}
+	}
+	for want, n := range map[string]int{"raidcli.decode": 1, "shard.decode": 1, "shard.probe": 1,
+		"shard.unhealthy": 1, "shard.quarantine": 1, "shard.correct_column": 0} {
+		if names[want] != n {
+			t.Errorf("event log has %d %q lines, want %d (have %v)", names[want], want, n, names)
 		}
 	}
 }

@@ -30,7 +30,7 @@ var SizeBuckets = []float64{
 // A Histogram counts observations into fixed buckets and tracks sum, min
 // and max, so snapshots can report both exact totals and estimated
 // percentiles. Observation is lock-free: one atomic add for the bucket,
-// plus CAS loops for sum/min/max.
+// CAS loops for sum/min/max, and the count bumped last.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; counts has one extra +Inf slot
 	counts []atomic.Uint64
@@ -65,7 +65,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -84,6 +83,9 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
+	// Count last: a snapshot that counts this observation then also sees
+	// its sum, min and max, never the empty histogram's ±Inf sentinels.
+	h.count.Add(1)
 }
 
 // ObserveDuration records a duration in seconds.

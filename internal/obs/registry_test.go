@@ -162,3 +162,33 @@ func TestConcurrentRegistry(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", got, writers*perWriter)
 	}
 }
+
+// TestHistogramFirstObservationRace races the first Observe of fresh
+// histograms against a reader that snapshots until it counts the
+// observation. The snapshot that counts it must also see its min and
+// max, never the empty histogram's ±Inf sentinels, which JSON cannot
+// encode.
+func TestHistogramFirstObservationRace(t *testing.T) {
+	const rounds = 20000
+	for round := 0; round < rounds; round++ {
+		h := newHistogram(LatencyBuckets)
+		seen := make(chan HistogramSnapshot)
+		go func() {
+			for {
+				if s := h.snapshot(); s.Count > 0 {
+					seen <- s
+					return
+				}
+			}
+		}()
+		h.Observe(1e-3)
+		s := <-seen
+		if s.Min != 1e-3 || s.Max != 1e-3 {
+			t.Fatalf("round %d: snapshot counts %d observations with min %g, max %g; want 0.001 for both",
+				round, s.Count, s.Min, s.Max)
+		}
+		if _, err := json.Marshal(s); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}

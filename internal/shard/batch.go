@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -99,19 +100,20 @@ func (b *batch) off() int64 { return int64(b.first) * int64(b.sb) }
 // live returns the stripes in use.
 func (b *batch) live() []*core.Stripe { return b.stripes[:b.n] }
 
-// forEachStripe runs fn on every stripe. With one worker it runs in
-// line; otherwise it splits the stripes into up to workers contiguous
-// runs, codes the first on the calling goroutine and each other on its
-// own, and waits for all of them. (The caller takes a run rather than
-// idling in Wait until the scheduler starts every goroutine.) Stripes
-// share no memory, so no ordering or output byte depends on the split.
-// A run stops at its first error while the others finish theirs, and
-// the runs' errors come back joined.
-func forEachStripe(stripes []*core.Stripe, workers int, fn func(*core.Stripe) error) error {
+// forEachStripe runs fn on every stripe, with the stripe's index in
+// stripes. With one worker it runs in line; otherwise it splits the
+// stripes into up to workers contiguous runs, codes the first on the
+// calling goroutine and each other on its own, and waits for all of
+// them. (The caller takes a run rather than idling in Wait until the
+// scheduler starts every goroutine.) Stripes share no memory, so no
+// ordering or output byte depends on the split. A run stops at its
+// first error while the others finish theirs, and the runs' errors come
+// back joined.
+func forEachStripe(stripes []*core.Stripe, workers int, fn func(j int, s *core.Stripe) error) error {
 	runs := min(workers, len(stripes))
 	if runs <= 1 {
-		for _, s := range stripes {
-			if err := fn(s); err != nil {
+		for j, s := range stripes {
+			if err := fn(j, s); err != nil {
 				return err
 			}
 		}
@@ -119,8 +121,8 @@ func forEachStripe(stripes []*core.Stripe, workers int, fn func(*core.Stripe) er
 	}
 	errs := make([]error, runs)
 	run := func(r int) {
-		for _, s := range stripes[r*len(stripes)/runs : (r+1)*len(stripes)/runs] {
-			if errs[r] = fn(s); errs[r] != nil {
+		for j := r * len(stripes) / runs; j < (r+1)*len(stripes)/runs; j++ {
+			if errs[r] = fn(j, stripes[j]); errs[r] != nil {
 				return
 			}
 		}
@@ -180,17 +182,26 @@ func fillBatch(files []store.File, b *batch, rolling []uint32) (int, error) {
 	return -1, nil
 }
 
-// writeCol writes column i of the batch to f at the batch's offset and
-// returns the rolling CRC sum extended over it. A short write with a nil
-// error is io.ErrShortWrite.
-func writeCol(f store.File, b *batch, i int, sum uint32) (uint32, error) {
+// writeCol writes column i of the batch to f at the batch's offset. A
+// short write with a nil error is io.ErrShortWrite.
+func writeCol(f store.File, b *batch, i int) error {
 	col := b.col(i)
 	n, err := f.WriteAt(col, b.off())
 	if err == nil && n < len(col) {
 		err = io.ErrShortWrite
 	}
-	if err != nil {
-		return sum, err
+	return err
+}
+
+// rollStrips extends sum over column i of the batch one strip at a
+// time, stores the running sum after each strip big-endian in that
+// stripe's 4-byte slot of ends (a shard's Manifest.StripSums), and
+// returns the sum over the whole column.
+func (b *batch) rollStrips(i int, sum uint32, ends []byte) uint32 {
+	col, ends := b.col(i), ends[4*b.first:]
+	for j := range b.n {
+		sum = crc32.Update(sum, crc32.IEEETable, col[j*b.sb:(j+1)*b.sb])
+		binary.BigEndian.PutUint32(ends[4*j:], sum)
 	}
-	return crc32.Update(sum, crc32.IEEETable, col), nil
+	return sum
 }

@@ -31,15 +31,18 @@ func indexedStripes(n int) ([]*core.Stripe, map[*core.Stripe]int) {
 }
 
 // TestForEachStripe pins the batch split: every stripe is visited
-// exactly once whether the batch is shorter than, as long as, or not a
-// multiple of the worker count.
+// exactly once, with its index, whether the batch is shorter than, as
+// long as, or not a multiple of the worker count.
 func TestForEachStripe(t *testing.T) {
 	for _, tc := range splitCases {
 		stripes, index := indexedStripes(tc.stripes)
 		name := fmt.Sprintf("stripes=%d/workers=%d", tc.stripes, tc.workers)
 		visits := make([]atomic.Int32, tc.stripes)
-		if err := forEachStripe(stripes, tc.workers, func(s *core.Stripe) error {
-			visits[index[s]].Add(1)
+		if err := forEachStripe(stripes, tc.workers, func(j int, s *core.Stripe) error {
+			if j != index[s] {
+				return fmt.Errorf("stripe %d handed over as index %d", index[s], j)
+			}
+			visits[j].Add(1)
 			return nil
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -64,7 +67,7 @@ func TestForEachStripeErrorPropagation(t *testing.T) {
 			if tc.stripes == 0 {
 				break
 			}
-			err := forEachStripe(stripes, tc.workers, func(s *core.Stripe) error {
+			err := forEachStripe(stripes, tc.workers, func(_ int, s *core.Stripe) error {
 				if index[s] == bad {
 					return boom
 				}
@@ -80,7 +83,7 @@ func TestForEachStripeErrorPropagation(t *testing.T) {
 	// 8 stripes over 4 workers: stripes 0 and 7 are in different runs.
 	first, last := errors.New("first"), errors.New("last")
 	stripes, index := indexedStripes(8)
-	err := forEachStripe(stripes, 4, func(s *core.Stripe) error {
+	err := forEachStripe(stripes, 4, func(_ int, s *core.Stripe) error {
 		switch index[s] {
 		case 0:
 			return first
@@ -103,7 +106,7 @@ func TestForEachStripeErrorPropagation(t *testing.T) {
 		core.NewStripe(4, 5, 8),
 		core.NewStripe(4, 5, 8),
 	}
-	encode := func(s *core.Stripe) error { return code.Encode(s, nil) }
+	encode := func(_ int, s *core.Stripe) error { return code.Encode(s, nil) }
 	for _, workers := range []int{1, 2} {
 		if err := forEachStripe(shaped, workers, encode); err == nil {
 			t.Errorf("workers=%d: shape error was swallowed", workers)
@@ -133,7 +136,7 @@ func TestForEachStripeFailingRunStops(t *testing.T) {
 				}
 			}
 			visits := make([]atomic.Int32, tc.stripes)
-			if err := forEachStripe(stripes, tc.workers, func(s *core.Stripe) error {
+			if err := forEachStripe(stripes, tc.workers, func(_ int, s *core.Stripe) error {
 				visits[index[s]].Add(1)
 				if index[s] == bad {
 					return boom
@@ -180,7 +183,7 @@ func TestForEachStripeEncodeMatchesSerial(t *testing.T) {
 		for _, s := range stripes {
 			ops[s] = new(core.Ops)
 		}
-		if err := forEachStripe(stripes, workers, func(s *core.Stripe) error {
+		if err := forEachStripe(stripes, workers, func(_ int, s *core.Stripe) error {
 			return code.Encode(s, ops[s])
 		}); err != nil {
 			t.Fatal(err)
@@ -228,7 +231,7 @@ func TestForEachStripeDecodeRebuild(t *testing.T) {
 		s.ZeroStrip(3)
 		stripes[i] = s
 	}
-	if err := forEachStripe(stripes, 3, func(s *core.Stripe) error {
+	if err := forEachStripe(stripes, 3, func(_ int, s *core.Stripe) error {
 		return code.Decode(s, []int{1, 3}, nil)
 	}); err != nil {
 		t.Fatal(err)

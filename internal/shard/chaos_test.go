@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -48,9 +49,20 @@ func assertNoRepairTemps(t *testing.T, dir string) {
 	}
 }
 
+// soakAsVersion4 picks, from a soak schedule's seed alone, whether the
+// schedule rewrites its freshly encoded set as version 4 before decoding.
+// About half do, so the soaks cover the version 1-4 decode (checksummed
+// probe, correction rung, end-of-stream check) beside version 5's strip
+// checks. The pick is the top bit of a Fibonacci hash of the seed, which
+// no profile, family or shape cycle of a soak aliases.
+func soakAsVersion4(seed int64) bool {
+	return uint64(seed)*0x9e3779b97f4a7c15>>63 == 1
+}
+
 // TestChaosSoak replays seeded fault schedules over the full
 // encode → decode → repair path: every named profile, hundreds (or, via
-// CHAOS_SCHEDULES, thousands) of seeds. The invariant is absolute — each
+// CHAOS_SCHEDULES, thousands) of seeds, about half of them decoding a
+// version 4 set (soakAsVersion4). The invariant is absolute — each
 // operation either round-trips byte-identical data or fails with a clean
 // typed error, and never panics, leaves a partial shard set, or leaks a
 // repair temp file. Any failure reproduces from its seed alone.
@@ -73,7 +85,7 @@ func TestChaosSoak(t *testing.T) {
 	profiles := faultstore.Profiles()
 	root := t.TempDir()
 
-	var encodeFailed, decodeFailed, degraded int
+	var encodeFailed, decodeFailed, degraded, v4 int
 	for i := 0; i < schedules; i++ {
 		seed := int64(i + 1)
 		profile := profiles[i%len(profiles)]
@@ -105,6 +117,10 @@ func TestChaosSoak(t *testing.T) {
 			}
 			encodeFailed++
 			continue
+		}
+		if soakAsVersion4(seed) {
+			asVersion4(t, dir, m)
+			v4++
 		}
 
 		out, err := os.Create(filepath.Join(dir, "out.tmp"))
@@ -140,8 +156,8 @@ func TestChaosSoak(t *testing.T) {
 		assertNoRepairTemps(t, dir)
 		os.RemoveAll(dir)
 	}
-	t.Logf("%d schedules: %d encode failures, %d decode failures, %d degraded decodes",
-		schedules, encodeFailed, decodeFailed, degraded)
+	t.Logf("%d schedules: %d encode failures, %d decode failures, %d degraded decodes, %d sets decoded as version 4",
+		schedules, encodeFailed, decodeFailed, degraded, v4)
 }
 
 // TestDegradedHealMetrics pins the headline acceptance scenario: one
@@ -151,6 +167,7 @@ func TestChaosSoak(t *testing.T) {
 // observable in the registry.
 func TestDegradedHealMetrics(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	asVersion4(t, dir, m)
 
 	// Shard 1: persistent on-disk corruption in stripe 0 — the probe
 	// quarantines it (CRC mismatch) but keeps it streaming.
@@ -212,6 +229,7 @@ func TestDegradedHealMetrics(t *testing.T) {
 // all healed by per-stripe CorrectColumn.
 func TestHealBeyondErasureBudget(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	asVersion4(t, dir, m)
 	stripBytes := 5 * 64
 	for i, victim := range []int{0, 2, 5} { // two data columns and Q
 		path := filepath.Join(dir, m.ShardName(victim))
@@ -237,6 +255,90 @@ func TestHealBeyondErasureBudget(t *testing.T) {
 	}
 	if len(rep.Quarantined) != 3 {
 		t.Errorf("quarantined = %v, want the three corrupt shards", rep.Quarantined)
+	}
+}
+
+// TestDegradedHealMetricsV5 is the version 5 twin of
+// TestDegradedHealMetrics: the same on-disk corruption of shard 1 in
+// stripe 0, and a read-path bit-flip on the stream's read of shard 3.
+// Each corrupt strip fails its strip sum and is erased for its stripe,
+// so the decode into a writer that cannot rewind recovers the original
+// bytes in one attempt with both shards quarantined and counted, and
+// nothing corrected.
+func TestDegradedHealMetricsV5(t *testing.T) {
+	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	path := filepath.Join(dir, m.ShardName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 3, Rules: []faultstore.Rule{
+		{Path: m.ShardName(3), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1},
+	}})
+
+	reg := obs.NewRegistry()
+	var out bytes.Buffer
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+		Options{Store: faulty, Registry: reg})
+	if err != nil {
+		t.Fatalf("DecodeReport: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("degraded decode produced wrong bytes")
+	}
+	if !rep.Degraded || rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1 3]" {
+		t.Errorf("report: degraded %v, %d attempts, %d corrections, quarantined %v; want true, 1, 0, [1 3]",
+			rep.Degraded, rep.Attempts, rep.Corrections, rep.Quarantined)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["shard.quarantine.total"]; got != 2 {
+		t.Errorf("shard.quarantine.total = %d, want 2", got)
+	}
+	if got := snap.Counters["shard.correct_column.total"]; got != 0 {
+		t.Errorf("shard.correct_column.total = %d, want 0", got)
+	}
+}
+
+// TestHealBeyondErasureBudgetV5 is the version 5 twin of
+// TestHealBeyondErasureBudget: three shards corrupt in three different
+// stripes, one more shard than the erasure budget. Each stripe has one
+// strip that fails its sum, and erasing it for that stripe alone
+// decodes byte-identically, in one attempt, into a writer that cannot
+// rewind, with no column correction.
+func TestHealBeyondErasureBudgetV5(t *testing.T) {
+	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	stripBytes := 5 * 64
+	for i, victim := range []int{0, 2, 5} { // two data columns and Q
+		path := filepath.Join(dir, m.ShardName(victim))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[(i*2+1)*stripBytes] ^= 0x01 // stripes 1, 3, 5: never the same stripe
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out}, Options{})
+	if err != nil {
+		t.Fatalf("DecodeReport with 3 corrupt shards: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("decode produced wrong bytes")
+	}
+	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[0 2 5]" {
+		t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, [0 2 5]",
+			rep.Attempts, rep.Corrections, rep.Quarantined)
+	}
+	for _, i := range []int{0, 2, 5} {
+		if rep.Status[i].State != StateCorrupt {
+			t.Errorf("shard %d reported %v, want corrupt", i, rep.Status[i].State)
+		}
 	}
 }
 

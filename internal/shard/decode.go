@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -24,7 +25,8 @@ type Report struct {
 	// probe, refined by mid-stream quarantines).
 	Status []ShardStatus
 	// Quarantined lists shards whose content was distrusted at any
-	// point: checksum-corrupt at probe time or failed mid-stream.
+	// point: checksum-corrupt at probe time, failed mid-stream, or (a
+	// version 5 decode) with a strip that failed its strip sum.
 	Quarantined []int
 	// Corrections is the number of stripes healed by the paper's
 	// single-column error correction.
@@ -39,12 +41,26 @@ type Report struct {
 // the original file from the shard set described by the manifest at
 // manifestPath (shards are looked up in the same directory), writes it
 // to w, and reports what recovery observed: up to m hard losses are
-// tolerated (m being the code's parity count), and purely silent
-// per-stripe single-column corruption is healed even beyond that.
+// tolerated (m being the code's parity count), and silent corruption is
+// tolerated as long as no stripe has more than m strips unusable.
 //
-// The up-front probe (stat + streamed CRC-32, O(1) memory) classifies
-// every shard: clean, soft-quarantined (present but checksum-corrupt),
-// or hard-erased (missing, truncated, unreadable). Recovery then picks a
+// The manifest's version picks the path. A version 5 set is probed
+// without checksums: the probe opens and size-checks every shard, and
+// the ones missing, truncated or unreadable are erased. The stream then
+// checks every strip it reads against the manifest's strip sums before
+// the stripe is decoded or written (split over Options.Workers with the
+// decoding). A strip that fails erases its shard for that stripe alone
+// (the shard is reported StateCorrupt and quarantined), every
+// reconstructed strip must match its sum too, and a stripe with more
+// than m strips unusable ends the decode in an *UnrecoverableError
+// before its batch is written. So each survivor is read once, and
+// silent corruption needs no restart, even into a writer that cannot
+// rewind. Options.Heal does not apply.
+//
+// Sets of versions 1–4 have only whole-shard checksums. Their up-front
+// probe (stat + streamed CRC-32, O(1) memory) classifies every shard:
+// clean, soft-quarantined (present but checksum-corrupt), or
+// hard-erased (missing, truncated, unreadable). Recovery then picks a
 // rung of the degradation ladder:
 //
 //   - no hard losses, but quarantined shards (or Options.Heal): stream
@@ -54,15 +70,21 @@ type Report struct {
 //   - 1..m unusable shards: classic erasure decode of the survivors;
 //   - more: a typed *UnrecoverableError naming every failed shard.
 //
-// While stripes stream, transient read errors are retried with capped
-// exponential backoff (Options.Retry), and rolling CRCs re-verify every
-// column end to end — a shard that fails mid-stream is quarantined and
-// the decode restarts without it (when w is rewindable, i.e. an
-// *os.File). Shards are read batch by batch, one positional read per
-// shard per batch, straight into one pooled batch of about 1 MiB
-// (Options.BatchStripes overrides the size), so resident memory does
-// not grow with the file. A cancelled Options.Context stops the decode
-// before its next batch.
+// Their stream's rolling CRCs re-verify every column end to end, and a
+// column that fails them is quarantined and the decode restarts without
+// it.
+//
+// On either path transient read errors are retried with capped
+// exponential backoff (Options.Retry), and a shard whose read fails
+// mid-stream is quarantined and the decode restarts without it (when w
+// is rewindable, i.e. an *os.File). Shards are read batch by batch, one
+// positional read per shard per batch, straight into one pooled batch
+// of about 1 MiB (Options.BatchStripes overrides the size), so resident
+// memory grows with the file only by a version 5 manifest's strip sums,
+// 4 bytes per strip per shard: 7.5 KB (10 KB of base64 in the manifest)
+// for a 64 MiB liberation object at k=8, p=11 and 4 KiB elements, and
+// 0.1% of the shard bytes (0.13% in base64) for rs3 at 4 KiB elements.
+// A cancelled Options.Context stops the decode before its next batch.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -86,6 +108,7 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 	countShardOp(opt.Registry, "decode", m.Code)
 
 	r := newRecovery(m, code, opt, st, ctx, filepath.Dir(manifestPath))
+	r.strips = m.Version >= 5
 	sink := &decodeSink{w: w, m: m}
 	err = r.run(sink)
 	return r.rep, err
@@ -112,9 +135,8 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 // A read that fails restarts into the full checksum probe. Options.Heal
 // applies only after a checksum probe: with no suspect known,
 // correcting in stream could leave a corrupt shard as it is on disk.
-// DecodeReport keeps its up-front probe because its writer cannot take
-// back bytes already written, so it must not stream a survivor it has
-// not verified.
+// Repair uses the whole-shard checksums on every manifest version;
+// only DecodeReport checks strip by strip.
 func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.repair",
@@ -160,6 +182,10 @@ type recovery struct {
 	st        store.Store
 	ctx       context.Context // carries the operation's trace
 	dir       string
+	// strips makes the stream check every strip against the manifest's
+	// strip sums (a version 5 decode): the probe reads no checksums on
+	// any attempt, and a strip that fails is erased for its stripe.
+	strips bool
 
 	rep     *Report
 	forced  map[int]error // mid-stream quarantines, by column
@@ -185,7 +211,8 @@ func newRecovery(m *Manifest, code core.Code, opt Options, st store.Store,
 // to the attempt budget. A checksum miss restarts with the checksums
 // the stream rolled, which the probe takes instead of reading the
 // shards again; a read failure or an unrecoverable verdict restarts
-// into the full probe.
+// into the full probe. A version 5 decode's probe reads no checksums
+// on any attempt: its stream checks every strip.
 func (r *recovery) run(sink recoverSink) error {
 	r.rep = &Report{}
 	r.forced = make(map[int]error)
@@ -198,7 +225,7 @@ func (r *recovery) run(sink recoverSink) error {
 	// the shards; nil makes it read them (see probeShards).
 	var sums map[int]uint32
 	_, fast := sink.(*repairSink)
-	if fast {
+	if fast || r.strips {
 		sums = map[int]uint32{}
 	}
 	for {
@@ -217,12 +244,14 @@ func (r *recovery) run(sink recoverSink) error {
 		}
 		asp.End(err)
 		if err == nil {
-			if len(hard)+len(soft) > 0 {
+			if len(hard)+len(soft)+len(r.rep.Quarantined) > 0 {
 				r.rep.Degraded = true
 			}
 			return nil
 		}
-		sums = nil
+		if !r.strips {
+			sums = nil
+		}
 		var q *quarantineError
 		if fast {
 			fast = false
@@ -269,26 +298,49 @@ func (r *recovery) run(sink recoverSink) error {
 	}
 }
 
-// noteQuarantines bills shard.quarantine.total once per shard across all
-// attempts, records the report's quarantine list, and emits a
-// shard.quarantine event per newly distrusted shard into the attempt's
-// trace.
+// noteQuarantines quarantines every shard a probe found corrupt or that
+// a previous attempt quarantined mid-stream.
 func (r *recovery) noteQuarantines(ctx context.Context, status []ShardStatus) {
 	for _, st := range status {
-		if st.State != StateCorrupt && st.State != StateQuarantined {
-			continue
+		if st.State == StateCorrupt || st.State == StateQuarantined {
+			r.quarantine(ctx, st)
 		}
-		if r.counted[st.Index] {
-			continue
-		}
-		r.counted[st.Index] = true
-		r.rep.Quarantined = append(r.rep.Quarantined, st.Index)
-		r.reg.Count("shard.quarantine.total", 1)
-		obs.EmitErr(ctx, slog.LevelWarn, "shard.quarantine", st.Err,
-			slog.Int("shard", st.Index), slog.String("name", st.Name),
-			slog.String("state", st.State.String()))
 	}
+}
+
+// quarantine bills shard.quarantine.total once per shard across all
+// attempts, records the shard in the report's quarantine list, and
+// emits a shard.quarantine event with attrs into the attempt's trace
+// the first time the shard is distrusted.
+func (r *recovery) quarantine(ctx context.Context, st ShardStatus, attrs ...obs.Attr) {
+	if r.counted[st.Index] {
+		return
+	}
+	r.counted[st.Index] = true
+	r.rep.Quarantined = append(r.rep.Quarantined, st.Index)
 	sort.Ints(r.rep.Quarantined)
+	r.reg.Count("shard.quarantine.total", 1)
+	obs.EmitErr(ctx, slog.LevelWarn, "shard.quarantine", st.Err, append([]obs.Attr{
+		slog.Int("shard", st.Index), slog.String("name", st.Name),
+		slog.String("state", st.State.String())}, attrs...)...)
+}
+
+// stripFailed records that shard i's strip in stripe failed its strip
+// sum. The first failure of a shard marks it StateCorrupt, quarantines
+// it, and names it in shard.unhealthy and shard.quarantine events with
+// the stripe; later strips of the same shard are erased just the same
+// but not reported again.
+func (r *recovery) stripFailed(ctx context.Context, i, stripe int) {
+	st := &r.rep.Status[i]
+	if st.State == StateCorrupt {
+		return
+	}
+	st.State, st.Valid = StateCorrupt, false
+	st.Err = fmt.Errorf("shard %d (%s): stripe %d fails its strip sum", i, st.Name, stripe)
+	attrs := []obs.Attr{slog.Int("shard", i), slog.String("name", st.Name),
+		slog.String("state", st.State.String()), slog.Int("stripe", stripe)}
+	obs.EmitErr(ctx, slog.LevelWarn, "shard.unhealthy", st.Err, attrs...)
+	r.quarantine(ctx, *st, slog.Int("stripe", stripe))
 }
 
 // attempt runs one rung of the degradation ladder over one streaming
@@ -336,9 +388,10 @@ func (r *recovery) attempt(ctx context.Context, files []store.File, status []Sha
 }
 
 // erasureStream is the classic decode rung: the erased columns are
-// reconstructed from the survivors, batch by batch, with rolling CRCs
-// re-verifying every column (streamed and reconstructed) against the
-// manifest at the end.
+// reconstructed from the survivors, batch by batch. With r.strips every
+// strip is checked against its strip sum in stream (see checkedBatch);
+// otherwise rolling CRCs re-verify every column (streamed and
+// reconstructed) against the manifest at the end.
 func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased []int, sink recoverSink) error {
 	if err := sink.begin(erased); err != nil {
 		return err
@@ -348,12 +401,15 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 	for _, e := range erased {
 		streams[e] = nil
 	}
-	rolling := make([]uint32, m.NumShards())
 	b := r.batch()
 	defer putBatch(b)
 
 	workers := r.opt.workerCount()
-	decode := func(s *core.Stripe) error { return r.code.Decode(s, erased, nil) }
+	var rolling []uint32
+	if !r.strips {
+		rolling = make([]uint32, m.NumShards())
+	}
+	decode := func(_ int, s *core.Stripe) error { return r.code.Decode(s, erased, nil) }
 	for first := 0; first < m.Stripes; first += b.n {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
@@ -362,7 +418,12 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 		if col, err := fillBatch(streams, b, rolling); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
-		if len(erased) > 0 {
+		switch {
+		case r.strips:
+			if err := r.checkedBatch(ctx, b, streams, erased); err != nil {
+				return err
+			}
+		case len(erased) > 0:
 			if err := forEachStripe(b.live(), workers, decode); err != nil {
 				return err
 			}
@@ -373,6 +434,15 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 		if err := sink.consume(b); err != nil {
 			return err
 		}
+	}
+	if r.strips {
+		// Every strip of a shard still StateOK matched its sum.
+		for i, f := range streams {
+			if f != nil && r.rep.Status[i].State == StateOK {
+				r.rep.Status[i].Valid = true
+			}
+		}
+		return sink.finish()
 	}
 	// Streamed columns first: a mismatch there means the shard is corrupt
 	// (on the fast pass) or changed while streaming, and is grounds for a
@@ -400,6 +470,58 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 		}
 	}
 	return sink.finish()
+}
+
+// checkedBatch is a version 5 decode's coding step for one batch, split
+// over the workers: each stripe's streamed strips are checked against
+// their strip sums, a strip that fails is erased for that stripe alone,
+// the stripe is decoded around its erasures, and every reconstructed
+// strip must match its sum as well. Once the stripes are done the
+// failed strips are reported in stripe order, and a stripe with more
+// than m strips unusable fails the decode before the batch reaches the
+// sink.
+func (r *recovery) checkedBatch(ctx context.Context, b *batch, streams []store.File, erased []int) error {
+	m := r.m
+	failed := make([][]int, b.n) // per stripe: its streamed strips that failed
+	err := forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
+		stripe := b.first + j
+		for i, f := range streams {
+			if f != nil && !m.stripOK(i, stripe, s.Strips[i]) {
+				failed[j] = append(failed[j], i)
+			}
+		}
+		lost := erased
+		if len(failed[j]) > 0 {
+			if len(erased)+len(failed[j]) > m.M {
+				return nil // reported below, in stripe order
+			}
+			lost = append(slices.Clone(erased), failed[j]...)
+			slices.Sort(lost)
+		}
+		if len(lost) == 0 {
+			return nil
+		}
+		if err := r.code.Decode(s, lost, nil); err != nil {
+			return err
+		}
+		for _, e := range lost {
+			if !m.stripOK(e, stripe, s.Strips[e]) {
+				return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+					"stripe %d: reconstructed shard %d fails its strip sum", stripe, e)}
+			}
+		}
+		return nil
+	})
+	for j, bad := range failed {
+		for _, i := range bad {
+			r.stripFailed(ctx, i, b.first+j)
+		}
+		if len(erased)+len(bad) > m.M {
+			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+				"stripe %d: %d strips unusable, can tolerate %d", b.first+j, len(erased)+len(bad), m.M)}
+		}
+	}
+	return err
 }
 
 // correctionStream is the silent-corruption rung: all k+m columns stream
@@ -588,10 +710,10 @@ func (s *repairSink) begin(targets []int) error {
 
 func (s *repairSink) consume(b *batch) error {
 	for _, e := range s.targets {
-		var err error
-		if s.rolling[e], err = writeCol(s.files[e], b, e, s.rolling[e]); err != nil {
+		if err := writeCol(s.files[e], b, e); err != nil {
 			return err
 		}
+		s.rolling[e] = crc32.Update(s.rolling[e], crc32.IEEETable, b.col(e))
 	}
 	return nil
 }

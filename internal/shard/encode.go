@@ -188,7 +188,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 
 	// Stage 2: coding.
 	workers := opt.workerCount()
-	encode := func(s *core.Stripe) error { return code.Encode(s, nil) }
+	encode := func(_ int, s *core.Stripe) error { return code.Encode(s, nil) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -226,8 +226,14 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 
 	// Stage 3: writer (this goroutine). Drains batches in order, one
 	// positional write per column, so shard bytes and checksums match the
-	// sequential path exactly.
+	// sequential path exactly. The CRC it rolls over each column records
+	// the running sum at every strip's end: the manifest's strip sums.
 	sums := make([]uint32, k+parities)
+	stripSums := make([][]byte, k+parities)
+	backing := make([]byte, 4*stripes*(k+parities))
+	for i := range stripSums {
+		stripSums[i], backing = backing[:4*stripes:4*stripes], backing[4*stripes:]
+	}
 writeLoop:
 	for {
 		t0 := now()
@@ -244,11 +250,11 @@ writeLoop:
 		since("shard.encode.write.wait.seconds", t0)
 		t1 := now()
 		for i, f := range files {
-			var writeErr error
-			if sums[i], writeErr = writeCol(f, b, i, sums[i]); writeErr != nil {
+			if writeErr := writeCol(f, b, i); writeErr != nil {
 				fail(writeErr)
 				break writeLoop
 			}
+			sums[i] = b.rollStrips(i, sums[i], stripSums[i])
 		}
 		since("shard.encode.write.seconds", t1)
 		addGauge(reg, "shard.encode.queue_depth", -1)
@@ -273,7 +279,7 @@ writeLoop:
 		}
 		files[i] = nil
 	}
-	m.Checksums = sums
+	m.Checksums, m.StripSums = sums, stripSums
 
 	// A node-mapped store knows where every shard landed: record the
 	// placement (v3 block) so decode sessions and operators can reason

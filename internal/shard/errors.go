@@ -10,8 +10,11 @@ import (
 )
 
 // ErrManifest marks a manifest that could not be read or validated
-// (unparsable JSON, wrong version or code, checksum count mismatch) —
-// distinct from shard-content failures, which recovery can work around.
+// (unparsable JSON, wrong version or code, code parameters the code
+// rejects, checksum count mismatch, a stripe count that does not fit
+// the file size, strip sums that disagree with the shape or the
+// checksums) — distinct from shard-content failures, which recovery can
+// work around.
 var ErrManifest = errors.New("shard: bad manifest")
 
 // ShardState classifies one shard's health as recovery saw it.
@@ -28,7 +31,9 @@ const (
 	StateTruncated
 	// StateCorrupt: present and readable, but its CRC-32 does not match
 	// the manifest — quarantined; its content is only used through the
-	// single-column correction path.
+	// single-column correction path. In a version 5 decode: a strip of
+	// it failed its strip sum; each failing strip is erased for its own
+	// stripe, and the shard's other strips are used as read.
 	StateCorrupt
 	// StateIOError: the shard could not be read (open/read failure that
 	// survived the retry budget).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // TestCodeMatrixRoundTrip drives the full shard path for every
@@ -192,6 +194,142 @@ func TestRSFixture(t *testing.T) {
 	}
 }
 
+// TestManifestV5Fixture decodes the committed version 5 liberation set
+// (written by testdata/gen_v5) byte-identically three ways: clean, with
+// two shards lost, and with one strip flipped, the last two into a
+// writer that cannot rewind. The flipped strip is erased for its stripe
+// alone. A fresh encode of the same bytes must record the same checksums
+// and strip sums, so the strip-sum definition cannot drift under
+// existing sets.
+func TestManifestV5Fixture(t *testing.T) {
+	const fixture = "testdata/v5"
+	want, err := os.ReadFile(filepath.Join(fixture, "blob.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(filepath.Join(fixture, ManifestName("blob.bin")))
+	if err != nil {
+		t.Fatalf("LoadManifest(v5): %v", err)
+	}
+	if m.Version != 5 || m.Code != "liberation" || len(m.StripSums) != m.NumShards() {
+		t.Fatalf("v5 manifest loaded as version=%d code=%q with %d strip sums",
+			m.Version, m.Code, len(m.StripSums))
+	}
+	fresh, err := EncodeOpts(bytes.NewReader(want), int64(len(want)), "blob.bin", m.K, m.P, m.ElemSize,
+		t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fresh.Checksums, fresh.StripSums) != fmt.Sprint(m.Checksums, m.StripSums) {
+		t.Fatalf("a fresh encode records checksums %v and strip sums %x, the fixture %v and %x",
+			fresh.Checksums, fresh.StripSums, m.Checksums, m.StripSums)
+	}
+
+	sb, _ := m.shardShape()
+	for _, tc := range []struct {
+		name        string
+		lost        []string
+		flip        string // shard with one flipped byte in stripe 1
+		quarantined string
+	}{
+		{"clean", nil, "", "[]"},
+		{"lost=d01,q", []string{"d01", "q"}, "", "[]"},
+		{"flipped-strip", nil, "d02", "[2]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyFixture(t, fixture)
+			for _, name := range tc.lost {
+				if err := os.Remove(filepath.Join(dir, "blob.bin.shard."+name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.flip != "" {
+				path := filepath.Join(dir, "blob.bin.shard."+tc.flip)
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[sb+7] ^= 0x80
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out}, Options{})
+			if err != nil {
+				t.Fatalf("DecodeReport: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatal("decode differs from the committed file")
+			}
+			if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != tc.quarantined {
+				t.Errorf("%d attempts, quarantined %v; want 1, %s", rep.Attempts, rep.Quarantined, tc.quarantined)
+			}
+		})
+	}
+}
+
+// TestManifestV5StripSumsValidation: a manifest comes from outside the
+// program, so every way a version 5 manifest's strip sums can disagree
+// with its shape or its checksums is an ErrManifest at load, never a
+// panic and never a decode that trusts them.
+func TestManifestV5StripSumsValidation(t *testing.T) {
+	_, _, enc := encodeTestFile(t, 4*5*64*3+10, 4, 5, 64) // 4 stripes
+	for _, tc := range []struct {
+		name string
+		edit func(m *Manifest)
+	}{
+		{"no strip sums", func(m *Manifest) { m.StripSums = nil }},
+		{"sums for k+m-1 shards", func(m *Manifest) { m.StripSums = m.StripSums[:m.NumShards()-1] }},
+		{"sums for k+m+1 shards", func(m *Manifest) { m.StripSums = append(m.StripSums, m.StripSums[0]) }},
+		{"one byte short", func(m *Manifest) { m.StripSums[2] = m.StripSums[2][:4*m.Stripes-1] }},
+		{"one stripe short", func(m *Manifest) { m.StripSums[2] = m.StripSums[2][:4*(m.Stripes-1)] }},
+		{"one stripe long", func(m *Manifest) {
+			m.StripSums[2] = append(m.StripSums[2], m.StripSums[2][len(m.StripSums[2])-4:]...)
+		}},
+		{"empty sums for one shard", func(m *Manifest) { m.StripSums[0] = []byte{} }},
+		{"last sum differs from checksum", func(m *Manifest) { m.Checksums[3] ^= 1 }},
+		{"last sum altered", func(m *Manifest) { m.StripSums[4][4*m.Stripes-1] ^= 1 }},
+		{"negative stripes", func(m *Manifest) { m.Stripes = -1 }},
+		// 4·stripes wraps to 0 in a 64-bit int: the sums' length must not be
+		// compared through that product.
+		{"stripes overflowing the sum length", func(m *Manifest) {
+			m.Stripes = 1 << 62
+			for i := range m.StripSums {
+				m.StripSums[i] = []byte{}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := *enc
+			m.Checksums = append([]uint32(nil), enc.Checksums...)
+			m.StripSums = make([][]byte, len(enc.StripSums))
+			for i, sums := range enc.StripSums {
+				m.StripSums[i] = append([]byte(nil), sums...)
+			}
+			tc.edit(&m)
+			path := filepath.Join(t.TempDir(), ManifestName(m.FileName))
+			if err := writeManifest(store.OS{}, &m, path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadManifest(path); !errors.Is(err, ErrManifest) {
+				t.Fatalf("LoadManifest = %v, want ErrManifest", err)
+			}
+		})
+	}
+	t.Run("strip sums not base64", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		body := `{"version":5,"code":"liberation","k":1,"p":3,"m":2,"w":3,"elem_size":8,` +
+			`"file_name":"x","file_size":1,"stripes":1,"checksums":[0,0,0],"strip_sums":["!!!!","",""]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(path); !errors.Is(err, ErrManifest) {
+			t.Fatalf("LoadManifest = %v, want ErrManifest", err)
+		}
+	})
+}
+
 // copyFixture copies a committed fixture directory into a fresh temp dir,
 // so tests that delete or repair shards never touch the checked-in set.
 func copyFixture(t *testing.T, fixture string) string {
@@ -255,5 +393,19 @@ func TestManifestV2UnknownCode(t *testing.T) {
 	}
 	if _, err := manifestCode(m, nil); !errors.Is(err, ErrManifest) {
 		t.Fatalf("geometry cross-check error = %v, want ErrManifest", err)
+	}
+
+	// Parameters the code rejects: a liberation p that is not an odd
+	// prime (one bit-flip turns "p":5 into "p":1).
+	badP := `{"version":2,"code":"liberation","k":3,"p":1,"w":1,"elem_size":32,` +
+		`"file_name":"x","file_size":1,"stripes":1,"checksums":[0,0,0,0,0]}`
+	if err := os.WriteFile(path, []byte(badP), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = LoadManifest(path); err != nil {
+		t.Fatalf("LoadManifest(p=1): %v", err)
+	}
+	if _, err := manifestCode(m, nil); !errors.Is(err, ErrManifest) || !errors.Is(err, core.ErrParams) {
+		t.Fatalf("p=1 error = %v, want ErrManifest wrapping core.ErrParams", err)
 	}
 }

@@ -88,7 +88,7 @@ func TestManifestPlacementValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := bytes.Replace(b, []byte(`"nodes": 5`), []byte(`"nodes": 1`), 1)
+	bad := bytes.Replace(b, []byte(`"nodes":5`), []byte(`"nodes":1`), 1)
 	if bytes.Equal(bad, b) {
 		t.Fatal("fixture edit did not take; manifest JSON layout changed?")
 	}
@@ -440,7 +440,8 @@ func TestMixedFaultLadderTrace(t *testing.T) {
 // node outages (one and two at once), flapping membership, and hung-node
 // latency — over every registered code. Encode runs clean on spread
 // placement (nodes = k+m); decode and repair then run under the
-// schedule. The invariant: byte-identical output or a typed error,
+// schedule, about half of them on the set rewritten as version 4
+// (soakAsVersion4). The invariant: byte-identical output or a typed error,
 // every run, every seed; and for outage-only schedules that spare the
 // manifest's node, decode and repair MUST succeed byte-identically (at
 // most two shards are lost, within every family's parity budget — the
@@ -461,7 +462,7 @@ func TestChaosNodesSoak(t *testing.T) {
 	profiles := []string{"outage", "outage2", "flap", "slow", "chaos"}
 	root := t.TempDir()
 
-	var strict, relaxed, failedTyped int
+	var strict, relaxed, failedTyped, v4 int
 	for i := 0; i < schedules; i++ {
 		seed := int64(i + 1)
 		info := infos[i%len(infos)]
@@ -486,6 +487,10 @@ func TestChaosNodesSoak(t *testing.T) {
 			t.Fatalf("code=%s seed=%d: clean encode failed: %v", info.Name, seed, err)
 		}
 		manifestPath := filepath.Join(dir, ManifestName(m.FileName))
+		if soakAsVersion4(seed) {
+			asVersion4(t, dir, m)
+			v4++
+		}
 
 		// An outage-only schedule that spares the manifest's node loses
 		// at most two shards (spread placement, nodes = k+m, one shard
@@ -578,6 +583,6 @@ func TestChaosNodesSoak(t *testing.T) {
 	if strict == 0 {
 		t.Error("no schedule exercised the strict ≤2-outage guarantee")
 	}
-	t.Logf("%d schedules: %d strict (byte-identical required), %d relaxed, %d typed decode failures",
-		schedules, strict, relaxed, failedTyped)
+	t.Logf("%d schedules: %d strict (byte-identical required), %d relaxed, %d typed decode failures, %d sets decoded as version 4",
+		schedules, strict, relaxed, failedTyped, v4)
 }

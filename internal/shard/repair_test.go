@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -150,6 +151,102 @@ func TestRepairReadsEachSurvivorOnce(t *testing.T) {
 						t.Errorf("renamed %v, want one rename per repaired shard %v", got, want)
 					}
 					checkShardsEqual(t, dir, m, golden)
+				})
+			}
+		})
+	}
+}
+
+// TestDecodeReadsEachSurvivorOnce is the decode twin of
+// TestRepairReadsEachSurvivorOnce, for every registered code over a
+// shard set of four batches decoded into a plain io.Writer, which
+// cannot rewind: healthy, one data shard lost, one parity shard lost,
+// and one flipped byte in one strip of a survivor alongside m−1 lost
+// shards. Each survivor is read exactly once, shardSize bytes, the
+// output is the original in one attempt, and the flipped strip is
+// erased for its stripe alone: its shard is quarantined and nothing is
+// corrected. A checksum probe before the stream would double every
+// count.
+func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
+	for _, name := range codes.Names() {
+		t.Run(name, func(t *testing.T) {
+			const k, elem = 3, 32
+			code, err := codes.New(name, k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := int64(k*code.W()*elem*6 + 17) // 7 stripes: 4 batches of 2
+			content := make([]byte, size)
+			rand.New(rand.NewSource(size)).Read(content)
+			dir := t.TempDir()
+			m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, 0, elem, dir, Options{Code: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := readShards(t, dir, m)
+			sb, shardSize := m.shardShape()
+			manifest := filepath.Join(dir, ManifestName(m.FileName))
+			// The flip case loses data shard 1 and then parities from the
+			// last, m−1 shards in all; stripe 3 of data shard 0 is flipped.
+			lostWithFlip := []int{1}
+			for i := m.NumShards() - 1; len(lostWithFlip) < m.M-1; i-- {
+				lostWithFlip = append(lostWithFlip, i)
+			}
+			for _, tc := range []struct {
+				name string
+				lost []int
+				flip int // shard with one flipped byte in stripe 3, -1: none
+			}{
+				{"healthy", nil, -1},
+				{"lost-data", []int{1}, -1},
+				{"lost-parity", []int{m.K}, -1},
+				{"flipped-strip", lostWithFlip, 0},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					defer func() {
+						for i, b := range golden {
+							if err := os.WriteFile(filepath.Join(dir, m.ShardName(i)), b, 0o644); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}()
+					for _, i := range tc.lost {
+						if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var wantQuarantined []int
+					if tc.flip >= 0 {
+						b := append([]byte(nil), golden[tc.flip]...)
+						b[3*sb+sb/2] ^= 0x10
+						if err := os.WriteFile(filepath.Join(dir, m.ShardName(tc.flip)), b, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						wantQuarantined = []int{tc.flip}
+					}
+					l := newIOLog()
+					var out bytes.Buffer
+					rep, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{Store: l, BatchStripes: 2})
+					if err != nil {
+						t.Fatalf("DecodeReport: %v", err)
+					}
+					if !bytes.Equal(out.Bytes(), content) {
+						t.Fatal("decode output differs from the original")
+					}
+					if rep.Attempts != 1 || rep.Corrections != 0 ||
+						fmt.Sprint(rep.Quarantined) != fmt.Sprint(wantQuarantined) {
+						t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, %v",
+							rep.Attempts, rep.Corrections, rep.Quarantined, wantQuarantined)
+					}
+					for i := 0; i < m.NumShards(); i++ {
+						want := shardSize
+						if slices.Contains(tc.lost, i) {
+							want = 0
+						}
+						if got := l.read[m.ShardName(i)]; got != want {
+							t.Errorf("read %d bytes of %s, want %d", got, m.ShardName(i), want)
+						}
+					}
 				})
 			}
 		})

@@ -12,27 +12,36 @@
 // surviving shards batch by batch. A batch is about 1 MiB of stripes laid
 // out column by column, so each shard's part of it moves with one
 // positional read or write, straight between the store and the batch.
-// Peak memory is a few batches regardless of file size. Rolling CRCs
-// verify every column while the stripes stream through. Decode also
-// decides shard health up front with a stat+checksum probe, because its
-// writer cannot take back bytes it has been given; repair writes temp
-// files it renames only after the rolling CRCs match, so its first pass
-// only stats the shards and reads each survivor once. When a survivor
-// is corrupt, that pass's checksums name it and the repair restarts on
-// them; only a failed read sends it back to the checksum probe.
+// Peak memory is a few batches regardless of file size, plus the
+// manifest's strip sums (4 bytes per strip per shard). Checksums verify
+// every column while the stripes stream through. A version 5 manifest
+// records the running CRC-32 of every shard at the end of every stripe,
+// so decode checks each strip in the one read that streams it, before
+// the stripe is decoded or written: a strip that fails is erased for
+// that stripe alone, and the decode of a healthy set reads each shard
+// once. Decodes of version 1–4 sets, which have only whole-shard
+// checksums, decide shard health up front with a stat+checksum probe,
+// because the writer cannot take back bytes it has been given. Repair
+// writes temp files it renames only after the rolling CRCs match, so
+// its first pass only stats the shards and reads each survivor once.
+// When a survivor is corrupt, that pass's checksums name it and the
+// repair restarts on them; only a failed read sends it back to the
+// checksum probe.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
 // transient I/O errors are retried with capped exponential backoff,
-// shards that fail mid-stream are quarantined and the decode restarts
-// without them, and silent single-column corruption is repaired in
-// stream with the paper's CorrectColumn — the degradation ladder is CRC
-// quarantine → CorrectColumn → erasure decode → typed failure (see
-// docs/ROBUSTNESS.md).
+// shards whose reads fail mid-stream are quarantined and the operation
+// restarts without them, and silent corruption is erased strip by strip
+// (version 5 decodes) or repaired in stream with the paper's
+// CorrectColumn (repair, and decodes of older sets) — the degradation
+// ladder is CRC quarantine → CorrectColumn → erasure decode → typed
+// failure (see docs/ROBUSTNESS.md).
 package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,10 +64,12 @@ import (
 // manifestCode constructs the code a manifest was encoded with and
 // cross-checks the manifest's recorded strip width against it, so a
 // manifest that lies about its geometry fails before any shard I/O.
+// Parameters the code rejects (a liberation p that is not an odd prime,
+// say) are a bad manifest too.
 func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 	code, err := codes.NewObserved(m.Code, m.K, m.P, reg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrManifest, err)
 	}
 	if code.W() != m.widthElems() {
 		return nil, fmt.Errorf("%w: code %q has %d elements per strip, manifest says %d",
@@ -71,13 +82,16 @@ func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 	return code, nil
 }
 
-// FormatVersion identifies the manifest/shard layout. Version 4 records
-// the code's parity count m (earlier versions are implicitly m = 2);
-// version 3 adds an optional placement block recording which simulated
-// node each shard landed on; version 2 records the erasure code by
-// registry name together with its strip width; version 1 manifests
-// (implicitly Liberation) still load, as do version 2 and 3 manifests.
-const FormatVersion = 4
+// FormatVersion identifies the manifest/shard layout. Version 5 adds
+// per-stripe checksums (StripSums); version 4 records the code's parity
+// count m (earlier versions are implicitly m = 2); version 3 adds an
+// optional placement block recording which simulated node each shard
+// landed on; version 2 records the erasure code by registry name
+// together with its strip width; version 1 manifests (implicitly
+// Liberation) still load, as do versions 2 to 4. The version picks the
+// decode path: version 5 checks every strip in stream, older versions
+// probe every shard's checksum first.
+const FormatVersion = 5
 
 // Options tunes the streaming data path. The zero value is valid:
 // serial coding, default batch size, no metrics, the real filesystem
@@ -117,13 +131,15 @@ type Options struct {
 	// in-flight I/O stops at its next backoff sleep between retries.
 	// Nil means context.Background().
 	Context context.Context
-	// Heal makes decode scan every stripe with the paper's single-column
-	// error correction even when the up-front probe found all shards
-	// clean, catching read-path bit-flips at the cost of one extra
-	// parity computation per stripe. (When the probe quarantines
-	// checksum-corrupt shards, the correction path engages regardless.)
-	// Codes without the core.ColumnCorrector capability skip this rung
-	// and fall straight to erasure decode.
+	// Heal makes the decode of a version 1–4 set scan every stripe with
+	// the paper's single-column error correction even when the up-front
+	// probe found all shards clean, catching read-path bit-flips at the
+	// cost of one extra parity computation per stripe. (When the probe
+	// quarantines checksum-corrupt shards, the correction path engages
+	// regardless.) Codes without the core.ColumnCorrector capability skip
+	// this rung and fall straight to erasure decode. A version 5 decode
+	// ignores it: it verifies every strip it reads against the strip
+	// sums, which catches read-path bit-flips without a parity scan.
 	Heal bool
 	// Code selects the erasure code by registry name for Encode (empty =
 	// codes.Default, i.e. "liberation"). Decode, repair and verify take
@@ -204,10 +220,10 @@ func addGauge(reg *obs.Registry, name string, delta float64) {
 }
 
 // Manifest describes an encoded shard set. It is stored as JSON next to
-// the shards. Version 4 records the parity count M (earlier versions
-// imply M = 2); version 2 names the erasure code (a codes registry
-// name) and its strip width W; version 1 predates the registry and
-// implies the Liberation code with W = P.
+// the shards. Version 5 adds StripSums; version 4 records the parity
+// count M (earlier versions imply M = 2); version 2 names the erasure
+// code (a codes registry name) and its strip width W; version 1
+// predates the registry and implies the Liberation code with W = P.
 type Manifest struct {
 	Version int    `json:"version"`
 	Code    string `json:"code"` // codes registry name, e.g. "liberation"
@@ -228,6 +244,13 @@ type Manifest struct {
 	// Checksums holds one CRC-32 (IEEE) per shard, indexed by strip
 	// (0..k-1 data, then the m parity shards: k = P, k+1 = Q, ...).
 	Checksums []uint32 `json:"checksums"`
+	// StripSums (version 5) holds, for each shard in the order of
+	// Checksums, the shard's running CRC-32 at the end of every stripe:
+	// 4 bytes per stripe, big-endian, one base64 string per shard in the
+	// JSON. The last sum equals the shard's checksum, and strip s checks
+	// on its own as crc32.Update(sum[s-1], strip) == sum[s], with
+	// sum[-1] = 0. Nil before version 5.
+	StripSums [][]byte `json:"strip_sums,omitempty"`
 	// Placement, when present (version 3, encoded through a node-mapped
 	// store), records which simulated node each shard landed on.
 	Placement *Placement `json:"placement,omitempty"`
@@ -301,7 +324,7 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 		}
 		m.W = m.P
 		m.M = 2
-	case 2, 3, FormatVersion:
+	case 2, 3, 4, FormatVersion:
 		if !codes.Known(m.Code) {
 			return nil, fmt.Errorf("%w: unknown code %q (registered: %s)",
 				ErrManifest, m.Code, strings.Join(codes.Names(), ", "))
@@ -309,7 +332,7 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 		if m.W <= 0 {
 			return nil, fmt.Errorf("%w: missing strip width", ErrManifest)
 		}
-		if m.Version < FormatVersion {
+		if m.Version < 4 {
 			// Every pre-v4 code was RAID-6.
 			m.M = 2
 		} else if m.M < 1 {
@@ -321,6 +344,11 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 	if len(m.Checksums) != m.NumShards() {
 		return nil, fmt.Errorf("%w: %d checksums, want %d",
 			ErrManifest, len(m.Checksums), m.NumShards())
+	}
+	if m.Version < 5 {
+		m.StripSums = nil // the version picks the decode path
+	} else if err := m.checkStripSums(); err != nil {
+		return nil, err
 	}
 	if pl := m.Placement; pl != nil {
 		if pl.Nodes < 1 {
@@ -337,7 +365,52 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 			}
 		}
 	}
+	// The stripe count must be the one encode derives from the file size,
+	// so a size misstated by a stripe or more (or a "file_size" key that
+	// a flipped bit renamed, which loads as 0) fails here instead of
+	// decoding the wrong number of bytes.
+	if per := int64(m.K) * int64(m.W) * int64(m.ElemSize); m.K < 1 || m.W < 1 || m.ElemSize < 1 ||
+		m.FileSize < 0 || per <= 0 || int64(m.Stripes) != max(1, (m.FileSize+per-1)/per) {
+		return nil, fmt.Errorf("%w: %d stripes of k=%d w=%d elem_size=%d do not hold a %d-byte file",
+			ErrManifest, m.Stripes, m.K, m.W, m.ElemSize, m.FileSize)
+	}
 	return &m, nil
+}
+
+// checkStripSums validates a version 5 manifest's strip sums: one entry
+// per shard, 4 bytes per stripe each, and each shard's last sum equal to
+// its whole-shard checksum.
+func (m *Manifest) checkStripSums() error {
+	if len(m.StripSums) != m.NumShards() {
+		return fmt.Errorf("%w: strip sums for %d shards, want %d",
+			ErrManifest, len(m.StripSums), m.NumShards())
+	}
+	for i, sums := range m.StripSums {
+		if len(sums)%4 != 0 || len(sums)/4 != m.Stripes {
+			return fmt.Errorf("%w: shard %d has %d bytes of strip sums, want 4 per stripe for %d stripes",
+				ErrManifest, i, len(sums), m.Stripes)
+		}
+		if last := m.stripSum(i, m.Stripes-1); last != m.Checksums[i] {
+			return fmt.Errorf("%w: shard %d's last strip sum %08x differs from its checksum %08x",
+				ErrManifest, i, last, m.Checksums[i])
+		}
+	}
+	return nil
+}
+
+// stripSum returns shard i's running CRC-32 at the end of stripe s, and
+// 0 (the CRC of nothing) for s = -1.
+func (m *Manifest) stripSum(i, s int) uint32 {
+	if s < 0 {
+		return 0
+	}
+	return binary.BigEndian.Uint32(m.StripSums[i][4*s:])
+}
+
+// stripOK reports whether strip, read as stripe s of shard i, matches
+// the manifest's strip sums.
+func (m *Manifest) stripOK(i, s int, strip []byte) bool {
+	return crc32.Update(m.stripSum(i, s-1), crc32.IEEETable, strip) == m.stripSum(i, s)
 }
 
 // nodeMapperOf extracts the node-placement view of a configured store,
@@ -376,12 +449,14 @@ var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
 //     from a previous attempt): cannot be streamed at all.
 //
 // With sums nil the probe reads every right-sized shard for its CRC.
-// Otherwise it reads nothing (repair; see recovery.run): a shard with a
+// Otherwise it reads nothing (see recovery.run): a shard with a
 // checksum in sums, rolled by the previous attempt's stream, is judged
 // by it, and any other right-sized shard counts as clean, unverified
-// until this attempt's rolling CRCs check it. Repair's fast pass passes
-// an empty set. Decode and Verify always read: a decode's writer cannot
-// take back bytes from a shard that turns out corrupt, and Verify reads
+// until this attempt's stream checks it. Repair's fast pass and every
+// version 5 decode pass an empty set; a version 5 decode checks each
+// strip against the manifest's strip sums as it streams. Decodes of
+// older sets and Verify always read: such a decode's writer cannot take
+// back bytes from a shard that turns out corrupt, and Verify reads
 // nothing else.
 //
 // The caller owns every non-nil file. The work is recorded as a
@@ -562,15 +637,15 @@ func (m *Manifest) shardShape() (stripBytes int, shardSize int64) {
 // (version 1 manifests had it fixed up to P at load time).
 func (m *Manifest) widthElems() int { return m.W }
 
-// writeManifest stores m as indented JSON at path through the store.
+// writeManifest stores m as compact JSON at path through the store.
+// (Indenting would cost several times the marshal itself once the strip
+// sums are in.)
 func writeManifest(st store.Store, m *Manifest, path string) error {
 	mf, err := st.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(&store.OffsetWriter{F: mf})
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
+	if err := json.NewEncoder(&store.OffsetWriter{F: mf}).Encode(m); err != nil {
 		mf.Close()
 		return err
 	}

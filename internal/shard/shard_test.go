@@ -2,10 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, content []byte, m *Manifest) {
@@ -18,6 +22,20 @@ func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, conte
 		t.Fatalf("EncodeOpts: %v", err)
 	}
 	return dir, content, m
+}
+
+// asVersion4 rewrites the manifest of the set m that was just encoded
+// into dir as version 4: the same fields without the strip sums, which
+// is exactly the version 4 format. Its decodes then take the version
+// 1–4 path: the checksummed probe, the correction rung, Options.Heal
+// and the end-of-stream checksum check.
+func asVersion4(t *testing.T, dir string, m *Manifest) {
+	t.Helper()
+	v4 := *m
+	v4.Version, v4.StripSums = 4, nil
+	if err := writeManifest(store.OS{}, &v4, filepath.Join(dir, ManifestName(m.FileName))); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func decodeAndCompare(t *testing.T, dir string, m *Manifest, want []byte, opt Options) []ShardStatus {
@@ -145,6 +163,59 @@ func TestManifestValidation(t *testing.T) {
 	}
 	if _, err := LoadManifest(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("accepted missing manifest")
+	}
+}
+
+// TestManifestStripeCount: a manifest whose stripe count is not the one
+// encode derives from its file size is an ErrManifest, whatever its
+// version. One flipped bit in a manifest read can do this, by renaming
+// the "file_size" key (the size then loads as 0) or by moving the size's
+// leading digit.
+func TestManifestStripeCount(t *testing.T) {
+	dir, _, m := encodeTestFile(t, 4*5*64*3+10, 4, 5, 64) // 4 stripes
+	path := filepath.Join(dir, ManifestName(m.FileName))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fmt.Sprintf(`"file_size":%d`, m.FileSize)
+	stripeBytes := int64(m.K * m.W * m.ElemSize)
+	for _, tc := range []struct{ name, from, to string }{
+		{"file_size key renamed", `"file_size":`, `"file_rize":`},
+		{"one stripe short", size, fmt.Sprintf(`"file_size":%d`, m.FileSize-stripeBytes)},
+		{"one stripe long", size, fmt.Sprintf(`"file_size":%d`, m.FileSize+stripeBytes)},
+		{"negative size", size, fmt.Sprintf(`"file_size":%d`, -m.FileSize)},
+		{"zero element size", `"elem_size":64`, `"elem_size":0`},
+		{"stripes renamed", `"stripes":`, `"strides":`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !bytes.Contains(good, []byte(tc.from)) {
+				t.Fatalf("manifest lacks %s", tc.from)
+			}
+			for _, v4 := range []bool{false, true} {
+				if v4 {
+					asVersion4(t, dir, m)
+				} else if err := writeManifest(store.OS{}, m, path); err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, bytes.Replace(b, []byte(tc.from), []byte(tc.to), 1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := LoadManifest(path); !errors.Is(err, ErrManifest) {
+					t.Fatalf("v4=%v: LoadManifest = %v, want ErrManifest", v4, err)
+				}
+			}
+		})
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(path); err != nil {
+		t.Fatalf("LoadManifest(encoded) = %v", err)
 	}
 }
 

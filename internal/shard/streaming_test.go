@@ -443,6 +443,8 @@ func TestEncodeCleansUpOnError(t *testing.T) {
 // decode (erasure and heal rungs) and repair on a healthy store, with or
 // without the parallel split, and the error wraps context.Canceled. A
 // stopped encode leaves no shard behind and a stopped repair no temp file.
+// The heal row decodes a version 4 set: only there does Heal reach the
+// correction rung (a version 5 decode checks strips in its erasure rung).
 func TestCancelledContextStops(t *testing.T) {
 	const size = 4 * 5 * 64 * 20
 	content := make([]byte, size)
@@ -452,22 +454,23 @@ func TestCancelledContextStops(t *testing.T) {
 	for _, row := range []struct {
 		op   string
 		lose bool // remove data shard 1 of an encoded set first
+		v4   bool // rewrite the encoded set's manifest as version 4 first
 		run  func(dir, manifest string, opt Options) error
 	}{
-		{"encode", false, func(dir, _ string, opt Options) error {
+		{"encode", false, false, func(dir, _ string, opt Options) error {
 			_, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", 4, 0, 64, dir, opt)
 			return err
 		}},
-		{"decode/lost", true, func(_, manifest string, opt Options) error {
+		{"decode/lost", true, false, func(_, manifest string, opt Options) error {
 			_, err := DecodeReport(manifest, io.Discard, opt)
 			return err
 		}},
-		{"decode/heal", false, func(_, manifest string, opt Options) error {
+		{"decode/heal", false, true, func(_, manifest string, opt Options) error {
 			opt.Heal = true
 			_, err := DecodeReport(manifest, io.Discard, opt)
 			return err
 		}},
-		{"repair/lost", true, func(_, manifest string, opt Options) error {
+		{"repair/lost", true, false, func(_, manifest string, opt Options) error {
 			_, err := RepairOpts(manifest, opt)
 			return err
 		}},
@@ -485,6 +488,9 @@ func TestCancelledContextStops(t *testing.T) {
 						if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
 							t.Fatal(err)
 						}
+					}
+					if row.v4 {
+						asVersion4(t, dir, m)
 					}
 				}
 				err := row.run(dir, manifest, Options{Workers: workers, Context: cancelled})
@@ -580,6 +586,7 @@ func TestEncodeShortReaderFails(t *testing.T) {
 // decode quarantines it and restarts without it.
 func TestDecodeDetectsMidStreamCorruption(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	asVersion4(t, dir, m)
 
 	// Shard d01 is smaller than one probe buffer, so the probe costs
 	// exactly one read; After:1 makes the single bit-flip land on the
@@ -609,6 +616,111 @@ func TestDecodeDetectsMidStreamCorruption(t *testing.T) {
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatal("self-healed decode differs from the original")
+	}
+}
+
+// TestDecodeDetectsMidStreamCorruptionV5 is the version 5 twin of
+// TestDecodeDetectsMidStreamCorruption. The read-path bit-flip lands on
+// the stream's one read of d01 (there is no probe read), and the strip
+// it hits fails its strip sum before its stripe is decoded or written:
+// that strip is erased, so a writer that cannot rewind gets the
+// original bytes in one attempt, with d01 quarantined and nothing
+// corrected.
+func TestDecodeDetectsMidStreamCorruptionV5(t *testing.T) {
+	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
+		{Path: m.ShardName(1), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1},
+	}})
+	var out bytes.Buffer
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+		Options{Store: faulty})
+	if err != nil {
+		t.Fatalf("DecodeReport: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("decode differs from the original")
+	}
+	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1]" {
+		t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, [1]",
+			rep.Attempts, rep.Corrections, rep.Quarantined)
+	}
+	if rep.Status[1].State != StateCorrupt || !rep.Degraded {
+		t.Errorf("shard 1 reported %v, degraded %v; want corrupt and a degraded decode",
+			rep.Status[1].State, rep.Degraded)
+	}
+}
+
+// TestDecodeStripeBeyondBudgetV5: on a version 5 set, a stripe with more
+// than m strips failing their sums ends the decode in an
+// *UnrecoverableError before that stripe's batch reaches the writer, so
+// the output holds exactly the batches before it, and the failing shards
+// are reported corrupt. Serial and split over workers.
+func TestDecodeStripeBeyondBudgetV5(t *testing.T) {
+	const stripeBytes = 4 * 5 * 64 // k=4, p=5, 64-byte elements
+	dir, content, m := encodeTestFile(t, 8*stripeBytes, 4, 0, 64)
+	sb, _ := m.shardShape()
+	for _, i := range []int{0, 2, m.K} { // three strips of stripe 5
+		path := filepath.Join(dir, m.ShardName(i))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[5*sb+i] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+				Options{Workers: workers, BatchStripes: 2})
+			var unrec *UnrecoverableError
+			if !errors.As(err, &unrec) {
+				t.Fatalf("err = %v, want *UnrecoverableError", err)
+			}
+			// Stripe 5 is in the third batch of two stripes.
+			if !bytes.Equal(out.Bytes(), content[:4*stripeBytes]) {
+				t.Errorf("wrote %d bytes, want the first two batches (%d bytes) and nothing after", out.Len(), 4*stripeBytes)
+			}
+			if fmt.Sprint(rep.Quarantined) != fmt.Sprint([]int{0, 2, m.K}) {
+				t.Errorf("quarantined %v, want [0 2 %d]", rep.Quarantined, m.K)
+			}
+			if got := unrec.Failed(); fmt.Sprint(got) != fmt.Sprint([]int{0, 2, m.K}) {
+				t.Errorf("error names shards %v, want [0 2 %d]", got, m.K)
+			}
+		})
+	}
+}
+
+// TestDecodeChecksReconstructedStripsV5: every strip a version 5 decode
+// reconstructs must match its strip sum as well. With data shard 1 lost
+// and its sum for stripe 2 altered in the manifest (the last sum still
+// matches the shard's checksum, so the manifest loads), the decode ends
+// in an *UnrecoverableError before the batch holding stripe 2 is
+// written.
+func TestDecodeChecksReconstructedStripsV5(t *testing.T) {
+	const stripeBytes = 4 * 5 * 64 // k=4, p=5, 64-byte elements
+	dir, content, m := encodeTestFile(t, 8*stripeBytes, 4, 0, 64)
+	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+		t.Fatal(err)
+	}
+	lying := *m
+	lying.StripSums = append([][]byte(nil), m.StripSums...)
+	lying.StripSums[1] = append([]byte(nil), m.StripSums[1]...)
+	lying.StripSums[1][4*2] ^= 0x80
+	manifest := filepath.Join(dir, ManifestName(m.FileName))
+	if err := writeManifest(store.OS{}, &lying, manifest); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	_, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{BatchStripes: 2})
+	var unrec *UnrecoverableError
+	if !errors.As(err, &unrec) || !strings.Contains(unrec.Reason, "reconstructed shard 1") {
+		t.Fatalf("err = %v, want *UnrecoverableError naming reconstructed shard 1", err)
+	}
+	if !bytes.Equal(out.Bytes(), content[:2*stripeBytes]) {
+		t.Errorf("wrote %d bytes, want the first batch (%d bytes) and nothing after", out.Len(), 2*stripeBytes)
 	}
 }
 
@@ -659,6 +771,9 @@ func TestReadAtContract(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, m.ShardName(i)), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := writeManifest(store.OS{}, m, manifest); err != nil {
+			t.Fatal(err)
 		}
 	}
 	checkShards := func(t *testing.T) {
@@ -720,7 +835,10 @@ func TestReadAtContract(t *testing.T) {
 			t.Fatalf("repaired %v, want [1 %d]", repaired, m.K+1)
 		}
 		checkShards(t)
-		// The correction rung streams every column, parity included.
+		// The correction rung streams every column, parity included. Heal
+		// reaches it on a version 4 set only; restore puts the version 5
+		// manifest back.
+		asVersion4(t, dir, m)
 		rep, got, err := decodeTo(t, Options{Store: eofAtEnd, Heal: true})
 		if err != nil || rep.Attempts != 1 || !bytes.Equal(got, content) {
 			t.Fatalf("heal decode: err %v, %d attempts, output equal %v", err, rep.Attempts, bytes.Equal(got, content))

@@ -5,6 +5,12 @@
 // computes its parities shows up as a decode mismatch against shard sets
 // written by earlier builds.
 //
+// The committed set has a version 4 manifest (whole-shard checksums
+// only), and TestRSFixture keeps it as the pin of the version 1–4
+// decode path. Re-running this command now writes a version 5 manifest
+// with strip sums, which would move that pin to the version 5 path
+// (testdata/v5 already pins it).
+//
 // Run from the repository root:
 //
 //	go run ./internal/shard/testdata/gen_rs

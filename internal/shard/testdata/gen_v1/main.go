@@ -1,8 +1,9 @@
 // Command gen_v1 regenerates the committed version 1 shard fixture used
 // by TestManifestV1Fixture: a small deterministic file encoded with the
 // liberation code (k=3, p=5, 32-byte elements), whose manifest is then
-// rewritten to the pre-registry version 1 layout — no "w" or "m" field,
-// and the code named only by the historical constant "liberation".
+// rewritten to the pre-registry version 1 layout — no "w", "m" or
+// "strip_sums" field, and the code named only by the historical constant
+// "liberation".
 //
 // Run from the repository root:
 //
@@ -51,6 +52,7 @@ func main() {
 	m["version"] = 1
 	delete(m, "w")
 	delete(m, "m")
+	delete(m, "strip_sums")
 	out, err := json.Marshal(m)
 	if err != nil {
 		log.Fatal(err)

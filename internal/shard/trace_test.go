@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -25,6 +26,7 @@ import (
 // JSON event log.
 func TestDecodeCausalTrace(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	asVersion4(t, dir, m)
 
 	// Shard 1: persistent corruption in stripe 0 — CRC soft quarantine,
 	// healed in stream by CorrectColumn.
@@ -76,45 +78,11 @@ func TestDecodeCausalTrace(t *testing.T) {
 	}
 
 	events := flight.Snapshot()
-	if len(events) == 0 {
-		t.Fatal("flight recorder is empty")
-	}
-
-	// One trace end to end.
-	trace := events[0].Trace
-	if trace == "" {
-		t.Fatal("events carry no trace ID")
-	}
-	for _, ev := range events {
-		if ev.Trace != trace {
-			t.Fatalf("event %q in trace %q, want %q", ev.Name, ev.Trace, trace)
-		}
-	}
-
-	// Causal closure: every event's parent is a span that completed in
-	// the same trace, except the root (shard.decode), whose parent is
-	// empty.
-	spans := make(map[string]string) // span id -> name
-	for _, ev := range events {
-		spans[ev.Span] = ev.Name
-	}
-	for _, ev := range events {
-		if ev.Parent == "" {
-			if ev.Name != "shard.decode" {
-				t.Errorf("parentless event %q, only the root span may be", ev.Name)
-			}
-			continue
-		}
-		if _, ok := spans[ev.Parent]; !ok {
-			t.Errorf("event %q has dangling parent span %q", ev.Name, ev.Parent)
-		}
-	}
+	count := checkTrace(t, events, &logBuf)
 
 	// Every decision of the recovery must be in the trace, with its
 	// typed attributes.
-	count := make(map[string]int)
 	for _, ev := range events {
-		count[ev.Name]++
 		switch ev.Name {
 		case "faultstore.inject":
 			if ev.Attrs["seed"] != int64(7) || ev.Attrs["rule"] != int64(0) || ev.Attrs["op"] != "read" {
@@ -155,10 +123,129 @@ func TestDecodeCausalTrace(t *testing.T) {
 		t.Errorf("injections/retries = %d/%d, want 2/2",
 			count["faultstore.inject"], count["store.retry"])
 	}
+}
+
+// TestDecodeCausalTraceV5 is the version 5 twin of TestDecodeCausalTrace:
+// the same transient read faults on shard 0 and on-disk corruption of
+// shard 1 in stripe 0. The probe reads no checksums; the stream finds
+// the corrupt strip, names the shard and the stripe in one
+// shard.unhealthy and one shard.quarantine event, and erases that strip
+// for its stripe, so the trace has the erasure rung and no
+// CorrectColumn heal. The decode writes into a writer that cannot
+// rewind and takes one attempt.
+func TestDecodeCausalTraceV5(t *testing.T) {
+	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	path := filepath.Join(dir, m.ShardName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
+		{Path: m.ShardName(0), Op: faultstore.OpRead, Kind: faultstore.Transient, Prob: 1, Count: 2},
+	}})
+	flight := obs.NewFlightRecorder(1024)
+	var logBuf bytes.Buffer
+	tracer := obs.NewTracer(flight, obs.NewEventLog(&logBuf, slog.LevelInfo))
+	tracer.Seed(42)
+	opt := Options{
+		Store: faulty, Registry: obs.NewRegistry(), Tracer: tracer,
+		Retry: store.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Sleep: instantSleep},
+	}
+	var out bytes.Buffer
+	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out}, opt)
+	if err != nil {
+		t.Fatalf("DecodeReport: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("degraded decode produced wrong bytes")
+	}
+	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1]" {
+		t.Fatalf("report = %+v, want shard 1 quarantined in one attempt, nothing corrected", rep)
+	}
+
+	events := flight.Snapshot()
+	count := checkTrace(t, events, &logBuf)
+	for _, ev := range events {
+		switch ev.Name {
+		case "shard.probe":
+			if ev.Attrs["checksums"] != false {
+				t.Errorf("shard.probe attrs = %v, want checksums=false", ev.Attrs)
+			}
+		case "shard.unhealthy":
+			if ev.Attrs["shard"] != int64(1) || ev.Attrs["state"] != "corrupt" || ev.Attrs["stripe"] != int64(0) {
+				t.Errorf("shard.unhealthy attrs = %v, want shard=1 state=corrupt stripe=0", ev.Attrs)
+			}
+		case "shard.quarantine":
+			if ev.Attrs["shard"] != int64(1) || ev.Attrs["stripe"] != int64(0) {
+				t.Errorf("shard.quarantine attrs = %v, want shard=1 stripe=0", ev.Attrs)
+			}
+		case "shard.rung":
+			if ev.Attrs["rung"] != "erasure" || ev.Attrs["erased"] != int64(0) {
+				t.Errorf("shard.rung attrs = %v, want rung=erasure erased=0", ev.Attrs)
+			}
+		}
+	}
+	for name, want := range map[string]int{
+		"shard.decode": 1, "shard.attempt": 1, "shard.probe": 1, "shard.unhealthy": 1,
+		"shard.quarantine": 1, "shard.rung": 1, "shard.correct_column": 0,
+		"faultstore.inject": 2, "store.retry": 2,
+	} {
+		if count[name] != want {
+			t.Errorf("trace has %d %q events, want %d (have %v)", count[name], name, want, count)
+		}
+	}
+}
+
+// checkTrace checks that events, a flight recorder's snapshot of one
+// decode, form one closed trace: one trace ID, every event's parent a
+// span completed in it (only the shard.decode root has none), and the
+// same events, trace-correlated, in the JSON event log. It returns the
+// number of events of each name.
+func checkTrace(t *testing.T, events []obs.Event, log *bytes.Buffer) map[string]int {
+	t.Helper()
+	if len(events) == 0 {
+		t.Fatal("flight recorder is empty")
+	}
+
+	// One trace end to end.
+	trace := events[0].Trace
+	if trace == "" {
+		t.Fatal("events carry no trace ID")
+	}
+	for _, ev := range events {
+		if ev.Trace != trace {
+			t.Fatalf("event %q in trace %q, want %q", ev.Name, ev.Trace, trace)
+		}
+	}
+
+	// Causal closure: every event's parent is a span that completed in
+	// the same trace, except the root (shard.decode), whose parent is
+	// empty.
+	spans := make(map[string]string) // span id -> name
+	for _, ev := range events {
+		spans[ev.Span] = ev.Name
+	}
+	count := make(map[string]int)
+	for _, ev := range events {
+		count[ev.Name]++
+		if ev.Parent == "" {
+			if ev.Name != "shard.decode" {
+				t.Errorf("parentless event %q, only the root span may be", ev.Name)
+			}
+			continue
+		}
+		if _, ok := spans[ev.Parent]; !ok {
+			t.Errorf("event %q has dangling parent span %q", ev.Name, ev.Parent)
+		}
+	}
 
 	// The same events must be in the JSON event log, trace-correlated.
 	logged := make(map[string]int)
-	dec := json.NewDecoder(&logBuf)
+	dec := json.NewDecoder(log)
 	for dec.More() {
 		var line map[string]any
 		if err := dec.Decode(&line); err != nil {
@@ -174,6 +261,7 @@ func TestDecodeCausalTrace(t *testing.T) {
 			t.Errorf("event log has %d %q lines, flight recorder %d", logged[name], name, n)
 		}
 	}
+	return count
 }
 
 // TestRepairFastPassTrace pins how a repair's fast pass reads in its

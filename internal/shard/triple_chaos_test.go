@@ -21,7 +21,9 @@ import (
 // distinct shard failures — within the rs3 parity budget — so the
 // contract is strict: decode MUST return byte-identical data, repair
 // MUST heal the set, and a plain-store verify afterwards MUST be clean.
-// Every failure reproduces from the seed printed in the test log.
+// About half the schedules decode the set rewritten as version 4
+// (soakAsVersion4). Every failure reproduces from the seed printed in
+// the test log.
 func TestChaosTripleSoak(t *testing.T) {
 	schedules := 100
 	if testing.Short() {
@@ -37,7 +39,7 @@ func TestChaosTripleSoak(t *testing.T) {
 
 	const codeName = "rs3"
 	root := t.TempDir()
-	var outages, deletions, corruptions int
+	var outages, deletions, corruptions, v4 int
 	for i := 0; i < schedules; i++ {
 		seed := int64(i + 1)
 		rng := rand.New(rand.NewSource(seed))
@@ -59,6 +61,10 @@ func TestChaosTripleSoak(t *testing.T) {
 		}
 		manifestPath := filepath.Join(dir, ManifestName(man.FileName))
 		manifestNode := enc.NodeFor(manifestPath)
+		if soakAsVersion4(seed) {
+			asVersion4(t, dir, man)
+			v4++
+		}
 
 		// Budget: up to three failures total, split between whole-node
 		// outages and disk faults on shards whose nodes stay up.
@@ -156,6 +162,6 @@ func TestChaosTripleSoak(t *testing.T) {
 		assertNoRepairTemps(t, dir)
 		os.RemoveAll(dir)
 	}
-	t.Logf("%d schedules: %d node outages, %d shard deletions, %d silent corruptions — all recovered byte-identically",
-		schedules, outages, deletions, corruptions)
+	t.Logf("%d schedules: %d node outages, %d shard deletions, %d silent corruptions, %d sets decoded as version 4 — all recovered byte-identically",
+		schedules, outages, deletions, corruptions, v4)
 }

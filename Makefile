@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint-metrics check verify fallback e2e-test examples conformance chaos chaos-nodes chaos-triple bench bench-obs bench-gate bench-baseline race-obs clean
+.PHONY: all build test race vet fmt lint-metrics check verify fallback e2e-test examples conformance chaos chaos-triple bench bench-obs bench-gate bench-baseline race-obs clean
 
 all: build
 
@@ -74,24 +74,21 @@ conformance:
 		./internal/codes ./internal/shard
 
 # chaos is the extended fault-injection soak (~30s): thousands of seeded
-# fault schedules through encode/decode/repair. Every failure reproduces
+# fault schedules through encode/decode/repair, then the shard-outage
+# soak: 1 to m+1 shard paths down for every registered code, where
+# schedules with at most m outages and no other fault MUST decode
+# byte-identically and repair to a clean verify, and everything else
+# must end byte-identical or in a typed error. Every failure reproduces
 # from the seed printed in the test log.
 chaos:
-	CHAOS_SCHEDULES=3000 $(GO) test -count=1 -run TestChaosSoak -v ./internal/shard/
+	CHAOS_SCHEDULES=3000 CHAOS_OUTAGE_SCHEDULES=500 $(GO) test -count=1 \
+		-run 'TestChaosSoak|TestChaosOutageSoak' -v ./internal/shard/
 
-# chaos-nodes is the node-level fault-domain soak: seeded whole-node
-# outage / flapping-membership / hung-node schedules for every
-# registered code on spread placement. Outage-only schedules that spare
-# the manifest's node MUST decode byte-identically (the RAID-6 contract
-# at node granularity); everything else must end in a typed error.
-chaos-nodes:
-	CHAOS_NODE_SCHEDULES=500 $(GO) test -count=1 -run TestChaosNodesSoak -v ./internal/shard/
-
-# chaos-triple is the triple-fault soak: seeded schedules mixing
-# whole-node outages with disk-level shard deletions and silent
-# corruption — at most three failures per schedule, the rs3 parity
-# budget — so every decode must be byte-identical and every repair must
-# heal the set back to a clean verify. Reproduces from the logged seed.
+# chaos-triple is the triple-fault soak: seeded schedules mixing shard
+# outages with disk-level shard deletions and silent corruption — at
+# most three failures per schedule, the rs3 parity budget — so every
+# decode must be byte-identical and every repair must heal the set back
+# to a clean verify. Reproduces from the logged seed.
 chaos-triple:
 	CHAOS_TRIPLE_SCHEDULES=600 $(GO) test -count=1 -run TestChaosTripleSoak -v ./internal/shard/
 
@@ -118,11 +115,10 @@ bench-baseline:
 
 # Race-detector pass focused on the observability surfaces: concurrent
 # flight-recorder scrapes, event-log writes, traced degraded decodes,
-# and the node fault-domain layer (gated stores, breakers, hedged reads).
+# per-attempt deadlines, and the shard-outage soak.
 race-obs:
-	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Node|Breaker|Hedge|Timeout' \
-		./internal/obs ./internal/shard ./cmd/raidcli \
-		./internal/store ./internal/store/nodestore
+	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Outage|Timeout' \
+		./internal/obs ./internal/shard ./cmd/raidcli ./internal/store
 
 clean:
 	$(GO) clean ./...

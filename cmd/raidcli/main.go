@@ -18,11 +18,8 @@
 // -retry-backoff to bound the transient-I/O retry loop. With
 // RAIDCLI_CHAOS set in the environment they additionally accept
 // -fault-profile and -fault-seed, which route every byte of I/O through
-// the seeded fault injector, and -nodes/-node-fault-profile, which
-// spread the shards over N simulated nodes (placement recorded in the
-// manifest) with per-node circuit breakers, hedged reads, and seeded
-// whole-node outage/flap/latency schedules — testing facilities,
-// refused without the environment opt-in.
+// the seeded fault injector — a testing facility, refused without the
+// environment opt-in.
 //
 // Every operation runs under a causal trace: -log-json streams the
 // event log (retries, quarantines, heals, injected faults) as JSON
@@ -52,7 +49,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/store/faultstore"
-	"repro/internal/store/nodestore"
 )
 
 // Exit codes: sysexits-style 64 for usage, 2 for an unrecoverable shard
@@ -155,11 +151,6 @@ robustness flags (encode/decode/repair/verify):
   -retry-backoff D      base backoff before the first retry (default 1ms)
   -fault-profile NAME   inject faults from a named profile (needs RAIDCLI_CHAOS=1)
   -fault-seed N         seed for the fault schedule (default 1)
-  -nodes N              spread shards over N simulated nodes with per-node
-                        breakers and hedged reads (needs RAIDCLI_CHAOS=1)
-  -node-fault-profile NAME
-                        node-level fault schedule: off, outage, outage2,
-                        flap, slow, chaos (needs -nodes and RAIDCLI_CHAOS=1)
 
 observability flags (encode/decode/repair/verify):
   -stats                print operation statistics and the trace ID
@@ -179,8 +170,6 @@ type ioFlags struct {
 	backoff        time.Duration
 	faultProfile   string
 	faultSeed      int64
-	nodes          int
-	nodeProfile    string
 }
 
 func addIOFlags(fs *flag.FlagSet) *ioFlags {
@@ -194,8 +183,6 @@ func addIOFlags(fs *flag.FlagSet) *ioFlags {
 	fs.DurationVar(&f.backoff, "retry-backoff", time.Millisecond, "base backoff before the first retry")
 	fs.StringVar(&f.faultProfile, "fault-profile", "", "fault-injection profile (requires RAIDCLI_CHAOS=1)")
 	fs.Int64Var(&f.faultSeed, "fault-seed", 1, "seed for the fault-injection schedule")
-	fs.IntVar(&f.nodes, "nodes", 1, "spread shards over N simulated nodes (requires RAIDCLI_CHAOS=1)")
-	fs.StringVar(&f.nodeProfile, "node-fault-profile", "", "node-level fault profile (requires -nodes and RAIDCLI_CHAOS=1)")
 	return f
 }
 
@@ -264,30 +251,6 @@ func (f *ioFlags) options() (shard.Options, *obs.Registry, error) {
 		}
 		cfg.Registry = reg
 		opt.Store = faultstore.New(store.OS{}, cfg)
-	}
-	if f.nodeProfile != "" && f.nodes <= 1 {
-		return opt, reg, usagef("-node-fault-profile needs -nodes N with N > 1")
-	}
-	if f.nodes > 1 {
-		if !chaosEnabled() {
-			return opt, reg, usagef(
-				"-nodes is a testing facility; set RAIDCLI_CHAOS=1 to enable it")
-		}
-		faults, err := nodestore.Profile(f.nodeProfile, f.faultSeed, f.nodes)
-		if err != nil {
-			return opt, reg, usagef("%v (profiles: %v)", err, nodestore.Profiles())
-		}
-		opt.Store = nodestore.New(nodestore.Config{
-			Nodes:     f.nodes,
-			Base:      opt.Store, // faultstore when -fault-profile is also set
-			Placement: nodestore.PolicySpread,
-			Seed:      f.faultSeed,
-			Faults:    faults,
-			OpTimeout: 250 * time.Millisecond,
-			Hedge:     nodestore.HedgeConfig{Quantile: 0.95},
-			Breaker:   nodestore.BreakerConfig{Threshold: 3, Cooldown: time.Second},
-			Registry:  reg,
-		})
 	}
 	return opt, reg, nil
 }

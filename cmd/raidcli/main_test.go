@@ -177,44 +177,3 @@ func TestCLIChaosGate(t *testing.T) {
 		t.Fatal("chaos decode produced wrong bytes")
 	}
 }
-
-// TestCLINodesGate checks the node fault-domain flags stay behind the
-// environment opt-in, and that a gated multi-node encode/decode round
-// trip under a whole-node outage schedule recovers the original bytes.
-func TestCLINodesGate(t *testing.T) {
-	dir := t.TempDir()
-	content, manifest := encodeCLIFixture(t, dir, 20_000)
-
-	if err := run("decode", []string{"-nodes", "6", manifest}); exitCode(err) != exitUsage {
-		t.Errorf("ungated -nodes: err %v (exit %d), want usage error", err, exitCode(err))
-	}
-	if err := run("decode", []string{"-node-fault-profile", "outage", manifest}); exitCode(err) != exitUsage {
-		t.Errorf("-node-fault-profile without -nodes: err %v, want usage error", err)
-	}
-
-	t.Setenv("RAIDCLI_CHAOS", "1")
-	if err := run("decode", []string{"-nodes", "6", "-node-fault-profile", "no-such", manifest}); exitCode(err) != exitUsage {
-		t.Errorf("unknown node profile: err %v, want usage error", err)
-	}
-
-	// Re-encode on 6 nodes so the manifest records spread placement,
-	// then decode under a seeded single-node outage: one node holds one
-	// shard, so the decode must still be byte-identical.
-	blob := filepath.Join(dir, "blob.bin")
-	if err := run("encode", []string{"-k", "4", "-elem", "512", "-out", dir, "-nodes", "6", blob}); err != nil {
-		t.Fatalf("multi-node encode: %v", err)
-	}
-	out := filepath.Join(dir, "recovered.bin")
-	if err := run("decode",
-		[]string{"-nodes", "6", "-node-fault-profile", "outage", "-fault-seed", "3",
-			"-out", out, manifest}); err != nil {
-		t.Fatalf("node-outage decode: %v", err)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("node-outage decode produced wrong bytes")
-	}
-}

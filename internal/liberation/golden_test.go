@@ -1,6 +1,7 @@
 package liberation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,6 +53,85 @@ func TestGoldenParitiesP3(t *testing.T) {
 		}
 		if got := s.Elem(4, i)[0]; got != wantQ[i] {
 			t.Errorf("Q[%d] = %#02x, want %#02x", i, got, wantQ[i])
+		}
+	}
+}
+
+// TestDecodeXORsGolden pins the exact element XOR count DecodeXORs
+// reports for every erasure pair at three shapes, as the bench gate pins
+// 154/163/193, so any change to the decoder shows up as a diff. Pairs
+// are in core.ErasurePairs order: (0,1), (0,2), ..., (k,k+1). It also
+// pins each erasure class's average over the 2p(k-1) lower bound (the
+// k-1 XORs per bit of Figures 7 and 8): data+data pairs pay Algorithm
+// 2's starting-point sum, data+parity pairs re-encode the lost parity.
+func TestDecodeXORsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		k, p  int
+		xors  []int
+		class [4]float64 // data+data, data+P, data+Q, P+Q
+	}{
+		{4, 5, []int{
+			30, 33, 31, 33, 33,
+			30, 31, 33, 33,
+			30, 33, 33,
+			33, 33,
+			30,
+		}, [4]float64{1.0278, 1.1000, 1.1000, 1.0000}},
+		{8, 11, []int{
+			154, 163, 159, 157, 169, 155, 167, 161, 161,
+			154, 161, 159, 157, 155, 155, 161, 161,
+			154, 161, 159, 157, 155, 161, 161,
+			154, 161, 159, 157, 161, 161,
+			154, 161, 159, 161, 161,
+			154, 161, 161, 161,
+			154, 161, 161,
+			161, 161,
+			154,
+		}, [4]float64{1.0262, 1.0455, 1.0455, 1.0000}},
+		{4, 31, []int{
+			186, 215, 225, 189, 189,
+			186, 213, 189, 189,
+			186, 189, 189,
+			189, 189,
+			186,
+		}, [4]float64{1.0851, 1.0161, 1.0161, 1.0000}},
+	} {
+		c, err := New(tc.k, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := core.ErasurePairs(tc.k + 2)
+		if len(pairs) != len(tc.xors) {
+			t.Fatalf("k=%d p=%d: table has %d counts for %d pairs", tc.k, tc.p, len(tc.xors), len(pairs))
+		}
+		var sum, cnt [4]int
+		for i, pat := range pairs {
+			n, err := c.DecodeXORs(pat[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.xors[i] {
+				t.Errorf("k=%d p=%d erase %v: %d XORs, want %d", tc.k, tc.p, pat, n, tc.xors[i])
+			}
+			class := 0 // data+data
+			switch {
+			case pat[0] == tc.k:
+				class = 3 // P+Q
+			case pat[1] == tc.k:
+				class = 1 // data+P
+			case pat[1] == tc.k+1:
+				class = 2 // data+Q
+			}
+			sum[class] += n
+			cnt[class]++
+		}
+		bound := float64(2 * tc.p * (tc.k - 1))
+		for class, name := range []string{"data+data", "data+P", "data+Q", "P+Q"} {
+			got := float64(sum[class]) / float64(cnt[class]) / bound
+			if math.Abs(got-tc.class[class]) > 5e-5 {
+				t.Errorf("k=%d p=%d %s: average %.4f of the bound, want %.4f",
+					tc.k, tc.p, name, got, tc.class[class])
+			}
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // A Label is one dimension of a metric series: a key (from the small
-// fixed taxonomy — node, disk, code, op, worker — see docs/METRICS.json)
-// and a value drawn from a bounded set (a disk index, a code name).
-// Labels make a per-disk or per-node count a first-class series,
+// fixed taxonomy — disk, code, op — see docs/METRICS.json) and a value
+// drawn from a bounded set (a disk index, a code name). Labels make a
+// per-disk or per-op count a first-class series,
 // raid.scrub.repairs{disk="3"}, beside its family total, instead of a
 // name that readers have to parse.
 type Label struct {
@@ -20,8 +20,8 @@ type Label struct {
 // L builds a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Li builds a label with an integer value (the common case: node, disk
-// and worker indices).
+// Li builds a label with an integer value (the common case: disk
+// indices).
 func Li(key string, v int) Label { return Label{Key: key, Value: strconv.Itoa(v)} }
 
 // DefaultLabelCap is the per-metric cardinality budget: once a metric

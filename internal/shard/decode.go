@@ -232,8 +232,7 @@ func (r *recovery) run(sink recoverSink) error {
 		r.rep.Attempts++
 		actx, asp := obs.StartSpanCtx(r.ctx, r.reg, "shard.attempt",
 			slog.Int("attempt", r.rep.Attempts))
-		files, status, hard, soft := probeShards(actx, r.m, r.dir, r.st,
-			nodeMapperOf(r.opt.Store), r.reg, r.forced, sums)
+		files, status, hard, soft := probeShards(actx, r.m, r.dir, r.st, r.reg, r.forced, sums)
 		r.rep.Status = status
 		r.noteQuarantines(actx, status)
 		err := r.attempt(actx, files, status, hard, soft, sink, r.opt.Heal && sums == nil)
@@ -268,17 +267,6 @@ func (r *recovery) run(sink recoverSink) error {
 			}
 		}
 		if !errors.As(err, &q) {
-			if nodeFault(err) && sink.canRestart() && r.rep.Attempts < budget {
-				// A node went dark under the sink mid-stream: the temp a
-				// shard was streaming into is unreachable. Restart the
-				// attempt — begin recreates the temps and a placement-
-				// aware store re-places them onto healthy spare nodes,
-				// while the re-probe hard-erases the dead node's shards.
-				r.reg.Count("shard.sink.restart.total", 1)
-				obs.EmitErr(r.ctx, slog.LevelWarn, "shard.sink.restart", err,
-					slog.Int("attempt", r.rep.Attempts))
-				continue
-			}
 			return err
 		}
 		if r.rep.Attempts >= budget {

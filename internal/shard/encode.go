@@ -281,18 +281,6 @@ writeLoop:
 	}
 	m.Checksums, m.StripSums = sums, stripSums
 
-	// A node-mapped store knows where every shard landed: record the
-	// placement (v3 block) so decode sessions and operators can reason
-	// about which node outages this shard set survives.
-	if mapper, ok := opt.Store.(store.NodeMapper); ok {
-		pl := &Placement{Policy: mapper.PlacementPolicy(), Nodes: mapper.NodeCount(),
-			Shards: make([]int, k+parities)}
-		for i := range pl.Shards {
-			pl.Shards[i] = mapper.NodeFor(filepath.Join(outDir, m.ShardName(i)))
-		}
-		m.Placement = pl
-	}
-
 	manifestPath := filepath.Join(outDir, ManifestName(m.FileName))
 	created = append(created, manifestPath)
 	if err = writeManifest(st, m, manifestPath); err != nil {

@@ -73,9 +73,6 @@ type ShardStatus struct {
 	State ShardState
 	// Err is the underlying cause for io-error and quarantined states.
 	Err error
-	// Node is the simulated node holding the shard when the store maps
-	// paths to fault domains (store.NodeMapper), -1 otherwise.
-	Node int
 }
 
 // unusable reports whether the shard cannot contribute clean data.

@@ -84,11 +84,11 @@ func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 
 // FormatVersion identifies the manifest/shard layout. Version 5 adds
 // per-stripe checksums (StripSums); version 4 records the code's parity
-// count m (earlier versions are implicitly m = 2); version 3 adds an
-// optional placement block recording which simulated node each shard
-// landed on; version 2 records the erasure code by registry name
-// together with its strip width; version 1 manifests (implicitly
-// Liberation) still load, as do versions 2 to 4. The version picks the
+// count m (earlier versions are implicitly m = 2); version 3 added an
+// optional placement block, which no longer has a reader and is ignored
+// on load; version 2 records the erasure code by registry name together
+// with its strip width; version 1 manifests (implicitly Liberation)
+// still load, as do versions 2 to 4. The version picks the
 // decode path: version 5 checks every strip in stream, older versions
 // probe every shard's checksum first.
 const FormatVersion = 5
@@ -251,26 +251,12 @@ type Manifest struct {
 	// on its own as crc32.Update(sum[s-1], strip) == sum[s], with
 	// sum[-1] = 0. Nil before version 5.
 	StripSums [][]byte `json:"strip_sums,omitempty"`
-	// Placement, when present (version 3, encoded through a node-mapped
-	// store), records which simulated node each shard landed on.
-	Placement *Placement `json:"placement,omitempty"`
-}
-
-// Placement is the manifest's record of how shards were spread across
-// simulated fault domains: the policy that placed them, the node count,
-// and one node index per shard (same order as Checksums). It is
-// advisory — decode works without it — but it lets operators and the
-// chaos harness reason about which outages a shard set survives.
-type Placement struct {
-	Policy string `json:"policy"`
-	Nodes  int    `json:"nodes"`
-	Shards []int  `json:"shards"`
 }
 
 // ShardName returns the file name of strip i's shard. Data strips are
 // dNN, the first two parities keep their RAID-6 names p and q, and
-// parities beyond the second are rNN (numbered so that every shard of a
-// set has a distinct placement ordinal; see the nodestore spread policy).
+// parities beyond the second are rNN, numbered on from the data strips
+// (r04 is strip 6 at k = 4).
 func (m *Manifest) ShardName(i int) string {
 	switch {
 	case i == m.K:
@@ -350,21 +336,6 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 	} else if err := m.checkStripSums(); err != nil {
 		return nil, err
 	}
-	if pl := m.Placement; pl != nil {
-		if pl.Nodes < 1 {
-			return nil, fmt.Errorf("%w: placement with %d nodes", ErrManifest, pl.Nodes)
-		}
-		if len(pl.Shards) != m.NumShards() {
-			return nil, fmt.Errorf("%w: placement maps %d shards, want %d",
-				ErrManifest, len(pl.Shards), m.NumShards())
-		}
-		for i, n := range pl.Shards {
-			if n < 0 || n >= pl.Nodes {
-				return nil, fmt.Errorf("%w: shard %d placed on node %d of %d",
-					ErrManifest, i, n, pl.Nodes)
-			}
-		}
-	}
 	// The stripe count must be the one encode derives from the file size,
 	// so a size misstated by a stripe or more (or a "file_size" key that
 	// a flipped bit renamed, which loads as 0) fails here instead of
@@ -413,23 +384,6 @@ func (m *Manifest) stripOK(i, s int, strip []byte) bool {
 	return crc32.Update(m.stripSum(i, s-1), crc32.IEEETable, strip) == m.stripSum(i, s)
 }
 
-// nodeMapperOf extracts the node-placement view of a configured store,
-// nil when the store does not map paths to fault domains.
-func nodeMapperOf(st store.Store) store.NodeMapper {
-	m, _ := st.(store.NodeMapper)
-	return m
-}
-
-// nodeFault reports whether err is a node-level store fault — a down
-// node, an open circuit breaker, or an exhausted per-op deadline. These
-// are the failures a restarted attempt can route around by re-placing
-// its work onto other nodes.
-func nodeFault(err error) bool {
-	return store.IsKind(err, store.KindNodeDown) ||
-		store.IsKind(err, store.KindBreakerOpen) ||
-		store.IsKind(err, store.KindTimeout)
-}
-
 // probeBufSize is the scratch-buffer size of the streaming checksum
 // probe: the probe reads each shard once in probeBufSize chunks, so its
 // resident memory is O(1) regardless of shard size.
@@ -462,25 +416,18 @@ var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
 // The caller owns every non-nil file. The work is recorded as a
 // shard.probe span (a child of ctx's trace when one is active) whose
 // checksums attribute says whether the CRC pass ran, and every unhealthy
-// shard as a shard.unhealthy event naming the shard and its state. When
-// mapper is non-nil (a node-mapped store) each status is attributed to
-// the node holding the shard, so a whole-node outage reads as such in
-// the report instead of as unrelated per-shard failures.
+// shard as a shard.unhealthy event naming the shard and its state.
 func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
-	mapper store.NodeMapper, reg *obs.Registry, forced map[int]error,
-	sums map[int]uint32) (files []store.File, status []ShardStatus, hard, soft []int) {
+	reg *obs.Registry, forced map[int]error, sums map[int]uint32) (files []store.File, status []ShardStatus, hard, soft []int) {
 	pctx, sp := obs.StartSpanCtx(ctx, reg, "shard.probe")
 	defer func() {
 		sp.Attr(slog.Bool("checksums", sums == nil),
 			slog.Int("hard", len(hard)), slog.Int("soft", len(soft))).End(nil)
 	}()
 	note := func(i int) {
-		attrs := []obs.Attr{slog.Int("shard", i), slog.String("name", status[i].Name),
-			slog.String("state", status[i].State.String())}
-		if status[i].Node >= 0 {
-			attrs = append(attrs, slog.Int("node", status[i].Node))
-		}
-		obs.EmitErr(pctx, slog.LevelWarn, "shard.unhealthy", status[i].Err, attrs...)
+		obs.EmitErr(pctx, slog.LevelWarn, "shard.unhealthy", status[i].Err,
+			slog.Int("shard", i), slog.String("name", status[i].Name),
+			slog.String("state", status[i].State.String()))
 	}
 	_, shardSize := m.shardShape()
 	var buf *[probeBufSize]byte
@@ -491,10 +438,7 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 	files = make([]store.File, m.NumShards())
 	status = make([]ShardStatus, m.NumShards())
 	for i := range status {
-		status[i] = ShardStatus{Index: i, Name: m.ShardName(i), State: StateOK, Node: -1}
-		if mapper != nil {
-			status[i].Node = mapper.NodeFor(filepath.Join(dir, m.ShardName(i)))
-		}
+		status[i] = ShardStatus{Index: i, Name: m.ShardName(i), State: StateOK}
 		if cause, ok := forced[i]; ok {
 			status[i].Present = true
 			status[i].State = StateQuarantined
@@ -589,8 +533,7 @@ func Verify(manifestPath string, opt Options) (err error) {
 		return err
 	}
 	countShardOp(opt.Registry, "verify", m.Code)
-	files, status, hard, soft := probeShards(ctx, m, filepath.Dir(manifestPath), st,
-		nodeMapperOf(opt.Store), opt.Registry, nil, nil)
+	files, status, hard, soft := probeShards(ctx, m, filepath.Dir(manifestPath), st, opt.Registry, nil, nil)
 	for _, f := range files {
 		if f != nil {
 			f.Close()

@@ -10,26 +10,17 @@ import (
 var ErrInjected = errors.New("store: injected fault")
 
 // FaultKind refines a Fault beyond transient/permanent: what class of
-// failure struck, so the layers above can react differently to a slow
-// node (hedge, breaker) than to a flaky disk (retry).
+// failure struck, so a deadline that ran out reads apart from a device
+// that failed (in store.retry events and in the error text).
 type FaultKind int
 
 const (
-	// KindIO is an ordinary I/O failure (the zero value — every fault
-	// predating the node layer is one).
+	// KindIO is an ordinary I/O failure (the zero value).
 	KindIO FaultKind = iota
 	// KindTimeout marks an attempt abandoned at its deadline
-	// (RetryPolicy.AttemptTimeout or a node-level op budget). Transient
-	// by construction: the next attempt may land on a faster path.
+	// (RetryPolicy.AttemptTimeout). Transient by construction: the next
+	// attempt may not hang.
 	KindTimeout
-	// KindNodeDown marks an operation refused because the node holding
-	// the path is out (whole-node outage or a flap's down phase).
-	KindNodeDown
-	// KindBreakerOpen marks a fast-fail from an open per-node circuit
-	// breaker: the node was already judged unhealthy, so the operation
-	// was refused without touching it. Permanent by construction — the
-	// caller should treat the node's shards as erased, not retry.
-	KindBreakerOpen
 )
 
 func (k FaultKind) String() string {
@@ -38,10 +29,6 @@ func (k FaultKind) String() string {
 		return "io"
 	case KindTimeout:
 		return "timeout"
-	case KindNodeDown:
-		return "node-down"
-	case KindBreakerOpen:
-		return "breaker-open"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -85,8 +72,8 @@ func NewPermanent(op, path string, err error) *Fault {
 }
 
 // NewTimeout wraps err as a deadline fault: transient (the retry layer
-// may re-issue the attempt) and classified KindTimeout so breakers and
-// the degradation ladder can count slowness separately from flakiness.
+// may re-issue the attempt) and classified KindTimeout, so slowness
+// reads apart from flakiness.
 func NewTimeout(op, path string, err error) *Fault {
 	return &Fault{Op: op, Path: path, Kind: KindTimeout, Transient: true, Err: err}
 }

@@ -134,7 +134,9 @@ type outcome[T any] struct {
 // attemptOnce runs one attempt of fn, bounded by AttemptTimeout when the
 // policy sets one. On timeout the attempt's goroutine is abandoned (it
 // drains into its own buffered channel) and a transient KindTimeout
-// fault attributed to op/path is returned instead.
+// fault attributed to op/path is returned instead. The deadline timer
+// runs under a child of ctx that is cancelled on return, so an attempt
+// that finishes in time does not leave it sleeping out the deadline.
 func attemptOnce[T any](p RetryPolicy, ctx context.Context, op, path string, fn func() (T, error)) (T, error) {
 	if p.AttemptTimeout <= 0 {
 		return fn()
@@ -144,8 +146,10 @@ func attemptOnce[T any](p RetryPolicy, ctx context.Context, op, path string, fn 
 		v, err := fn()
 		done <- outcome[T]{v, err}
 	}()
+	tctx, stop := context.WithCancel(ctx)
+	defer stop()
 	timer := make(chan error, 1)
-	go func() { timer <- p.sleep(ctx, p.AttemptTimeout) }()
+	go func() { timer <- p.sleep(tctx, p.AttemptTimeout) }()
 	select {
 	case out := <-done:
 		return out.v, out.err

@@ -48,28 +48,13 @@ type Store interface {
 }
 
 // ContextBinder is implemented by stores whose side effects deserve
-// causal attribution (the faultstore, the nodestore): Bind returns a
+// causal attribution (the faultstore): Bind returns a
 // view of the store whose events are recorded into the trace carried by
 // ctx. The shard data path binds its per-operation context before
 // wrapping the store with the retry layer, so injected faults and the
 // retries they trigger land in the same trace.
 type ContextBinder interface {
 	Bind(ctx context.Context) Store
-}
-
-// NodeMapper is implemented by stores that place paths across simulated
-// fault domains (the nodestore). The shard encoder uses it to record
-// where each shard landed in the manifest (v3 placement block), and the
-// recovery probe uses it to attribute per-shard health to nodes.
-type NodeMapper interface {
-	// NodeFor returns the node index the path lives on (assigning one
-	// by the placement policy on first sight).
-	NodeFor(path string) int
-	// NodeCount is the number of simulated nodes.
-	NodeCount() int
-	// PlacementPolicy names the policy ("round-robin", "spread") for
-	// the manifest record.
-	PlacementPolicy() string
 }
 
 // OS is the real-filesystem Store.

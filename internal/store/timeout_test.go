@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -107,8 +108,7 @@ func TestAttemptTimeoutAbandonsHungRead(t *testing.T) {
 
 // TestAttemptTimeoutFaultKind pins the classification: an exhausted
 // deadline surfaces as a transient KindTimeout fault attributed to the
-// operation, so breakers and the ladder can tell slowness from
-// flakiness.
+// operation, so slowness reads apart from flakiness.
 func TestAttemptTimeoutFaultKind(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -145,5 +145,39 @@ func TestAttemptTimeoutZeroSpawnsNothing(t *testing.T) {
 	})
 	if v != "direct" || err != nil || calls != 1 {
 		t.Errorf("attemptOnce = %q, %v (%d calls); want direct inline call", v, err, calls)
+	}
+}
+
+// TestAttemptTimeoutReleasesTimer: a deadline-bounded attempt that
+// returns in time stops its deadline timer. Without that, every
+// successful call left a goroutine sleeping out the whole
+// AttemptTimeout, so 200 reads under a one-hour deadline kept 200
+// goroutines alive for an hour.
+func TestAttemptTimeoutReleasesTimer(t *testing.T) {
+	f := &hangFile{release: make(chan struct{}), data: []byte("x")}
+	f.reads = 1 // past the hang: every read returns at once
+	st := WithRetry(scriptedStore{f}, context.Background(),
+		RetryPolicy{MaxAttempts: 1, AttemptTimeout: time.Hour})
+	h, err := st.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	b := make([]byte, 1)
+	for i := 0; i < 200; i++ {
+		if _, err := h.ReadAt(b, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The attempt goroutines and the stopped timers exit on their own
+	// schedule; give them a moment.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before+5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before+5 {
+		t.Errorf("%d goroutines after 200 reads, %d before: the deadline timers outlive their attempts",
+			after, before)
 	}
 }

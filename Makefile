@@ -64,13 +64,14 @@ examples:
 
 # conformance runs the registry-driven matrices explicitly and verbosely:
 # the codetest battery, the full shard round-trip for every registered
-# code at every advertised (k, p) shape, and the per-code pins of
-# repair's and decode's bytes read (each survivor exactly once).
+# code at every advertised (k, p) shape, the per-code pins of repair's
+# and decode's bytes read (each survivor exactly once), and the decodes
+# that read ahead (every code; errors in stripe order; seeded replays).
 # Redundant with `test` except for -count=1 — CI wants these exercised
 # even when cached — and for the legible per-code subtest listing when
 # something breaks.
 conformance:
-	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce|TestDecodeReadsEachSurvivorOnce' \
+	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce|TestDecodeReadsEachSurvivorOnce|TestReadAhead|TestSeededScheduleReplays' \
 		./internal/codes ./internal/shard
 
 # chaos is the extended fault-injection soak (~30s): thousands of seeded
@@ -115,9 +116,10 @@ bench-baseline:
 
 # Race-detector pass focused on the observability surfaces: concurrent
 # flight-recorder scrapes, event-log writes, traced degraded decodes,
-# per-attempt deadlines, and the shard-outage soak.
+# per-attempt deadlines, the shard-outage soak, and the decodes whose
+# reader runs a batch ahead of the caller.
 race-obs:
-	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Outage|Timeout' \
+	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Outage|Timeout|ReadAhead|SeededSchedule' \
 		./internal/obs ./internal/shard ./cmd/raidcli ./internal/store
 
 clean:

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,9 +23,27 @@ import (
 // reads moved less than their run-to-run spread.
 const batchBudget = 1 << 20
 
+// inlineBatches is the most batches a stream runs on the calling
+// goroutine alone, with one batch and no goroutine. A longer decode reads
+// ahead on a second goroutine (streamBatches) and a longer encode runs
+// its three-stage ring (encodeRing); a stream this short leaves too
+// little to overlap to pay for the hand-offs. In a sweep over 1–4 on a
+// 2-vCPU x86 host (end-to-end benchmark, 8 s runs), rs3-mix-1m, whose
+// 1 MiB objects span two batches, ran at 2676 MB/s with 1 (its encodes on
+// a ring of two, its decodes reading ahead) against 3092–3141 MB/s with
+// 2–4, and peaked at 4.15 against 3.58 MB of heap. small-mix-256k (one
+// batch) and read-2lost-64m (64 batches) run the same code at every
+// value and moved less than their run-to-run spread. 2 is the smallest
+// value that keeps two-batch streams in line.
+const inlineBatches = 2
+
 // batchShape keys the batch pools: the stripe geometry and the number of
 // stripes per batch.
 type batchShape struct{ k, m, w, elemSize, stripes int }
+
+// batches returns how many batches of this shape a set of total stripes
+// spans.
+func (s batchShape) batches(total int) int { return (total + s.stripes - 1) / s.stripes }
 
 // batch is the streaming paths' unit of work: a run of stripes laid out
 // column-major, one contiguous buffer per column (k+m of them). Stripe
@@ -42,6 +61,9 @@ type batch struct {
 	stripes []*core.Stripe
 	first   int // index of stripes[0] in the shard set
 	n       int // stripes in use
+	// failed holds, per stripe in use, the streamed strips that failed
+	// their strip sums (a version 5 decode; see recovery.checkStrips).
+	failed [][]int
 }
 
 var (
@@ -138,6 +160,108 @@ func forEachStripe(stripes []*core.Stripe, workers int, fn func(j int, s *core.S
 	run(0)
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// streamBatches runs stripes [0, total) through batches of shape s in
+// stripe order: fill reads the batch whose window it is handed, and use
+// codes it and passes it on. A cancelled ctx stops the stream before its
+// next batch is filled or used.
+//
+// A stream of at most inlineBatches batches, and any stream when ahead is
+// false, runs fill and use in turn on the caller with one batch.
+// Otherwise a reader goroutine runs fill on batch N+1 while the caller
+// runs use on batch N, around a ring of two batches. The caller still
+// sees the batches, and their errors, in stripe order: a fill that fails
+// is returned only after use has taken every batch before it, and is
+// dropped when one of those fails. The reader checks ctx before every
+// fill and has returned before streamBatches does, on every path. It
+// reads at most one batch past the one where the caller stopped, and
+// short of a cancelled ctx which batches it fills depends on the
+// caller's progress alone, not on timing, so a stream's store calls
+// repeat from run to run. fill must touch nothing but the batch and what
+// use does not touch.
+func streamBatches(ctx context.Context, s batchShape, total int, ahead bool, fill, use func(*batch) error) error {
+	if !ahead || s.batches(total) <= inlineBatches {
+		b := getBatch(s)
+		defer putBatch(b)
+		for first := 0; first < total; first += s.stripes {
+			if err := stopped(ctx, first); err != nil {
+				return err
+			}
+			b.window(first, total)
+			if err := fill(b); err != nil {
+				return err
+			}
+			if err := use(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// A filled batch, or the error that stopped the reader on it.
+	type filled struct {
+		b   *batch
+		err error
+	}
+	ring := [2]*batch{getBatch(s), getBatch(s)}
+	free := make(chan *batch, len(ring))
+	full := make(chan filled, len(ring)) // one send per batch held: never blocks
+	for _, b := range ring {
+		free <- b
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(full)
+		for first := 0; first < total; first += s.stripes {
+			b, ok := <-free
+			if !ok {
+				return
+			}
+			err := stopped(ctx, first)
+			if err == nil {
+				b.window(first, total)
+				err = fill(b)
+			}
+			full <- filled{b, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	// Closing free stops the reader once it has filled the batch after
+	// the caller's last, which the caller handed back before taking it.
+	defer func() {
+		close(free)
+		wg.Wait()
+		for _, b := range ring {
+			putBatch(b)
+		}
+	}()
+	for f := range full {
+		if f.err != nil {
+			return f.err
+		}
+		if err := stopped(ctx, f.b.first); err != nil {
+			return err
+		}
+		if err := use(f.b); err != nil {
+			return err
+		}
+		free <- f.b
+	}
+	return nil
+}
+
+// stopped returns the error that stops a stream at stripe first when
+// ctx is done, and nil otherwise.
+func stopped(ctx context.Context, first int) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
+	}
+	return nil
 }
 
 // batchStripes returns the stripes per batch for a set of total stripes

@@ -76,15 +76,20 @@ type Report struct {
 //
 // On either path transient read errors are retried with capped
 // exponential backoff (Options.Retry), and a shard whose read fails
-// mid-stream is quarantined and the decode restarts without it (when w
-// is rewindable, i.e. an *os.File). Shards are read batch by batch, one
-// positional read per shard per batch, straight into one pooled batch
-// of about 1 MiB (Options.BatchStripes overrides the size), so resident
-// memory grows with the file only by a version 5 manifest's strip sums,
-// 4 bytes per strip per shard: 7.5 KB (10 KB of base64 in the manifest)
-// for a 64 MiB liberation object at k=8, p=11 and 4 KiB elements, and
-// 0.1% of the shard bytes (0.13% in base64) for rs3 at 4 KiB elements.
-// A cancelled Options.Context stops the decode before its next batch.
+// mid-stream is quarantined and the decode restarts without it when w
+// is rewindable, i.e. an *os.File; into any other writer the decode
+// fails with the quarantine's cause instead. Shards are read batch by
+// batch, one positional read per shard per batch, straight into a
+// pooled batch of about 1 MiB (Options.BatchStripes overrides the
+// size). A decode of more than two batches holds two: a reader
+// goroutine reads (and on version 5 checks) the next batch while the
+// caller decodes and writes this one, and errors still come back in
+// stripe order. So resident memory grows with the file only by a
+// version 5 manifest's strip sums, 4 bytes per strip per shard: 7.5 KB
+// (10 KB of base64 in the manifest) for a 64 MiB liberation object at
+// k=8, p=11 and 4 KiB elements, and 0.1% of the shard bytes (0.13% in
+// base64) for rs3 at 4 KiB elements. A cancelled Options.Context stops
+// the decode before its next batch.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -108,7 +113,7 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 	countShardOp(opt.Registry, "decode", m.Code)
 
 	r := newRecovery(m, code, opt, st, ctx, filepath.Dir(manifestPath))
-	r.strips = m.Version >= 5
+	r.strips, r.ahead = m.Version >= 5, true
 	sink := &decodeSink{w: w, m: m}
 	err = r.run(sink)
 	return r.rep, err
@@ -186,6 +191,13 @@ type recovery struct {
 	// strip sums (a version 5 decode): the probe reads no checksums on
 	// any attempt, and a strip that fails is erased for its stripe.
 	strips bool
+	// ahead lets a stream of more than inlineBatches batches read the
+	// next batch while it decodes this one (see streamBatches). Decode
+	// sets it. Repair runs in line: its sink writes temp files through
+	// the store, and reads from a second goroutine would interleave with
+	// those writes, so a fault store's seeded schedule, drawn one store
+	// call at a time, would no longer replay.
+	ahead bool
 
 	rep     *Report
 	forced  map[int]error // mid-stream quarantines, by column
@@ -283,6 +295,14 @@ func (r *recovery) run(sink recoverSink) error {
 		obs.EmitErr(r.ctx, slog.LevelWarn, "shard.quarantine.midstream", q.cause,
 			slog.Int("shard", q.col), slog.String("name", r.m.ShardName(q.col)),
 			slog.Int("attempt", r.rep.Attempts))
+		if !sink.canRestart() {
+			// The output cannot take back the batches it was given: report
+			// the shard as a restart's probe would, and fail with its cause.
+			st := &r.rep.Status[q.col]
+			st.State, st.Valid, st.Err = StateQuarantined, false, q.cause
+			r.quarantine(r.ctx, *st)
+			return fmt.Errorf("shard: restarting without shard %d needs a rewindable output: %w", q.col, q)
+		}
 	}
 }
 
@@ -377,9 +397,9 @@ func (r *recovery) attempt(ctx context.Context, files []store.File, status []Sha
 
 // erasureStream is the classic decode rung: the erased columns are
 // reconstructed from the survivors, batch by batch. With r.strips every
-// strip is checked against its strip sum in stream (see checkedBatch);
-// otherwise rolling CRCs re-verify every column (streamed and
-// reconstructed) against the manifest at the end.
+// strip is checked against its strip sum in stream (see checkStrips and
+// decodeChecked); otherwise rolling CRCs re-verify every column
+// (streamed and reconstructed) against the manifest at the end.
 func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased []int, sink recoverSink) error {
 	if err := sink.begin(erased); err != nil {
 		return err
@@ -389,26 +409,26 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 	for _, e := range erased {
 		streams[e] = nil
 	}
-	b := r.batch()
-	defer putBatch(b)
-
 	workers := r.opt.workerCount()
+	// The fill rolls the streamed columns' CRCs, use the erased ones'.
 	var rolling []uint32
 	if !r.strips {
 		rolling = make([]uint32, m.NumShards())
 	}
 	decode := func(_ int, s *core.Stripe) error { return r.code.Decode(s, erased, nil) }
-	for first := 0; first < m.Stripes; first += b.n {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
-		}
-		b.window(first, m.Stripes)
+	fill := func(b *batch) error {
 		if col, err := fillBatch(streams, b, rolling); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
+		if r.strips {
+			r.checkStrips(b, streams)
+		}
+		return nil
+	}
+	use := func(b *batch) error {
 		switch {
 		case r.strips:
-			if err := r.checkedBatch(ctx, b, streams, erased); err != nil {
+			if err := r.decodeChecked(ctx, b, erased); err != nil {
 				return err
 			}
 		case len(erased) > 0:
@@ -419,9 +439,10 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 				rolling[e] = crc32.Update(rolling[e], crc32.IEEETable, b.col(e))
 			}
 		}
-		if err := sink.consume(b); err != nil {
-			return err
-		}
+		return sink.consume(b)
+	}
+	if err := streamBatches(ctx, r.shape(), m.Stripes, r.ahead, fill, use); err != nil {
+		return err
 	}
 	if r.strips {
 		// Every strip of a shard still StateOK matched its sum.
@@ -460,24 +481,40 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 	return sink.finish()
 }
 
-// checkedBatch is a version 5 decode's coding step for one batch, split
-// over the workers: each stripe's streamed strips are checked against
-// their strip sums, a strip that fails is erased for that stripe alone,
-// the stripe is decoded around its erasures, and every reconstructed
-// strip must match its sum as well. Once the stripes are done the
-// failed strips are reported in stripe order, and a stripe with more
-// than m strips unusable fails the decode before the batch reaches the
-// sink.
-func (r *recovery) checkedBatch(ctx context.Context, b *batch, streams []store.File, erased []int) error {
-	m := r.m
-	failed := make([][]int, b.n) // per stripe: its streamed strips that failed
-	err := forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
-		stripe := b.first + j
+// checkStrips is the fill side of a version 5 decode: it checks every
+// streamed strip of the batch against its strip sum, split over the
+// workers, and records the ones that fail on the batch (b.failed) for
+// decodeChecked to erase and report. It touches nothing but the batch,
+// so it may run ahead of the caller.
+func (r *recovery) checkStrips(b *batch, streams []store.File) {
+	if len(b.failed) < b.n {
+		b.failed = make([][]int, len(b.stripes))
+	}
+	for j := range b.failed {
+		b.failed[j] = b.failed[j][:0]
+	}
+	forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
 		for i, f := range streams {
-			if f != nil && !m.stripOK(i, stripe, s.Strips[i]) {
-				failed[j] = append(failed[j], i)
+			if f != nil && !r.m.stripOK(i, b.first+j, s.Strips[i]) {
+				b.failed[j] = append(b.failed[j], i)
 			}
 		}
+		return nil
+	})
+}
+
+// decodeChecked is a version 5 decode's coding step for one batch that
+// checkStrips has checked, split over the workers: a strip that failed
+// is erased for its stripe alone, the stripe is decoded around its
+// erasures, and every reconstructed strip must match its sum as well.
+// Once the stripes are done the failed strips are reported in stripe
+// order, and a stripe with more than m strips unusable fails the decode
+// before the batch reaches the sink.
+func (r *recovery) decodeChecked(ctx context.Context, b *batch, erased []int) error {
+	m := r.m
+	failed := b.failed[:b.n]
+	err := forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
+		stripe := b.first + j
 		lost := erased
 		if len(failed[j]) > 0 {
 			if len(erased)+len(failed[j]) > m.M {
@@ -524,17 +561,13 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 	}
 	m := r.m
 	rolling := make([]uint32, m.NumShards())
-	b := r.batch()
-	defer putBatch(b)
-
-	for first := 0; first < m.Stripes; first += b.n {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("shard: stopped at stripe %d: %w", first, err)
-		}
-		b.window(first, m.Stripes)
+	fill := func(b *batch) error {
 		if col, err := fillBatch(files, b, nil); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
+		return nil
+	}
+	use := func(b *batch) error {
 		for j, s := range b.live() {
 			var cops core.Ops
 			col, cerr := r.corrector.CorrectColumn(s, &cops)
@@ -570,9 +603,10 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 		for i := range rolling {
 			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, b.col(i))
 		}
-		if err := sink.consume(b); err != nil {
-			return err
-		}
+		return sink.consume(b)
+	}
+	if err := streamBatches(ctx, r.shape(), m.Stripes, r.ahead, fill, use); err != nil {
+		return err
 	}
 	// Post-correction columns must reproduce the manifest exactly; a
 	// mismatch means the column misbehaved in a way correction could not
@@ -621,10 +655,7 @@ type rewindableWriter interface {
 func (s *decodeSink) begin([]int) error {
 	s.attempts++
 	if s.attempts > 1 {
-		rw, ok := s.w.(rewindableWriter)
-		if !ok {
-			return fmt.Errorf("shard: mid-stream quarantine needs a rewindable output (got %T)", s.w)
-		}
+		rw := s.w.(rewindableWriter) // run restarts only a sink that can rewind
 		if _, err := rw.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
@@ -745,10 +776,9 @@ func (s *repairSink) cleanup() {
 	s.files, s.rolling, s.targets = nil, nil, nil
 }
 
-// batch takes a pooled batch sized for this manifest and the options.
-func (r *recovery) batch() *batch {
+// shape is the batch shape for this manifest and the options.
+func (r *recovery) shape() batchShape {
 	m := r.m
 	sb, _ := m.shardShape()
-	return getBatch(batchShape{m.K, m.M, m.W, m.ElemSize,
-		r.opt.batchStripes(m.NumShards()*sb, m.Stripes)})
+	return batchShape{m.K, m.M, m.W, m.ElemSize, r.opt.batchStripes(m.NumShards()*sb, m.Stripes)}
 }

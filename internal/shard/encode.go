@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -20,16 +21,18 @@ import (
 // beside them and returns it. p = 0 selects the smallest usable prime
 // automatically.
 //
-// Three stages run concurrently, handing batches of stripes around a
-// fixed ring: a reader goroutine fills batch N+1 from r, the coding
-// stage encodes batch N (split over up to Options.Workers goroutines),
-// and the writer drains batch N-1 into the shard files in order, so the
-// output is byte-identical to a sequential encode no matter the worker
-// count. Each column of a batch goes to its shard with one positional
-// write. The batches come from a pool; the ring holds at most three of
-// about 1 MiB each (Options.BatchStripes overrides the size),
-// independent of size. A cancelled Options.Context stops the encode
-// before its next batch is coded.
+// The input is read, encoded (each batch's stripes split over up to
+// Options.Workers goroutines) and written batch by batch, in batches of
+// about 1 MiB (Options.BatchStripes overrides the size) from a pool.
+// Each column of a batch goes to its shard with one positional write.
+// An encode of at most two batches runs the three steps in turn on the
+// caller, with one batch. A longer one runs them as three concurrent
+// stages around a ring of three batches: a reader goroutine fills batch
+// N+1 from r, a coding goroutine encodes batch N, and the caller drains
+// batch N-1 into the shard files in order. Either way the output is
+// byte-identical to a sequential encode no matter the worker count, and
+// memory is independent of size. A cancelled Options.Context stops the
+// encode before its next batch is coded.
 //
 // On any error every created shard file is removed: a failed encode
 // leaves no partial shard set (and no manifest) behind.
@@ -108,161 +111,72 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		files[i] = f
 	}
 
-	// The batch ring: 3 batches so reading, encoding, and writing each
-	// own one at steady state (double buffering on both hand-offs), or
-	// fewer when the file spans fewer batches.
-	sb := w * elemSize
-	shape := batchShape{k, parities, w, elemSize, opt.batchStripes((k+parities)*sb, stripes)}
-	ring := make([]*batch, min(3, (stripes+shape.stripes-1)/shape.stripes))
-	free := make(chan *batch, len(ring))
-	filled := make(chan *batch, 1)
-	encoded := make(chan *batch, 1)
-	for i := range ring {
-		ring[i] = getBatch(shape)
-		free <- ring[i]
-	}
-	defer func() {
-		for _, b := range ring {
-			putBatch(b)
-		}
-	}()
-
-	abort := make(chan struct{})
-	var failOnce sync.Once
-	var stageErr error
-	fail := func(e error) {
-		failOnce.Do(func() {
-			stageErr = e
-			close(abort)
-		})
-	}
-	now := func() time.Time {
-		if reg == nil {
-			return time.Time{}
-		}
-		return time.Now()
-	}
+	// The three stages, which the in-line loop and the ring both call.
+	// Each runs on one goroutine at a time: read alone touches consumed,
+	// write alone sums and stripSums.
 	since := func(name string, t0 time.Time) {
 		if reg != nil {
 			observeWait(reg, name, time.Since(t0))
 		}
 	}
-
-	var consumed int64 // owned by the reader; read after wg.Wait
-	var wg sync.WaitGroup
-
-	// Stage 1: reader. Fills batches from r, zero-padding the tail.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for first := 0; first < stripes; {
-			t0 := now()
-			var b *batch
-			select {
-			case b = <-free:
-			case <-abort:
-				return
+	var consumed int64
+	read := func(b *batch) error {
+		t0 := clock(reg)
+		for _, s := range b.live() {
+			got, readErr := fillStripe(r, s, k)
+			consumed += got
+			if readErr != nil {
+				return readErr
 			}
-			since("shard.encode.read.wait.seconds", t0)
-			b.window(first, stripes)
-			t1 := now()
-			for _, s := range b.live() {
-				got, readErr := fillStripe(r, s, k)
-				consumed += got
-				if readErr != nil {
-					fail(readErr)
-					return
-				}
-			}
-			since("shard.encode.read.seconds", t1)
-			select {
-			case filled <- b:
-				addGauge(reg, "shard.encode.queue_depth", 1)
-			case <-abort:
-				return
-			}
-			first += b.n
 		}
-		close(filled)
-	}()
-
-	// Stage 2: coding.
+		since("shard.encode.read.seconds", t0)
+		return nil
+	}
 	workers := opt.workerCount()
-	encode := func(_ int, s *core.Stripe) error { return code.Encode(s, nil) }
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			t0 := now()
-			var b *batch
-			var ok bool
-			select {
-			case b, ok = <-filled:
-			case <-abort:
-				return
-			}
-			if !ok {
-				close(encoded)
-				return
-			}
-			since("shard.encode.encode.wait.seconds", t0)
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				fail(fmt.Errorf("shard: stopped at stripe %d: %w", b.first, ctxErr))
-				return
-			}
-			t1 := now()
-			if encErr := forEachStripe(b.live(), workers, encode); encErr != nil {
-				fail(encErr)
-				return
-			}
-			since("shard.encode.encode.seconds", t1)
-			select {
-			case encoded <- b:
-			case <-abort:
-				return
-			}
+	encodeStripe := func(_ int, s *core.Stripe) error { return code.Encode(s, nil) }
+	encode := func(b *batch) error {
+		t0 := clock(reg)
+		if encErr := forEachStripe(b.live(), workers, encodeStripe); encErr != nil {
+			return encErr
 		}
-	}()
-
-	// Stage 3: writer (this goroutine). Drains batches in order, one
-	// positional write per column, so shard bytes and checksums match the
-	// sequential path exactly. The CRC it rolls over each column records
-	// the running sum at every strip's end: the manifest's strip sums.
+		since("shard.encode.encode.seconds", t0)
+		return nil
+	}
+	// write drains a batch into the shard files, one positional write per
+	// column, so shard bytes and checksums match the sequential path
+	// exactly. The CRC it rolls over each column records the running sum
+	// at every strip's end: the manifest's strip sums.
 	sums := make([]uint32, k+parities)
 	stripSums := make([][]byte, k+parities)
 	backing := make([]byte, 4*stripes*(k+parities))
 	for i := range stripSums {
 		stripSums[i], backing = backing[:4*stripes:4*stripes], backing[4*stripes:]
 	}
-writeLoop:
-	for {
-		t0 := now()
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-encoded:
-		case <-abort:
-			break writeLoop
-		}
-		if !ok {
-			break
-		}
-		since("shard.encode.write.wait.seconds", t0)
-		t1 := now()
+	write := func(b *batch) error {
+		t0 := clock(reg)
 		for i, f := range files {
 			if writeErr := writeCol(f, b, i); writeErr != nil {
-				fail(writeErr)
-				break writeLoop
+				return writeErr
 			}
 			sums[i] = b.rollStrips(i, sums[i], stripSums[i])
 		}
-		since("shard.encode.write.seconds", t1)
-		addGauge(reg, "shard.encode.queue_depth", -1)
-		free <- b // ring capacity guarantees room
+		since("shard.encode.write.seconds", t0)
+		return nil
 	}
-	wg.Wait()
-	if stageErr != nil {
-		err = stageErr
+
+	sb := w * elemSize
+	shape := batchShape{k, parities, w, elemSize, opt.batchStripes((k+parities)*sb, stripes)}
+	if shape.batches(stripes) <= inlineBatches {
+		err = streamBatches(ctx, shape, stripes, false, read, func(b *batch) error {
+			if encErr := encode(b); encErr != nil {
+				return encErr
+			}
+			return write(b)
+		})
+	} else {
+		err = encodeRing(ctx, shape, stripes, reg, read, encode, write)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if consumed != size {
@@ -287,6 +201,134 @@ writeLoop:
 		return nil, err
 	}
 	return m, nil
+}
+
+// encodeRing runs an encode of more than inlineBatches batches as three
+// concurrent stages around a ring of three batches, so reading, coding
+// and writing each own one at steady state (double buffering on both
+// hand-offs): a reader goroutine runs read on batch N+1, a coding
+// goroutine runs code on batch N, and the caller runs write on batch N-1,
+// in stripe order. The first stage error stops all three; a cancelled ctx
+// stops the encode before its next batch is coded. Every goroutine has
+// returned before encodeRing does. With a registry, each stage's waits
+// for its input go to the shard.encode.*.wait.seconds histograms and the
+// batches between reader and writer to shard.encode.queue_depth.
+func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry, read, code, write func(*batch) error) error {
+	ring := [3]*batch{getBatch(s), getBatch(s), getBatch(s)}
+	defer func() {
+		for _, b := range ring {
+			putBatch(b)
+		}
+	}()
+	free := make(chan *batch, len(ring))
+	filled := make(chan *batch, 1)
+	encoded := make(chan *batch, 1)
+	for _, b := range ring {
+		free <- b
+	}
+
+	abort := make(chan struct{})
+	var failOnce sync.Once
+	var stageErr error
+	fail := func(e error) {
+		failOnce.Do(func() {
+			stageErr = e
+			close(abort)
+		})
+	}
+	waited := func(name string, t0 time.Time) {
+		if reg != nil {
+			observeWait(reg, name, time.Since(t0))
+		}
+	}
+	var wg sync.WaitGroup
+
+	// Stage 1: reader.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := 0; first < total; first += s.stripes {
+			t0 := clock(reg)
+			var b *batch
+			select {
+			case b = <-free:
+			case <-abort:
+				return
+			}
+			waited("shard.encode.read.wait.seconds", t0)
+			b.window(first, total)
+			if err := read(b); err != nil {
+				fail(err)
+				return
+			}
+			select {
+			case filled <- b:
+				addGauge(reg, "shard.encode.queue_depth", 1)
+			case <-abort:
+				return
+			}
+		}
+		close(filled)
+	}()
+
+	// Stage 2: coding.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			t0 := clock(reg)
+			var b *batch
+			var ok bool
+			select {
+			case b, ok = <-filled:
+			case <-abort:
+				return
+			}
+			if !ok {
+				close(encoded)
+				return
+			}
+			waited("shard.encode.encode.wait.seconds", t0)
+			if err := stopped(ctx, b.first); err != nil {
+				fail(err)
+				return
+			}
+			if err := code(b); err != nil {
+				fail(err)
+				return
+			}
+			select {
+			case encoded <- b:
+			case <-abort:
+				return
+			}
+		}
+	}()
+
+	// Stage 3: writer (this goroutine).
+writeLoop:
+	for {
+		t0 := clock(reg)
+		var b *batch
+		var ok bool
+		select {
+		case b, ok = <-encoded:
+		case <-abort:
+			break writeLoop
+		}
+		if !ok {
+			break
+		}
+		waited("shard.encode.write.wait.seconds", t0)
+		if err := write(b); err != nil {
+			fail(err)
+			break
+		}
+		addGauge(reg, "shard.encode.queue_depth", -1)
+		free <- b // ring capacity guarantees room
+	}
+	wg.Wait()
+	return stageErr
 }
 
 // fillStripe reads one stripe's worth of data strips from r, returning

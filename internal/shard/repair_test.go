@@ -162,11 +162,13 @@ func TestRepairReadsEachSurvivorOnce(t *testing.T) {
 // shard set of four batches decoded into a plain io.Writer, which
 // cannot rewind: healthy, one data shard lost, one parity shard lost,
 // and one flipped byte in one strip of a survivor alongside m−1 lost
-// shards. Each survivor is read exactly once, shardSize bytes, the
-// output is the original in one attempt, and the flipped strip is
-// erased for its stripe alone: its shard is quarantined and nothing is
-// corrected. A checksum probe before the stream would double every
-// count.
+// shards, the last also in seven batches of one stripe and in two
+// batches of four (which run in line). Each survivor is read exactly
+// once, shardSize bytes, the output is the original in one attempt, and
+// the flipped strip is erased for its stripe alone: its shard is
+// quarantined and nothing is corrected. A checksum probe before the
+// stream would double every count, and a reader running further ahead
+// than the stream would add to it.
 func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 	for _, name := range codes.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -193,14 +195,17 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 				lostWithFlip = append(lostWithFlip, i)
 			}
 			for _, tc := range []struct {
-				name string
-				lost []int
-				flip int // shard with one flipped byte in stripe 3, -1: none
+				name  string
+				lost  []int
+				flip  int // shard with one flipped byte in stripe 3, -1: none
+				batch int // Options.BatchStripes
 			}{
-				{"healthy", nil, -1},
-				{"lost-data", []int{1}, -1},
-				{"lost-parity", []int{m.K}, -1},
-				{"flipped-strip", lostWithFlip, 0},
+				{"healthy", nil, -1, 2},
+				{"lost-data", []int{1}, -1, 2},
+				{"lost-parity", []int{m.K}, -1, 2},
+				{"flipped-strip", lostWithFlip, 0, 2},
+				{"flipped-strip/batch=1", lostWithFlip, 0, 1},
+				{"flipped-strip/batch=4", lostWithFlip, 0, 4},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					defer func() {
@@ -226,7 +231,7 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 					}
 					l := newIOLog()
 					var out bytes.Buffer
-					rep, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{Store: l, BatchStripes: 2})
+					rep, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{Store: l, BatchStripes: tc.batch})
 					if err != nil {
 						t.Fatalf("DecodeReport: %v", err)
 					}

@@ -5,15 +5,18 @@
 // remains recoverable. It is the library behind the raidcli tool and
 // doubles as an end-to-end exercise of the public coding API.
 //
-// The data path is streaming in both directions. Encoding overlaps
-// read → encode → write through a double-buffered batch pipeline (a
-// reader goroutine fills batch N+1 while the coding stage encodes batch
-// N and a writer goroutine drains batch N-1), and decoding/repair read the
-// surviving shards batch by batch. A batch is about 1 MiB of stripes laid
-// out column by column, so each shard's part of it moves with one
-// positional read or write, straight between the store and the batch.
-// Peak memory is a few batches regardless of file size, plus the
-// manifest's strip sums (4 bytes per strip per shard). Checksums verify
+// The data path is streaming in both directions, batch by batch. A batch
+// is about 1 MiB of stripes laid out column by column, so each shard's
+// part of it moves with one positional read or write, straight between
+// the store and the batch. A stream of more than two batches overlaps
+// its I/O with its coding: an encode runs read → encode → write as three
+// stages around a ring of three batches (a reader goroutine fills batch
+// N+1 while a coding goroutine encodes batch N and the caller writes
+// batch N-1), and a decode reads batch N+1 on a second goroutine while
+// the caller decodes and writes batch N. Streams of one or two batches,
+// and every repair, run on the caller with one batch. Peak memory is at
+// most three batches regardless of file size, plus the manifest's strip
+// sums (4 bytes per strip per shard). Checksums verify
 // every column while the stripes stream through. A version 5 manifest
 // records the running CRC-32 of every shard at the end of every stripe,
 // so decode checks each strip in the one read that streams it, before
@@ -104,8 +107,9 @@ type Options struct {
 	Workers int
 	// BatchStripes is the number of stripes per streaming batch. Zero
 	// sizes batches to about 1 MiB, with at least one stripe per worker.
-	// Peak memory scales with it: one batch for decode and repair, up to
-	// three for encode.
+	// Peak memory scales with it: one batch for repair and for any
+	// stream of at most two batches, two for a longer decode (one read
+	// ahead), three for a longer encode.
 	BatchStripes int
 	// Registry, when non-nil, receives shard.* spans, the encode
 	// stage-wait histograms, and the queue-depth gauge, and is attached
@@ -202,6 +206,15 @@ func (o Options) store(ctx context.Context) store.Store {
 	// a flaky device, not the logical transfer size.
 	base = store.WithMetrics(base, o.Registry)
 	return store.WithRetry(base, ctx, o.retryPolicy())
+}
+
+// clock returns the time to start a stage metric from: the zero time
+// without a registry, so an unobserved stream reads no clock.
+func clock(reg *obs.Registry) time.Time {
+	if reg == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // observeWait is a nil-safe latency-histogram observation for the

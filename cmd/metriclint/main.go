@@ -6,7 +6,7 @@
 //
 // The scanner is a pure go/ast pass (no type checking, no build): it
 // recognizes the obs registry's emitting methods (Count, CounterWith,
-// Observe, StartSpan, ...) by selector name in files that import the
+// Observe, Family, ...) by selector name in files that import the
 // obs package, resolves metric-name arguments through string literals,
 // package constants, local assignments, and literal concatenation, and
 // propagates through repo-local helper functions whose name parameter
@@ -117,7 +117,9 @@ type shape struct {
 }
 
 // builtins maps the obs registry's emitting method names to their
-// shapes. StartSpan/StartOp root a span family.
+// shapes. Family (the handle a span records through) and StartOp root a
+// span family; the Lazy handles emit the metric they resolve on first
+// use.
 var builtins = map[string]shape{
 	"Count":         {0, "", "", "counter", ""},
 	"Counter":       {0, "", "", "counter", ""},
@@ -132,7 +134,9 @@ var builtins = map[string]shape{
 	"Observe":       {0, "", "", "histogram", ""},
 	"HistogramWith": {0, "", "", "histogram", ""},
 	"ObserveWith":   {0, "", "", "histogram", ""},
-	"StartSpan":     {1, "", "", "span", ""},
+	"LazyCounter":   {0, "", "", "counter", ""},
+	"LazyHistogram": {0, "", "", "histogram", ""},
+	"Family":        {0, "", "", "span", ""},
 	"StartOp":       {3, "", "", "span", ""},
 }
 

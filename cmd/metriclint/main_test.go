@@ -41,7 +41,8 @@ func findEmission(es []emission, name, kind string) (emission, bool) {
 }
 
 // TestScanResolution covers the name-resolution ladder: literals,
-// package consts, locals, concatenation, inline and variable labels.
+// package consts, locals, concatenation, inline and variable labels, and
+// the handle calls (Family, LazyCounter, LazyHistogram).
 func TestScanResolution(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
@@ -57,6 +58,9 @@ func emit(reg *obs.Registry, node int) {
 	l := obs.L("disk", "3")
 	reg.CounterWith("svc.by_disk.total", l)
 	reg.SetGauge("svc.depth", 1)
+	reg.Family("svc.op")
+	reg.LazyCounter("svc.lazy.total")
+	reg.LazyHistogram("svc.wait.seconds", nil)
 }
 `,
 	})
@@ -75,6 +79,9 @@ func emit(reg *obs.Registry, node int) {
 		{"svc.by_node.total", "counter", "node"},
 		{"svc.by_disk.total", "counter", "disk"},
 		{"svc.depth", "gauge", ""},
+		{"svc.op", "span", ""},
+		{"svc.lazy.total", "counter", ""},
+		{"svc.wait.seconds", "histogram", ""},
 	} {
 		e, ok := findEmission(es, want.name, want.kind)
 		if !ok {
@@ -89,14 +96,14 @@ func emit(reg *obs.Registry, node int) {
 
 // TestScanHelperPropagation: a name parameter flowing through two
 // helper frames (with a suffix concat and a body label) still resolves
-// at the outermost literal call, and StartSpan roots a span family.
+// at the outermost literal call, and Family roots a span family.
 func TestScanHelperPropagation(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"p/p.go": obsHeader + `
 func inner(reg *obs.Registry, name string, w int) {
 	reg.Count(name+".cancelled", 1)
 	reg.ObserveWith(name+".stripes", nil, 1, obs.Li("worker", w))
-	obs.StartSpan(reg, name)
+	reg.Family(name)
 }
 
 func outer(reg *obs.Registry, name string) {

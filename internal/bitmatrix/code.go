@@ -55,8 +55,7 @@ type Code struct {
 	decMu    sync.Mutex
 	decCache map[[2]int]Schedule
 
-	obs        *obs.Registry // optional metrics sink (see Instrument)
-	spanPrefix string        // name up to the parameter list, e.g. "liberation-orig"
+	obs.CodeSpans // nil until Instrument
 }
 
 // NewCode builds a schedule-based code from a generator matrix. The
@@ -69,12 +68,24 @@ func NewCode(name string, k, w int, gen *Matrix, enc, dec Scheduling) (*Code, er
 	}
 	c := &Code{name: name, k: k, w: w, gen: gen, enc: enc, dec: dec,
 		decCache: make(map[[2]int]Schedule)}
-	c.spanPrefix = name
-	if i := strings.IndexByte(name, '('); i >= 0 {
-		c.spanPrefix = name[:i]
-	}
 	c.encSched = c.buildEncodeSchedule()
 	return c, nil
+}
+
+// Instrument attaches a metrics registry to the code: from then on every
+// Encode and Decode records a span — latency, bytes processed, work
+// units, and the exact core.Ops element counts — under span names
+// derived from the code's name with the parameter list stripped, e.g.
+// liberation-orig.encode or crs.decode. The span families are resolved
+// here, once, so a span costs two monotonic clock reads and one atomic
+// add per metric, with no lock or allocation: about 0.2 µs on a 2-vCPU
+// Xeon (obs's BenchmarkSpan). A nil registry detaches.
+func (c *Code) Instrument(reg *obs.Registry) {
+	family, _, _ := strings.Cut(c.name, "(")
+	c.CodeSpans = obs.CodeSpans{
+		EncodeSpan: reg.Family(family + ".encode"),
+		DecodeSpan: reg.Family(family + ".decode"),
+	}
 }
 
 func (c *Code) Name() string { return c.name }
@@ -108,8 +119,10 @@ func (c *Code) buildEncodeSchedule() Schedule {
 
 // Encode computes the parity strips by running the encode schedule.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, c.spanPrefix+".encode", s.DataSize(), 2*c.w, ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
+	sp := c.EncodeSpan.Start()
+	err := c.encode(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(2*c.w).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
@@ -128,8 +141,10 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 
 // Decode reconstructs up to two erased strips.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, c.spanPrefix+".decode", s.DataSize(), len(erased)*c.w, ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
+	sp := c.DecodeSpan.Start()
+	err := c.decode(s, erased, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(len(erased)*c.w).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {

@@ -225,7 +225,9 @@ func NewObserved(name string, k, p int, reg *obs.Registry) (core.Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.InstrumentCode(code, reg)
+	if o, ok := code.(obs.Observable); ok && reg != nil {
+		o.Instrument(reg)
+	}
 	return code, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Decode reconstructs up to two erased strips using the published EVENODD
@@ -14,8 +13,10 @@ import (
 // constraints, starting from the diagonals whose cell in the peer column
 // is the imaginary row.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "evenodd.decode", s.DataSize(), len(erased)*(c.p-1), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
+	sp := c.DecodeSpan.Start()
+	err := c.decode(s, erased, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(len(erased)*(c.p-1)).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {

@@ -29,7 +29,7 @@ type Code struct {
 	k int
 	p int
 
-	obs *obs.Registry // optional metrics sink (see Instrument)
+	obs.CodeSpans // nil until Instrument
 }
 
 // New returns the EVENODD code with k data strips and prime parameter p.
@@ -47,6 +47,22 @@ func New(k, p int) (*Code, error) {
 // NewAuto returns the EVENODD code with the smallest usable prime >= k.
 func NewAuto(k int) (*Code, error) {
 	return New(k, core.NextOddPrime(maxInt(k, 2)))
+}
+
+// Instrument attaches a metrics registry to the code: from then on every
+// Encode, Decode and Update records a span — latency, bytes processed,
+// work units, and the exact core.Ops element counts — under the span
+// names evenodd.encode, evenodd.decode and evenodd.update. The span
+// families are resolved here, once, so a span costs two monotonic clock
+// reads and one atomic add per metric, with no lock or allocation: about
+// 0.2 µs on a 2-vCPU Xeon (obs's BenchmarkSpan). A nil registry
+// detaches.
+func (c *Code) Instrument(reg *obs.Registry) {
+	c.CodeSpans = obs.CodeSpans{
+		EncodeSpan: reg.Family("evenodd.encode"),
+		DecodeSpan: reg.Family("evenodd.decode"),
+		UpdateSpan: reg.Family("evenodd.update"),
+	}
 }
 
 func (c *Code) Name() string { return fmt.Sprintf("evenodd(k=%d,p=%d)", c.k, c.p) }
@@ -75,8 +91,10 @@ func (c *Code) elem(s *core.Stripe, col, row int) []byte {
 // constraint and S is folded into each Q element, which reproduces the
 // ~(2k-1)/2 XORs-per-parity-bit cost of the published construction.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "evenodd.encode", s.DataSize(), 2*(c.p-1), ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
+	sp := c.EncodeSpan.Start()
+	err := c.encode(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(2*(c.p-1)).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/xorblk"
 )
 
@@ -92,14 +91,9 @@ func (c *Code) getScratch(elemSize int) *correctScratch {
 // working set comes from a per-Code pool and no expected stripe is ever
 // materialized.
 func (c *Code) CorrectColumn(s *core.Stripe, ops *core.Ops) (int, error) {
-	if c.obs == nil {
-		return c.correctColumn(s, ops)
-	}
-	sp := obs.StartSpan(c.obs, "liberation.correct")
-	var local core.Ops
-	col, err := c.correctColumn(s, &local)
-	ops.Add(local)
-	sp.Bytes(s.DataSize()).Ops(local).End(err)
+	sp := c.CorrectSpan.Start()
+	col, err := c.correctColumn(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).EndInto(ops, err)
 	return col, err
 }
 

@@ -15,13 +15,12 @@ import (
 // (iterative retrieval); the remaining cases reduce to row/diagonal
 // recovery plus (partial) re-encoding, as Section III-C notes.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	if c.obs != nil {
-		// Units: erased strips * p elements each — the denominator of the
-		// paper's XORs-per-missing-bit metric.
-		return c.observed("liberation.decode", s.DataSize(), len(erased)*c.p, ops,
-			func(o *core.Ops) error { return c.decode(s, erased, o) })
-	}
-	return c.decode(s, erased, ops)
+	sp := c.DecodeSpan.Start()
+	err := c.decode(s, erased, sp.Count(ops))
+	// Units: erased strips * p elements each — the denominator of the
+	// paper's XORs-per-missing-bit metric.
+	sp.Bytes(s.DataSize()).Units(len(erased)*c.p).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {

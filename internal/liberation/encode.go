@@ -32,11 +32,10 @@ type planCache struct {
 // theoretical lower bound of k-1 XORs per parity bit, for every
 // 2 <= k <= p.
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	if c.obs != nil {
-		return c.observed("liberation.encode", s.DataSize(), 2*c.p, ops,
-			func(o *core.Ops) error { return c.encodeFull(s, o) })
-	}
-	return c.encodeFull(s, ops)
+	sp := c.EncodeSpan.Start()
+	err := c.encodeFull(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(2*c.p).EndInto(ops, err)
+	return err
 }
 
 // encodeFull is Encode without the instrumentation wrapper; internal

@@ -50,7 +50,7 @@ type Code struct {
 
 	scratch sync.Pool // *correctScratch, reused across CorrectColumn calls
 
-	obs *obs.Registry // optional metrics sink (see Instrument)
+	obs.CodeSpans // nil until Instrument
 }
 
 // New returns the Liberation code with k data strips and prime parameter
@@ -63,6 +63,30 @@ func New(k, p int) (*Code, error) {
 		return nil, fmt.Errorf("%w: need 1 <= k <= p, got k=%d p=%d", core.ErrParams, k, p)
 	}
 	return &Code{k: k, p: p, half: (p - 1) / 2}, nil
+}
+
+// Instrument attaches a metrics registry to the code: from then on every
+// Encode, Decode, Update and CorrectColumn records a span — latency,
+// bytes processed, work units, and the exact core.Ops element counts —
+// under the span names liberation.encode, liberation.decode,
+// liberation.update and liberation.correct. The work-unit denominators
+// make the paper's normalized metric first-class: an encode span's
+// xors-per-unit is XORs per parity element (lower bound k-1), a decode
+// span's is XORs per recovered element.
+//
+// The four span families are resolved here, once. An instrumented call
+// then records its span through them: two monotonic clock reads and one
+// atomic add per metric, with no string building, lock or allocation,
+// about 0.2 µs per call on a 2-vCPU Xeon (obs's BenchmarkSpan). Spans
+// are safe for concurrent use. A nil registry detaches, and a detached
+// code reads no clock.
+func (c *Code) Instrument(reg *obs.Registry) {
+	c.CodeSpans = obs.CodeSpans{
+		EncodeSpan:  reg.Family("liberation.encode"),
+		DecodeSpan:  reg.Family("liberation.decode"),
+		UpdateSpan:  reg.Family("liberation.update"),
+		CorrectSpan: reg.Family("liberation.correct"),
+	}
 }
 
 // NewAuto returns the Liberation code for k data strips with the smallest

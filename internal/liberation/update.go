@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/xorblk"
 )
 
@@ -19,14 +18,9 @@ import (
 //
 // It returns the number of parity elements modified.
 func (c *Code) Update(s *core.Stripe, col, row int, oldElem []byte, ops *core.Ops) (int, error) {
-	if c.obs == nil {
-		return c.update(s, col, row, oldElem, ops)
-	}
-	sp := obs.StartSpan(c.obs, "liberation.update")
-	var local core.Ops
-	touched, err := c.update(s, col, row, oldElem, &local)
-	ops.Add(local)
-	sp.Bytes(s.ElemSize).Units(touched).Ops(local).End(err)
+	sp := c.UpdateSpan.Start()
+	touched, err := c.update(s, col, row, oldElem, sp.Count(ops))
+	sp.Bytes(s.ElemSize).Units(touched).EndInto(ops, err)
 	return touched, err
 }
 

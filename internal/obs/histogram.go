@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // LatencyBuckets is the default bucket layout for operation latencies, in
@@ -87,9 +86,6 @@ func (h *Histogram) Observe(v float64) {
 	// its sum, min and max, never the empty histogram's ±Inf sentinels.
 	h.count.Add(1)
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // snapshot captures a consistent-enough view (each field atomically; the
 // histogram may be mid-update, which can skew a percentile by at most one

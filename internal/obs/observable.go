@@ -1,7 +1,5 @@
 package obs
 
-import "repro/internal/core"
-
 // Observable is the capability interface for erasure codes (and other
 // components) that can attach a metrics registry. It is the typed form
 // of what the production stack used to reach through a liberation-only
@@ -15,32 +13,20 @@ type Observable interface {
 	Instrument(reg *Registry)
 }
 
-// InstrumentCode attaches reg to code when the code is Observable,
-// reporting whether instrumentation took. Nil registries and
-// non-Observable codes are no-ops — callers consult the capability, they
-// never require it.
-func InstrumentCode(code any, reg *Registry) bool {
-	o, ok := code.(Observable)
-	if !ok || reg == nil {
-		return false
-	}
-	o.Instrument(reg)
-	return true
+// CodeSpans is the instrumentation every erasure code family embeds: one
+// span family per coding operation, which the code's Instrument resolves
+// once, by name, on the registry it attaches. An operation records a
+// span of its family (see Span); a family left nil, on a detached code
+// or for an operation the code lacks, records nothing.
+type CodeSpans struct {
+	EncodeSpan, DecodeSpan, UpdateSpan, CorrectSpan *SpanFamily
 }
 
-// Observed runs fn with a private Ops, merges the counts into the
-// caller's ops, and records a span under name carrying latency, bytes,
-// work units, and the exact element-operation counts. It is the shared
-// span-wrapping helper behind every code package's Instrument support; a
-// nil registry runs fn directly with no overhead.
-func Observed(reg *Registry, name string, bytes, units int, ops *core.Ops, fn func(*core.Ops) error) error {
-	if reg == nil {
-		return fn(ops)
+// Registry returns the registry the spans record into (nil when
+// detached).
+func (s *CodeSpans) Registry() *Registry {
+	if s.EncodeSpan == nil {
+		return nil
 	}
-	sp := StartSpan(reg, name)
-	var local core.Ops
-	err := fn(&local)
-	ops.Add(local)
-	sp.Bytes(bytes).Units(units).Ops(local).End(err)
-	return err
+	return s.EncodeSpan.calls.reg
 }

@@ -86,6 +86,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	spans    sync.Map // name -> *SpanFamily: handles on metrics kept above
 
 	// Labeled families (see labels.go): one interned label-set table per
 	// metric name, each capped at DefaultLabelCap distinct sets.

@@ -133,7 +133,7 @@ type traceState struct {
 type ctxKey struct{}
 
 // A SpanCtx is one node of a trace: it wraps a metrics Span (so ending
-// it records the usual <name>.seconds/.calls/.xors families) and, when
+// it records the usual <name>.seconds/.calls/.xors metrics) and, when
 // a trace is active, emits a completion Event carrying the span's
 // typed attributes to the tracer's sinks. The zero-valued/inert form
 // (no trace, no registry) makes every method a no-op, so call sites
@@ -141,7 +141,7 @@ type ctxKey struct{}
 // workers instead of sharing one.
 type SpanCtx struct {
 	ts     *traceState
-	metric *Span
+	metric Span
 	id     SpanID
 	parent SpanID
 	name   string
@@ -152,8 +152,9 @@ type SpanCtx struct {
 // StartOp begins a span named name as a child of ctx's current span.
 // When ctx carries no trace, a new trace is started on tr — or, if tr
 // is nil too, the span is causally inert but still records metrics
-// into reg. This is the one entry point the data-path operations use:
-// top-level calls root a trace, nested calls chain onto it.
+// into reg, through reg's span family for name. This is the one entry
+// point the data-path operations use: top-level calls root a trace,
+// nested calls chain onto it.
 func StartOp(ctx context.Context, tr *Tracer, reg *Registry, name string, attrs ...Attr) (context.Context, *SpanCtx) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -169,7 +170,7 @@ func StartOp(ctx context.Context, tr *Tracer, reg *Registry, name string, attrs 
 	}
 	s := &SpanCtx{
 		ts:     ts,
-		metric: StartSpan(reg, name),
+		metric: reg.Family(name).Start(),
 		parent: parentID,
 		name:   name,
 		attrs:  attrs,
@@ -228,7 +229,7 @@ func (s *SpanCtx) Ops(o core.Ops) *SpanCtx {
 	return s
 }
 
-// End finishes the span: the metric span records its families, and, if
+// End finishes the span: the metric span records its metrics, and, if
 // a trace is active, the completion event (name, duration, attributes,
 // error) reaches every sink. Errors raise the event to slog.LevelError.
 func (s *SpanCtx) End(err error) time.Duration {

@@ -17,14 +17,18 @@ func (a *Array) Read(off int, p []byte) error {
 	if a.numFailed() > a.m {
 		return ErrTooManyFailures
 	}
-	sp, total := a.span("raid.read"), len(p)
-	var err error
-	defer func() { sp.end(a, total, err) }()
+	sp := a.span(a.met.read)
+	err := a.read(off, p)
+	sp.end(a, len(p), err)
+	return err
+}
+
+func (a *Array) read(off int, p []byte) error {
 	for len(p) > 0 {
 		stripe, strip, row, inElem := a.locate(off)
 		src := a.view(stripe)
 		if erased := a.failedStrips(stripe); len(erased) > 0 {
-			if err = a.reconstruct(stripe, erased); err != nil {
+			if err := a.reconstruct(stripe, erased); err != nil {
 				return err
 			}
 			src = a.scratch
@@ -47,14 +51,19 @@ func (a *Array) Write(off int, p []byte) error {
 	if off < 0 || off+len(p) > a.Capacity() {
 		return ErrOutOfRange
 	}
-	sp, total := a.span("raid.write"), len(p)
-	var err error
-	defer func() { sp.end(a, total, err) }()
+	sp := a.span(a.met.write)
+	err := a.write(off, p)
+	sp.end(a, len(p), err)
+	return err
+}
+
+func (a *Array) write(off int, p []byte) error {
 	perStripe := a.k * a.w * a.elemSize
 	degraded := a.numFailed() > 0
 	for len(p) > 0 {
 		stripe, stripeOff := off/perStripe, off%perStripe
 		n := min(perStripe-stripeOff, len(p))
+		var err error
 		switch {
 		case degraded:
 			err = a.writeDegraded(stripe, stripeOff, p[:n])
@@ -80,7 +89,7 @@ func (a *Array) writeFullStripe(stripe int, data []byte) {
 		panic(fmt.Sprintf("raidsim: encode stripe %d: %v", stripe, err))
 	}
 	a.Stats.StripeEncodes++
-	a.count("raid.stripe_encodes", 1)
+	a.met.stripeEncodes.Add(1)
 }
 
 // writePartial performs element-granularity read-modify-writes within one
@@ -94,22 +103,22 @@ func (a *Array) writePartial(stripe, stripeOff int, data []byte) error {
 		copy(a.oldElem, elem)
 		copy(elem[inElem:], data[:n])
 		a.Stats.SmallWrites++
-		a.count("raid.small_writes", 1)
+		a.met.smallWrites.Add(1)
 		if a.updater != nil {
 			touched, err := a.updater.Update(view, strip, row, a.oldElem, &a.Stats.Ops)
 			if err != nil {
 				return err
 			}
 			a.Stats.ParityElemWrites += uint64(touched)
-			a.count("raid.parity_elem_writes", uint64(touched))
+			a.met.parityElemWrites.Add(uint64(touched))
 		} else {
 			if err := a.code.Encode(view, &a.Stats.Ops); err != nil {
 				return err
 			}
 			a.Stats.StripeEncodes++
-			a.count("raid.stripe_encodes", 1)
+			a.met.stripeEncodes.Add(1)
 			a.Stats.ParityElemWrites += uint64(a.m * a.w)
-			a.count("raid.parity_elem_writes", uint64(a.m*a.w))
+			a.met.parityElemWrites.Add(uint64(a.m * a.w))
 		}
 		data = data[n:]
 		stripeOff += n
@@ -134,7 +143,7 @@ func (a *Array) writeDegraded(stripe, stripeOff int, data []byte) error {
 		return err
 	}
 	a.Stats.StripeEncodes++
-	a.count("raid.stripe_encodes", 1)
+	a.met.stripeEncodes.Add(1)
 	for t := 0; t < a.n; t++ {
 		if !a.failed[a.diskFor(stripe, t)] {
 			copy(a.strip(stripe, t), a.scratch.Strips[t])
@@ -174,7 +183,7 @@ func (a *Array) Scrub() ([]ScrubResult, error) {
 	if a.numFailed() > 0 {
 		return nil, fmt.Errorf("%w: scrub requires all disks online", ErrDiskState)
 	}
-	sp := a.span("raid.scrub")
+	sp := a.span(a.met.scrub)
 	var results []ScrubResult
 	var scrubErr error
 	defer func() { sp.end(a, a.stripes*a.k*a.w*a.elemSize, scrubErr) }()

@@ -56,6 +56,7 @@ type Array struct {
 	layout Layout
 
 	obs *obs.Registry // optional metrics sink (see Instrument)
+	met arrayMetrics  // its handles, resolved by Instrument
 
 	// Scratch reused by every call, so element I/O allocates nothing.
 	vw      core.Stripe  // re-pointed at one stripe's strips by view
@@ -146,7 +147,7 @@ func (a *Array) reconstruct(stripe int, erased []int) error {
 		return fmt.Errorf("raidsim: degraded stripe %d: %w", stripe, err)
 	}
 	a.Stats.DegradedReads++
-	a.count("raid.degraded_reads", 1)
+	a.met.degradedReads.Add(1)
 	return nil
 }
 
@@ -211,7 +212,7 @@ func (a *Array) Rebuild() error {
 	if a.numFailed() == 0 {
 		return nil
 	}
-	sp := a.span("raid.rebuild")
+	sp := a.span(a.met.rebuild)
 	rebuilt := 0
 	a.obs.SetGauge("raid.rebuild.progress", 0)
 	for stripe := 0; stripe < a.stripes; stripe++ {
@@ -224,7 +225,7 @@ func (a *Array) Rebuild() error {
 			return fmt.Errorf("raidsim: rebuilding stripe %d: %w", stripe, err)
 		}
 		a.Stats.StripesRebuilt++
-		a.count("raid.stripes_rebuilt", 1)
+		a.met.stripesRebuilt.Add(1)
 		rebuilt++
 		a.obs.SetGauge("raid.rebuild.progress", float64(stripe+1)/float64(a.stripes))
 	}
@@ -245,7 +246,7 @@ func (a *Array) ReplaceDisk(d int) error {
 	if !a.failed[d] {
 		return fmt.Errorf("%w: disk %d is not failed", ErrDiskState, d)
 	}
-	sp := a.span("raid.rebuild")
+	sp := a.span(a.met.rebuild)
 	a.obs.SetGauge("raid.rebuild.progress", 0)
 	for stripe := 0; stripe < a.stripes; stripe++ {
 		erased := a.failedStrips(stripe)
@@ -254,7 +255,7 @@ func (a *Array) ReplaceDisk(d int) error {
 			return fmt.Errorf("raidsim: rebuilding stripe %d: %w", stripe, err)
 		}
 		a.Stats.StripesRebuilt++
-		a.count("raid.stripes_rebuilt", 1)
+		a.met.stripesRebuilt.Add(1)
 		a.obs.SetGauge("raid.rebuild.progress", float64(stripe+1)/float64(a.stripes))
 	}
 	a.failed[d] = false

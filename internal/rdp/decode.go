@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Decode reconstructs up to two erased strips. Because RDP's diagonals
@@ -12,8 +11,10 @@ import (
 // the same two-sided zigzag over the math array; only erasures involving
 // Q need re-encoding of the diagonal parity.
 func (c *Code) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rdp.decode", s.DataSize(), len(erased)*(c.p-1), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
+	sp := c.DecodeSpan.Start()
+	err := c.decode(s, erased, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(len(erased)*(c.p-1)).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) decode(s *core.Stripe, erased []int, ops *core.Ops) error {

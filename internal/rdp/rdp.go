@@ -28,7 +28,7 @@ type Code struct {
 	k int
 	p int
 
-	obs *obs.Registry // optional metrics sink (see Instrument)
+	obs.CodeSpans // nil until Instrument
 }
 
 // New returns the RDP code with k data strips and prime parameter p.
@@ -48,6 +48,22 @@ func New(k, p int) (*Code, error) {
 func NewAuto(k int) (*Code, error) {
 	p := core.NextOddPrime(k + 1)
 	return New(k, p)
+}
+
+// Instrument attaches a metrics registry to the code: from then on every
+// Encode, Decode and Update records a span — latency, bytes processed,
+// work units, and the exact core.Ops element counts — under the span
+// names rdp.encode, rdp.decode and rdp.update. The span
+// families are resolved here, once, so a span costs two monotonic clock
+// reads and one atomic add per metric, with no lock or allocation: about
+// 0.2 µs on a 2-vCPU Xeon (obs's BenchmarkSpan). A nil registry
+// detaches.
+func (c *Code) Instrument(reg *obs.Registry) {
+	c.CodeSpans = obs.CodeSpans{
+		EncodeSpan: reg.Family("rdp.encode"),
+		DecodeSpan: reg.Family("rdp.decode"),
+		UpdateSpan: reg.Family("rdp.update"),
+	}
 }
 
 func (c *Code) Name() string { return fmt.Sprintf("rdp(k=%d,p=%d)", c.k, c.p) }
@@ -80,8 +96,10 @@ func (c *Code) mathStrip(y int) int {
 // Encode computes P (row sums over data) and then Q (diagonal sums over
 // data and P).
 func (c *Code) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rdp.encode", s.DataSize(), 2*(c.p-1), ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
+	sp := c.EncodeSpan.Start()
+	err := c.encode(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(2*(c.p-1)).EndInto(ops, err)
+	return err
 }
 
 func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {

@@ -45,7 +45,7 @@ type MCode struct {
 	planMu sync.Mutex
 	plans  map[erasureSet]*decodePlan // decode plans by erasure set (see plan)
 
-	obs *obs.Registry // optional metrics sink (see Instrument)
+	obs.CodeSpans // nil until Instrument
 }
 
 // New returns the RS P+Q code for k data strips (1 <= k <= 255): parity
@@ -86,19 +86,25 @@ func (c *MCode) M() int { return c.m }
 func (c *MCode) W() int { return 1 }
 
 // Instrument attaches a metrics registry: every Encode and Decode then
-// records an rsm.encode / rsm.decode span. A nil registry detaches.
-// (GF(2^8) multiplications are not element XORs and are not counted in
-// Ops; the XOR half of each multiply-accumulate is.)
-func (c *MCode) Instrument(reg *obs.Registry) { c.obs = reg }
-
-// Registry returns the attached metrics registry (nil when detached).
-func (c *MCode) Registry() *obs.Registry { return c.obs }
+// records an rsm.encode / rsm.decode span. The span families are
+// resolved here, once, so a span costs two monotonic clock reads and one
+// atomic add per metric, with no lock or allocation: about 0.2 µs on a
+// 2-vCPU Xeon (obs's BenchmarkSpan). A nil registry detaches. (GF(2^8) multiplications are not element XORs and
+// are not counted in Ops; the XOR half of each multiply-accumulate is.)
+func (c *MCode) Instrument(reg *obs.Registry) {
+	c.CodeSpans = obs.CodeSpans{
+		EncodeSpan: reg.Family("rsm.encode"),
+		DecodeSpan: reg.Family("rsm.decode"),
+	}
+}
 
 // Encode computes the m parity strips: parity i is the data vector dotted
 // with row i of the parity matrix.
 func (c *MCode) Encode(s *core.Stripe, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rsm.encode", s.DataSize(), c.m, ops,
-		func(o *core.Ops) error { return c.encode(s, o) })
+	sp := c.EncodeSpan.Start()
+	err := c.encode(s, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(c.m).EndInto(ops, err)
+	return err
 }
 
 func (c *MCode) encode(s *core.Stripe, ops *core.Ops) error {
@@ -133,8 +139,10 @@ func dot(dst []byte, srcs [][]byte, coeffs []byte, ops *core.Ops) {
 // parity matrix is invertible. The rows depend only on the erasure set,
 // so they are derived once per set and cached on the code (see plan).
 func (c *MCode) Decode(s *core.Stripe, erased []int, ops *core.Ops) error {
-	return obs.Observed(c.obs, "rsm.decode", s.DataSize(), len(erased), ops,
-		func(o *core.Ops) error { return c.decode(s, erased, o) })
+	sp := c.DecodeSpan.Start()
+	err := c.decode(s, erased, sp.Count(ops))
+	sp.Bytes(s.DataSize()).Units(len(erased)).EndInto(ops, err)
+	return err
 }
 
 func (c *MCode) decode(s *core.Stripe, erased []int, ops *core.Ops) error {

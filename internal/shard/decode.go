@@ -504,49 +504,57 @@ func (r *recovery) checkStrips(b *batch, streams []store.File) {
 }
 
 // decodeChecked is a version 5 decode's coding step for one batch that
-// checkStrips has checked, split over the workers: a strip that failed
-// is erased for its stripe alone, the stripe is decoded around its
-// erasures, and every reconstructed strip must match its sum as well.
-// Once the stripes are done the failed strips are reported in stripe
-// order, and a stripe with more than m strips unusable fails the decode
-// before the batch reaches the sink.
+// checkStrips has checked: decodeStripe runs on every stripe, split over
+// the workers. Once the stripes are done, one pass in stripe order
+// reports their failed strips up to the first stripe that failed and
+// returns that stripe's error alone, before the batch reaches the sink.
 func (r *recovery) decodeChecked(ctx context.Context, b *batch, erased []int) error {
-	m := r.m
 	failed := b.failed[:b.n]
-	err := forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
-		stripe := b.first + j
-		lost := erased
-		if len(failed[j]) > 0 {
-			if len(erased)+len(failed[j]) > m.M {
-				return nil // reported below, in stripe order
-			}
-			lost = append(slices.Clone(erased), failed[j]...)
-			slices.Sort(lost)
-		}
-		if len(lost) == 0 {
-			return nil
-		}
-		if err := r.code.Decode(s, lost, nil); err != nil {
-			return err
-		}
-		for _, e := range lost {
-			if !m.stripOK(e, stripe, s.Strips[e]) {
-				return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
-					"stripe %d: reconstructed shard %d fails its strip sum", stripe, e)}
-			}
-		}
-		return nil
+	errs := make([]error, b.n)
+	forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
+		errs[j] = r.decodeStripe(s, b.first+j, erased, failed[j])
+		return errs[j]
 	})
 	for j, bad := range failed {
 		for _, i := range bad {
 			r.stripFailed(ctx, i, b.first+j)
 		}
-		if len(erased)+len(bad) > m.M {
-			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
-				"stripe %d: %d strips unusable, can tolerate %d", b.first+j, len(erased)+len(bad), m.M)}
+		if errs[j] != nil {
+			return errs[j]
 		}
 	}
-	return err
+	return nil
+}
+
+// decodeStripe decodes one stripe of a version 5 decode: the strips that
+// failed their sums in this stripe are erased for it alone, on top of
+// the shards erased for the whole stream, and every reconstructed strip
+// must match its sum as well. A stripe with more than m strips unusable
+// fails without decoding.
+func (r *recovery) decodeStripe(s *core.Stripe, stripe int, erased, failed []int) error {
+	m := r.m
+	lost := erased
+	if len(failed) > 0 {
+		if len(erased)+len(failed) > m.M {
+			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+				"stripe %d: %d strips unusable, can tolerate %d", stripe, len(erased)+len(failed), m.M)}
+		}
+		lost = append(slices.Clone(erased), failed...)
+		slices.Sort(lost)
+	}
+	if len(lost) == 0 {
+		return nil
+	}
+	if err := r.code.Decode(s, lost, nil); err != nil {
+		return err
+	}
+	for _, e := range lost {
+		if !m.stripOK(e, stripe, s.Strips[e]) {
+			return &UnrecoverableError{Status: r.rep.Status, Reason: fmt.Sprintf(
+				"stripe %d: reconstructed shard %d fails its strip sum", stripe, e)}
+		}
+	}
+	return nil
 }
 
 // correctionStream is the silent-corruption rung: all k+m columns stream

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/codes"
 	"repro/internal/core"
@@ -113,12 +112,11 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 
 	// The three stages, which the in-line loop and the ring both call.
 	// Each runs on one goroutine at a time: read alone touches consumed,
-	// write alone sums and stripSums.
-	since := func(name string, t0 time.Time) {
-		if reg != nil {
-			observeWait(reg, name, time.Since(t0))
-		}
-	}
+	// write alone sums and stripSums. Each times itself into its stage
+	// histogram, resolved here once per encode.
+	readSeconds := reg.LazyHistogram("shard.encode.read.seconds", obs.LatencyBuckets)
+	encodeSeconds := reg.LazyHistogram("shard.encode.encode.seconds", obs.LatencyBuckets)
+	writeSeconds := reg.LazyHistogram("shard.encode.write.seconds", obs.LatencyBuckets)
 	var consumed int64
 	read := func(b *batch) error {
 		t0 := clock(reg)
@@ -129,7 +127,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 				return readErr
 			}
 		}
-		since("shard.encode.read.seconds", t0)
+		since(readSeconds, t0)
 		return nil
 	}
 	workers := opt.workerCount()
@@ -139,7 +137,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 		if encErr := forEachStripe(b.live(), workers, encodeStripe); encErr != nil {
 			return encErr
 		}
-		since("shard.encode.encode.seconds", t0)
+		since(encodeSeconds, t0)
 		return nil
 	}
 	// write drains a batch into the shard files, one positional write per
@@ -160,7 +158,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 			}
 			sums[i] = b.rollStrips(i, sums[i], stripSums[i])
 		}
-		since("shard.encode.write.seconds", t0)
+		since(writeSeconds, t0)
 		return nil
 	}
 
@@ -236,11 +234,9 @@ func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry,
 			close(abort)
 		})
 	}
-	waited := func(name string, t0 time.Time) {
-		if reg != nil {
-			observeWait(reg, name, time.Since(t0))
-		}
-	}
+	readWait := reg.LazyHistogram("shard.encode.read.wait.seconds", obs.LatencyBuckets)
+	encodeWait := reg.LazyHistogram("shard.encode.encode.wait.seconds", obs.LatencyBuckets)
+	writeWait := reg.LazyHistogram("shard.encode.write.wait.seconds", obs.LatencyBuckets)
 	var wg sync.WaitGroup
 
 	// Stage 1: reader.
@@ -255,7 +251,7 @@ func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry,
 			case <-abort:
 				return
 			}
-			waited("shard.encode.read.wait.seconds", t0)
+			since(readWait, t0)
 			b.window(first, total)
 			if err := read(b); err != nil {
 				fail(err)
@@ -288,7 +284,7 @@ func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry,
 				close(encoded)
 				return
 			}
-			waited("shard.encode.encode.wait.seconds", t0)
+			since(encodeWait, t0)
 			if err := stopped(ctx, b.first); err != nil {
 				fail(err)
 				return
@@ -319,7 +315,7 @@ writeLoop:
 		if !ok {
 			break
 		}
-		waited("shard.encode.write.wait.seconds", t0)
+		since(writeWait, t0)
 		if err := write(b); err != nil {
 			fail(err)
 			break

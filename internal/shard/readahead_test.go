@@ -272,6 +272,48 @@ func TestReadAheadErrorOrder(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorOrderWithinBatch: within one batch, too, the first
+// failing stripe's error wins. On a version 5 set data shard 1 is lost
+// and its stripe-1 strip sum altered, so its reconstruction fails in
+// stripe 1, while stripe 3 has the strips of shards 0 and 2 flipped, one
+// beyond the budget. Whatever the batch size and worker count, the
+// decode ends in stripe 1's error alone, quarantines nothing (stripe 3
+// is never reported), and the writer has only the whole batches before
+// stripe 1's.
+func TestDecodeErrorOrderWithinBatch(t *testing.T) {
+	dir, content, m, stripeBytes := readAheadSet(t)
+	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+		t.Fatal(err)
+	}
+	m.StripSums[1][4*1] ^= 0xff
+	manifest := filepath.Join(dir, ManifestName(m.FileName))
+	if err := writeManifest(store.OS{}, m, manifest); err != nil {
+		t.Fatal(err)
+	}
+	flipStrip(t, dir, m, 0, 3)
+	flipStrip(t, dir, m, 2, 3)
+	for _, batchStripes := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("batch=%d/workers=%d", batchStripes, workers), func(t *testing.T) {
+				var out bytes.Buffer
+				rep, err := DecodeReport(manifest, struct{ io.Writer }{&out},
+					Options{Workers: workers, BatchStripes: batchStripes})
+				var unrec *UnrecoverableError
+				if !errors.As(err, &unrec) || unrec.Reason != "stripe 1: reconstructed shard 1 fails its strip sum" {
+					t.Fatalf("err = %v, want stripe 1's reconstructed strip sum failure alone", err)
+				}
+				if len(rep.Quarantined) != 0 {
+					t.Errorf("quarantined %v, want none", rep.Quarantined)
+				}
+				whole := 1 / batchStripes * batchStripes // stripes in the batches before stripe 1's
+				if !bytes.Equal(out.Bytes(), content[:whole*stripeBytes]) {
+					t.Errorf("wrote %d bytes, want %d", out.Len(), whole*stripeBytes)
+				}
+			})
+		}
+	}
+}
+
 // TestReadAheadMidStreamReadFailure: a read of data shard 0 that fails
 // in batch 3, on version 5 and version 4 sets. Into a rewindable writer
 // the decode restarts once without the shard and writes the original;

@@ -217,11 +217,11 @@ func clock(reg *obs.Registry) time.Time {
 	return time.Now()
 }
 
-// observeWait is a nil-safe latency-histogram observation for the
-// pipeline stage metrics.
-func observeWait(reg *obs.Registry, name string, d time.Duration) {
-	if reg != nil {
-		reg.Observe(name, obs.LatencyBuckets, d.Seconds())
+// since observes the seconds from t0, a stage's start from clock, in a
+// stage histogram; a nil one (no registry) reads no clock.
+func since(h *obs.LazyHistogram, t0 time.Time) {
+	if h != nil {
+		h.Observe(time.Since(t0).Seconds())
 	}
 }
 

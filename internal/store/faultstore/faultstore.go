@@ -143,10 +143,11 @@ type Config struct {
 // context so injections are recorded into its active trace; the unbound
 // store injects silently into the registry only.
 type Store struct {
-	base  store.Store
-	reg   *obs.Registry
-	seed  int64
-	sleep func(ctx context.Context, d time.Duration) error
+	base   store.Store
+	reg    *obs.Registry
+	inject *obs.SpanFamily // faultstore.inject on reg
+	seed   int64
+	sleep  func(ctx context.Context, d time.Duration) error
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -163,12 +164,13 @@ type ruleState struct {
 // New wraps base with the configured fault schedule.
 func New(base store.Store, cfg Config) *Store {
 	s := &Store{
-		base:  base,
-		reg:   cfg.Registry,
-		seed:  cfg.Seed,
-		sleep: cfg.Sleep,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		gone:  make(map[string]bool),
+		base:   base,
+		reg:    cfg.Registry,
+		inject: cfg.Registry.Family("faultstore.inject"),
+		seed:   cfg.Seed,
+		sleep:  cfg.Sleep,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		gone:   make(map[string]bool),
 	}
 	if s.sleep == nil {
 		s.sleep = store.SleepContext
@@ -238,7 +240,7 @@ func (s *Store) record(ctx context.Context, inj *injection) {
 	if s.reg == nil {
 		return
 	}
-	sp := obs.StartSpan(s.reg, "faultstore.inject")
+	sp := s.inject.Start()
 	s.reg.Count("faultstore.injected.total", 1)
 	s.reg.Count("faultstore.injected."+inj.kind.String(), 1)
 	sp.End(nil)

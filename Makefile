@@ -26,10 +26,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint-metrics checks the emitted metric surface against the committed
-# catalog (docs/METRICS.json): every metric name + label key set in the
-# code must be declared, every declared entry must still be emitted,
-# and every label key must be in the bounded taxonomy. After changing
-# instrumentation, regenerate with `go run ./cmd/metriclint -write`.
+# catalog (docs/METRICS.json): every metric name is a string literal at
+# the call that emits it (a non-literal name or label key fails), every
+# name + label key set in the code must be declared, every declared
+# entry must still be emitted, and every label key must be in the
+# bounded taxonomy. After changing instrumentation, regenerate with
+# `go run ./cmd/metriclint -write`.
 lint-metrics:
 	$(GO) run ./cmd/metriclint
 

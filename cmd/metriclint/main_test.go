@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,110 +33,83 @@ var _ = obs.L
 
 func findEmission(es []emission, name, kind string) (emission, bool) {
 	for _, e := range es {
-		if e.name == name && e.kind == kind {
+		if e.Name == name && e.Type == kind {
 			return e, true
 		}
 	}
 	return emission{}, false
 }
 
-// TestScanResolution covers the name-resolution ladder: literals,
-// package consts, locals, concatenation, inline and variable labels, and
-// the handle calls (Family, LazyCounter, LazyHistogram).
+// TestScanResolution: every emitting call of the registry, with a
+// literal name at its name argument and literal label keys, is an
+// emission of its type with its sorted label keys, also where obs is
+// imported under another name.
 func TestScanResolution(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
-const totalName = "svc.ops.total"
-
-func emit(reg *obs.Registry, node int) {
+func emit(ctx context.Context, reg *obs.Registry, node int) {
 	reg.Count("svc.reads.total", 1)
-	reg.Count(totalName, 1)
-	local := "svc.writes.total"
-	reg.Count(local, 1)
-	reg.Observe("svc.lat"+".seconds", nil, 0.1)
-	reg.CountWith("svc.by_node.total", 1, obs.Li("node", node))
-	l := obs.L("disk", "3")
-	reg.CounterWith("svc.by_disk.total", l)
+	reg.Counter("svc.plain.total").Inc()
+	reg.Observe("svc.lat.seconds", nil, 0.1)
+	reg.Histogram("svc.size", nil)
+	reg.CountWith("svc.by_node.total", 1, obs.Li("disk", node), obs.L("code", "x"))
+	reg.CounterWith("svc.by_disk.total", obs.L("disk", "3"))
 	reg.SetGauge("svc.depth", 1)
+	reg.Gauge("svc.level").Set(1)
 	reg.Family("svc.op")
 	reg.LazyCounter("svc.lazy.total")
 	reg.LazyHistogram("svc.wait.seconds", nil)
+	obs.StartOp(ctx, nil, reg, "svc.call", slog.Int("attempt", 1))
 }
 `,
+		"a/alias.go": `package x
+
+import metrics "repro/internal/obs"
+
+func alias(reg *metrics.Registry) { reg.Count("svc.alias.total", 1) }
+`,
 	})
-	es, dyn, err := scan(root)
+	es, errs, err := scan(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dyn) != 0 {
-		t.Fatalf("dynamic sites %+v, want none", dyn)
+	if len(errs) != 0 {
+		t.Fatalf("scan errors %v, want none", errs)
 	}
-	for _, want := range []struct{ name, kind, labels string }{
+	want := []struct{ name, kind, labels string }{
 		{"svc.reads.total", "counter", ""},
-		{"svc.ops.total", "counter", ""},
-		{"svc.writes.total", "counter", ""},
+		{"svc.plain.total", "counter", ""},
 		{"svc.lat.seconds", "histogram", ""},
-		{"svc.by_node.total", "counter", "node"},
+		{"svc.size", "histogram", ""},
+		{"svc.by_node.total", "counter", "code,disk"},
 		{"svc.by_disk.total", "counter", "disk"},
 		{"svc.depth", "gauge", ""},
+		{"svc.level", "gauge", ""},
 		{"svc.op", "span", ""},
 		{"svc.lazy.total", "counter", ""},
 		{"svc.wait.seconds", "histogram", ""},
-	} {
-		e, ok := findEmission(es, want.name, want.kind)
+		{"svc.call", "span", ""},
+		{"svc.alias.total", "counter", ""},
+	}
+	if len(es) != len(want) {
+		t.Errorf("scan found %d emissions, want %d: %+v", len(es), len(want), es)
+	}
+	for _, w := range want {
+		e, ok := findEmission(es, w.name, w.kind)
 		if !ok {
-			t.Errorf("missing %s %s in %+v", want.kind, want.name, es)
+			t.Errorf("missing %s %s in %+v", w.kind, w.name, es)
 			continue
 		}
-		if got := strings.Join(e.labels, ","); got != want.labels {
-			t.Errorf("%s labels = %q, want %q", want.name, got, want.labels)
+		if got := strings.Join(e.Labels, ","); got != w.labels {
+			t.Errorf("%s labels = %q, want %q", w.name, got, w.labels)
 		}
 	}
 }
 
-// TestScanHelperPropagation: a name parameter flowing through two
-// helper frames (with a suffix concat and a body label) still resolves
-// at the outermost literal call, and Family roots a span family.
-func TestScanHelperPropagation(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"p/p.go": obsHeader + `
-func inner(reg *obs.Registry, name string, w int) {
-	reg.Count(name+".cancelled", 1)
-	reg.ObserveWith(name+".stripes", nil, 1, obs.Li("worker", w))
-	reg.Family(name)
-}
-
-func outer(reg *obs.Registry, name string) {
-	inner(reg, name, 0)
-}
-
-func API(reg *obs.Registry) {
-	outer(reg, "pool.encode")
-}
-`,
-	})
-	es, dyn, err := scan(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dyn) != 0 {
-		t.Fatalf("dynamic sites %+v, want none", dyn)
-	}
-	if _, ok := findEmission(es, "pool.encode.cancelled", "counter"); !ok {
-		t.Errorf("missing propagated counter pool.encode.cancelled: %+v", es)
-	}
-	if e, ok := findEmission(es, "pool.encode.stripes", "histogram"); !ok || strings.Join(e.labels, ",") != "worker" {
-		t.Errorf("propagated histogram = %+v, %v; want worker label", e, ok)
-	}
-	if _, ok := findEmission(es, "pool.encode", "span"); !ok {
-		t.Errorf("missing span family pool.encode: %+v", es)
-	}
-}
-
-// TestScanGuards: test files are skipped, stdlib selector collisions
-// (strings.Count) are not emissions, files without the obs import are
-// ignored for builtin calls, and unresolvable names become dynamic
-// sites carrying their literal prefix.
+// TestScanGuards: test files are skipped, files without the obs import
+// are skipped, calls on other packages (strings.Count) are not
+// emissions, and neither are calls whose argument count no emitter has
+// (a span's Count(ops), a histogram handle's Observe(v)).
 func TestScanGuards(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a_test.go": obsHeader + `
@@ -148,7 +121,7 @@ type fake struct{}
 
 func (fake) Count(string, int) {}
 
-func f(r fake) { r.Count("no.obs.import", 1) }
+func f(r fake, name string) { r.Count(name, 1) }
 `,
 		"a/std.go": `package x
 
@@ -163,199 +136,252 @@ func g(reg *obs.Registry, s string) int {
 	return strings.Count(s, "a.b")
 }
 `,
-		"a/dyn.go": obsHeader + `
-func h(reg *obs.Registry, state string) {
-	reg.Count("svc.transition."+state, 1)
+		"a/handles.go": obsHeader + `
+func h(ops *core.Ops, h *obs.Histogram, v float64) {
+	sp := obs.Span{}
+	sp.Count(ops)
+	h.Observe(v)
 }
-
-func caller(reg *obs.Registry) { h(reg, "firing") }
 `,
 	})
-	es, dyn, err := scan(root)
+	es, errs, err := scan(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, banned := range []string{"test.only.total", "no.obs.import", "a.b"} {
-		for _, kind := range []string{"counter", "gauge", "histogram"} {
-			if _, ok := findEmission(es, banned, kind); ok {
-				t.Errorf("%s leaked into emissions", banned)
-			}
-		}
+	if len(errs) != 0 {
+		t.Errorf("scan errors %v, want none", errs)
 	}
-	// h's name argument is a non-name parameter concat: the helper path
-	// resolves caller's literal... but "svc.transition.firing" comes via
-	// propagation (state is a string param), so it's an emission, not a
-	// dynamic site.
-	if _, ok := findEmission(es, "svc.transition.firing", "counter"); !ok {
-		t.Errorf("missing propagated svc.transition.firing: %+v", es)
+	if len(es) != 1 || es[0].Name != "real.metric.total" {
+		t.Errorf("emissions = %+v, want only real.metric.total", es)
 	}
-	_ = dyn
 }
 
-// TestScanDynamicSite: a name concatenated from a field (no param, no
-// literal resolution) is reported with its literal prefix and kind.
-func TestScanDynamicSite(t *testing.T) {
+// TestScanErrors: an emitting call whose name is not a string literal
+// (a parameter, a local, a package constant, a concatenation) is an
+// error, as is a literal that is not lowercase dotted words and a label
+// that is not obs.L/obs.Li with a literal key. Inside internal/obs a
+// non-literal name is the runtime forwarding its caller's, and is
+// skipped; a literal there is an emission.
+func TestScanErrors(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
-type s struct{ kind fmtStringer }
+const total = "svc.ops.total"
 
-type fmtStringer interface{ String() string }
-
-func (v s) emit(reg *obs.Registry) {
-	reg.Count("svc.injected."+v.kind.String(), 1)
+func emit(reg *obs.Registry, name, key string, kind fmt.Stringer) {
+	reg.Count(name, 1)
+	local := "svc.writes.total"
+	reg.Count(local, 1)
+	reg.Count(total, 1)
+	reg.Family("svc.injected." + kind.String())
+	reg.Family("liberation-original.encode")
+	l := obs.L("disk", "3")
+	reg.CountWith("svc.by_disk.total", 1, l)
+	reg.CounterWith("svc.by_key.total", obs.L(key, "3"))
 }
 `,
+		"internal/obs/obs.go": `package obs
+
+func (r *Registry) Count(name string, n uint64) { r.Counter(name).Add(n) }
+
+func (r *Registry) drop() { r.Counter("obs.labels.dropped").Inc() }
+`,
 	})
-	_, dyn, err := scan(root)
+	es, errs, err := scan(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dyn) != 1 {
-		t.Fatalf("dynamic sites = %+v, want exactly 1", dyn)
+	want := []string{
+		"a/a.go:10:2: Count name name is not a string literal",
+		"a/a.go:12:2: Count name local is not a string literal",
+		"a/a.go:13:2: Count name total is not a string literal",
+		`a/a.go:14:2: Family name "svc.injected." + kind.String() is not a string literal`,
+		`a/a.go:15:2: metric name "liberation-original.encode" is not lowercase dotted words`,
+		"a/a.go:17:2: label l on svc.by_disk.total is not obs.L or obs.Li with a literal key",
+		`a/a.go:18:2: label obs.L(key, "3") on svc.by_key.total is not obs.L or obs.Li with a literal key`,
 	}
-	if dyn[0].prefix != "svc.injected." || dyn[0].kind != "counter" {
-		t.Errorf("site = %+v, want prefix svc.injected. kind counter", dyn[0])
+	if len(errs) != len(want) {
+		t.Fatalf("scan errors:\n%s\nwant %d", strings.Join(errs, "\n"), len(want))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(errs[i], w) {
+			t.Errorf("error %d = %q, want prefix %q", i, errs[i], w)
+		}
+	}
+	if len(es) != 1 || es[0].Name != "obs.labels.dropped" || es[0].Type != "counter" {
+		t.Errorf("emissions = %+v, want only the runtime's obs.labels.dropped", es)
 	}
 }
 
 func testCatalog() Catalog {
 	return Catalog{
-		LabelKeys: []string{"node", "op"},
+		LabelKeys: []string{"disk", "op"},
 		Metrics: []Entry{
 			{Name: "svc.reads.total", Type: "counter"},
-			{Name: "svc.by_node.total", Type: "counter", Labels: []string{"node"}},
-			{Prefix: "go.", Type: "gauge"},
-			{Name: "lib.internal.total", Type: "counter", Dynamic: "emitted by the runtime"},
-			{Prefix: "svc.injected.", Type: "counter", Dynamic: "suffix is the fault kind"},
+			{Name: "svc.by_disk.total", Type: "counter", Labels: []string{"disk"}},
+			{Name: "svc.op", Type: "span"},
 		},
 	}
 }
 
-// TestLintDirections: both directions of the catalog check, the label
-// taxonomy, wildcard matching, and dynamic-site coverage.
+// TestLintDirections: both directions of the catalog check (every
+// emission declared, every entry emitted) and the label taxonomy, in
+// code and in the catalog.
 func TestLintDirections(t *testing.T) {
 	em := func(name, kind string, labels ...string) emission {
-		return emission{name: name, kind: kind, labels: labels, pos: name + ":1"}
+		return emission{Entry: Entry{Name: name, Type: kind, Labels: labels}, pos: name + ":1"}
 	}
 	cat := testCatalog()
-
-	// Clean: every emission cataloged, every non-dynamic entry live.
 	clean := []emission{
 		em("svc.reads.total", "counter"),
-		em("svc.by_node.total", "counter", "node"),
-		em("go.heap.bytes", "gauge"),
+		em("svc.by_disk.total", "counter", "disk"),
+		em("svc.by_disk.total", "counter", "disk"), // a second call site
+		em("svc.op", "span"),
 	}
-	if errs := lint(clean, nil, cat); len(errs) != 0 {
+	if errs := lint(clean, cat); len(errs) != 0 {
 		t.Fatalf("clean lint errors: %v", errs)
 	}
 
-	// Uncataloged emission.
-	errs := lint(append(clean, em("svc.rogue.total", "counter")), nil, cat)
-	if len(errs) != 1 || !strings.Contains(errs[0], "svc.rogue.total") {
-		t.Errorf("rogue emission errors = %v", errs)
-	}
-
-	// Label-set mismatch is an uncataloged emission too.
-	errs = lint(append(clean, em("svc.reads.total", "counter", "op")), nil, cat)
-	if len(errs) != 1 || !strings.Contains(errs[0], "svc.reads.total{op}") {
-		t.Errorf("label mismatch errors = %v", errs)
-	}
-
-	// Stale entry: drop the go.* emission, the wildcard goes stale.
-	errs = lint(clean[:2], nil, cat)
-	if len(errs) != 1 || !strings.Contains(errs[0], "go.*") || !strings.Contains(errs[0], "stale") {
-		t.Errorf("stale entry errors = %v", errs)
-	}
-
-	// Taxonomy: a label key outside label_keys fails even if cataloged.
-	badCat := testCatalog()
-	badCat.Metrics = append(badCat.Metrics, Entry{Name: "svc.hot.total", Type: "counter", Labels: []string{"user"}})
-	errs = lint(append(clean, em("svc.hot.total", "counter", "user")), nil, badCat)
-	var taxonomy int
-	for _, e := range errs {
-		if strings.Contains(e, `"user"`) {
-			taxonomy++
+	one := func(what string, errs []string, want ...string) {
+		t.Helper()
+		if len(errs) != 1 {
+			t.Errorf("%s: errors = %v, want one", what, errs)
+			return
+		}
+		for _, w := range want {
+			if !strings.Contains(errs[0], w) {
+				t.Errorf("%s: error %q does not mention %q", what, errs[0], w)
+			}
 		}
 	}
-	if taxonomy != 2 { // once for the emission, once for the entry
-		t.Errorf("taxonomy errors = %v, want 2 mentioning user", errs)
+	one("uncataloged emission", lint(append(clean, em("svc.rogue.total", "counter")), cat),
+		"svc.rogue.total", "not in the catalog")
+	one("label-set mismatch", lint(append(clean, em("svc.reads.total", "counter", "op")), cat),
+		"svc.reads.total{op}", "not in the catalog")
+	one("type mismatch", lint(append(clean, em("svc.op", "counter")), cat),
+		"counter svc.op{}", "not in the catalog")
+	one("stale entry", lint(clean[:3], cat), "span svc.op{}", "stale")
+
+	// A misspelled name fails both ways: the emission is undeclared and
+	// the entry it replaced is stale.
+	misspelled := append(append([]emission(nil), clean[:3]...), em("svc.po", "span"))
+	if errs := lint(misspelled, cat); len(errs) != 2 {
+		t.Errorf("misspelled name errors = %v, want two", errs)
 	}
 
-	// Dynamic sites: covered by the dynamic prefix entry vs not.
-	covered := dynSite{file: "a/a.go", pos: "a/a.go:5", expr: `"svc.injected."+k`, prefix: "svc.injected.", kind: "counter"}
-	if errs := lint(clean, []dynSite{covered}, cat); len(errs) != 0 {
-		t.Errorf("covered dynamic site errors = %v", errs)
-	}
-	rogue := dynSite{file: "a/b.go", pos: "a/b.go:9", expr: "prefix+x", prefix: "other.", kind: "counter"}
-	if errs := lint(clean, []dynSite{rogue}, cat); len(errs) != 1 {
-		t.Errorf("uncovered dynamic site errors = %v", errs)
-	}
-	// Exempt file: the same site passes when its file is exempt.
-	exCat := testCatalog()
-	exCat.ExemptFiles = []string{"a/b.go"}
-	if errs := lint(clean, []dynSite{rogue}, exCat); len(errs) != 0 {
-		t.Errorf("exempt-file dynamic site errors = %v", errs)
+	// A label key outside label_keys fails even when cataloged: once for
+	// the emission, once for the entry.
+	badCat := testCatalog()
+	badCat.Metrics = append(badCat.Metrics, Entry{Name: "svc.hot.total", Type: "counter", Labels: []string{"user"}})
+	errs := lint(append(clean, em("svc.hot.total", "counter", "user")), badCat)
+	if len(errs) != 2 || !strings.Contains(errs[0], `"user"`) || !strings.Contains(errs[1], `"user"`) {
+		t.Errorf("taxonomy errors = %v, want two mentioning user", errs)
 	}
 }
 
-// TestRegenerate: -write keeps dynamic entries and live wildcards,
-// regenerates exact entries, and drops stale ones; the result lints
-// clean against the same emissions.
+// TestRegenerate: -write rewrites the metrics list as one entry per
+// distinct emission, sorted by name, dropping stale entries and keeping
+// the taxonomy; the file it writes checks clean.
 func TestRegenerate(t *testing.T) {
-	cat := testCatalog()
-	cat.Metrics = append(cat.Metrics, Entry{Name: "svc.stale.total", Type: "counter"})
-	ems := []emission{
-		{name: "svc.reads.total", kind: "counter", pos: "p:1"},
-		{name: "svc.new.total", kind: "counter", labels: []string{"op"}, pos: "p:2"},
-		{name: "go.heap.bytes", kind: "gauge", pos: "p:3"},
+	root := writeTree(t, map[string]string{
+		"a/a.go": obsHeader + `
+func emit(reg *obs.Registry) {
+	reg.Count("svc.reads.total", 1)
+	reg.Count("svc.reads.total", 2)
+	reg.CountWith("svc.new.total", 1, obs.L("op", "read"))
+	reg.Family("svc.apply")
+}
+`,
+		"docs/METRICS.json": `{
+  "label_keys": ["op"],
+  "metrics": [
+    {"name": "svc.stale.total", "type": "counter"},
+    {"name": "svc.reads.total", "type": "counter"}
+  ]
+}
+`,
+	})
+	path := filepath.Join(root, "docs/METRICS.json")
+	if errs, err := run(root, path, false); err != nil || len(errs) != 3 {
+		t.Fatalf("before -write: errors %v, %v; want the stale entry and the two undeclared", errs, err)
 	}
-	out := regenerate(ems, cat)
-	if errs := lint(ems, nil, out); len(errs) != 0 {
-		t.Fatalf("regenerated catalog lints dirty: %v", errs)
+	if errs, err := run(root, path, true); err != nil || len(errs) != 0 {
+		t.Fatalf("-write: errors %v, %v; want none", errs, err)
 	}
-	var names []string
-	for _, m := range out.Metrics {
-		names = append(names, m.Name+m.Prefix)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	joined := strings.Join(names, " ")
-	for _, want := range []string{"svc.new.total", "go.", "lib.internal.total", "svc.injected."} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("regenerated catalog missing %s: %v", want, names)
-		}
+	want := `{
+  "label_keys": [
+    "op"
+  ],
+  "metrics": [
+    {
+      "name": "svc.apply",
+      "type": "span"
+    },
+    {
+      "name": "svc.new.total",
+      "type": "counter",
+      "labels": [
+        "op"
+      ]
+    },
+    {
+      "name": "svc.reads.total",
+      "type": "counter"
+    }
+  ]
+}
+`
+	if string(got) != want {
+		t.Errorf("-write wrote:\n%s\nwant:\n%s", got, want)
 	}
-	if strings.Contains(joined, "svc.stale.total") {
-		t.Errorf("regenerated catalog kept stale entry: %v", names)
-	}
-	for _, m := range out.Metrics {
-		if m.Name == "go.heap.bytes" {
-			t.Errorf("exact entry emitted for wildcard-covered go.heap.bytes")
-		}
+}
+
+// TestCatalogRejectsUnknownFields: a catalog row in a form the checker
+// does not know (a prefix wildcard, an exemption) is an error, not a
+// silently ignored field.
+func TestCatalogRejectsUnknownFields(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"METRICS.json": `{"label_keys": [], "metrics": [{"prefix": "svc.", "type": "counter"}]}`,
+	})
+	if _, err := load(filepath.Join(root, "METRICS.json")); err == nil {
+		t.Error("a prefix entry loaded without error")
 	}
 }
 
 // TestRealCatalogIsClean is the self-test the Makefile target relies
-// on: the committed catalog must match the repository scan exactly.
+// on: the repository scan breaks no rule, matches the committed catalog
+// in both directions, and the committed file is byte-identical to what
+// -write writes.
 func TestRealCatalogIsClean(t *testing.T) {
 	root := "../.."
-	if _, err := os.Stat(filepath.Join(root, "docs/METRICS.json")); err != nil {
+	path := filepath.Join(root, "docs/METRICS.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Skip("repo catalog not found")
 	}
-	raw, err := os.ReadFile(filepath.Join(root, "docs/METRICS.json"))
+	cat, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cat Catalog
-	if err := json.Unmarshal(raw, &cat); err != nil {
-		t.Fatal(err)
-	}
-	es, dyn, err := scan(root)
+	es, errs, err := scan(root)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if errs := lint(es, dyn, cat); len(errs) != 0 {
-		t.Errorf("committed catalog out of sync:\n%s", strings.Join(errs, "\n"))
 	}
 	if len(es) == 0 {
-		t.Error("repo scan found no emissions")
+		t.Fatal("repo scan found no emissions")
+	}
+	errs = append(errs, lint(es, cat)...)
+	if len(errs) != 0 {
+		t.Errorf("committed catalog out of sync:\n%s", strings.Join(errs, "\n"))
+	}
+	want, err := render(regenerate(es, cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Error("docs/METRICS.json is not what metriclint -write writes; run go run ./cmd/metriclint -write")
 	}
 }

@@ -255,14 +255,12 @@ func (f *ioFlags) options() (shard.Options, *obs.Registry, error) {
 	return opt, reg, nil
 }
 
-// traced roots the operation's causal trace: the returned context goes
-// into shard.Options.Context so every retry, quarantine, and heal below
-// chains onto one trace, and done ends the root span and — under -stats
-// or -log-json — prints the trace ID so the operator can correlate the
-// run with its event log.
-func (f *ioFlags) traced(opt *shard.Options, reg *obs.Registry, name string) (done func(error)) {
-	ctx, root := obs.StartOp(context.Background(), opt.Tracer, reg, name)
-	opt.Context = ctx
+// traced takes the root span of the operation's causal trace, whose
+// context the caller puts into shard.Options.Context so every retry,
+// quarantine, and heal below chains onto one trace; done ends the root
+// span and — under -stats or -log-json — prints the trace ID so the
+// operator can correlate the run with its event log.
+func (f *ioFlags) traced(root *obs.SpanCtx) (done func(error)) {
 	return func(err error) {
 		root.End(err)
 		if f.stats || f.logJSON {
@@ -322,7 +320,9 @@ func cmdEncode(args []string) error {
 	if err != nil {
 		return err
 	}
-	done := iof.traced(&opt, reg, "raidcli.encode")
+	ctx, root := obs.StartOp(context.Background(), opt.Tracer, reg, "raidcli.encode")
+	opt.Context = ctx
+	done := iof.traced(root)
 	m, err := shard.EncodeOpts(f, st.Size(), filepath.Base(path), *k, iof.prime, *elem, *out, opt)
 	done(err)
 	if err != nil {
@@ -363,7 +363,9 @@ func cmdDecode(args []string) error {
 	if err != nil {
 		return err
 	}
-	done := iof.traced(&opt, reg, "raidcli.decode")
+	ctx, root := obs.StartOp(context.Background(), opt.Tracer, reg, "raidcli.decode")
+	opt.Context = ctx
+	done := iof.traced(root)
 	rep, err := shard.DecodeReport(manifest, f, opt)
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -410,7 +412,9 @@ func cmdRepair(args []string) error {
 	if err := checkManifest(m, iof.code, iof.prime, iof.parities); err != nil {
 		return err
 	}
-	done := iof.traced(&opt, reg, "raidcli.repair")
+	ctx, root := obs.StartOp(context.Background(), opt.Tracer, reg, "raidcli.repair")
+	opt.Context = ctx
+	done := iof.traced(root)
 	repaired, err := shard.RepairOpts(fs.Arg(0), opt)
 	done(err)
 	if err != nil {

@@ -3,7 +3,6 @@ package bitmatrix
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -74,17 +73,16 @@ func NewCode(name string, k, w int, gen *Matrix, enc, dec Scheduling) (*Code, er
 
 // Instrument attaches a metrics registry to the code: from then on every
 // Encode and Decode records a span — latency, bytes processed, work
-// units, and the exact core.Ops element counts — under span names
-// derived from the code's name with the parameter list stripped, e.g.
-// liberation-orig.encode or crs.decode. The span families are resolved
-// here, once, so a span costs two monotonic clock reads and one atomic
-// add per metric, with no lock or allocation: about 0.2 µs on a 2-vCPU
-// Xeon (obs's BenchmarkSpan). A nil registry detaches.
+// units, and the exact core.Ops element counts — under the engine's
+// span names, bitmatrix.encode and bitmatrix.decode, whichever family
+// (crs, liberation-original) the generator describes. The span families
+// are resolved here, once, so a span costs two monotonic clock reads and
+// one atomic add per metric, with no lock or allocation: about 0.2 µs on
+// a 2-vCPU Xeon (obs's BenchmarkSpan). A nil registry detaches.
 func (c *Code) Instrument(reg *obs.Registry) {
-	family, _, _ := strings.Cut(c.name, "(")
 	c.CodeSpans = obs.CodeSpans{
-		EncodeSpan: reg.Family(family + ".encode"),
-		DecodeSpan: reg.Family(family + ".decode"),
+		EncodeSpan: reg.Family("bitmatrix.encode"),
+		DecodeSpan: reg.Family("bitmatrix.decode"),
 	}
 }
 

@@ -1,8 +1,11 @@
 package codes_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -140,6 +143,66 @@ func TestNewObserved(t *testing.T) {
 	// A nil registry must still construct a working, uninstrumented code.
 	if _, err := codes.NewObserved("rs", 3, 0, nil); err != nil {
 		t.Errorf("NewObserved with nil registry: %v", err)
+	}
+}
+
+// TestSpansAreCataloged: every span a registered code records is a span
+// entry of docs/METRICS.json. Each family, at its first test shape and
+// attached with NewObserved, runs Encode, a two-erasure Decode, and
+// Update and CorrectColumn where it has them.
+func TestSpansAreCataloged(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/METRICS.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cat struct {
+		Metrics []struct{ Name, Type string }
+	}
+	if err := json.Unmarshal(raw, &cat); err != nil {
+		t.Fatal(err)
+	}
+	cataloged := map[string]bool{}
+	for _, m := range cat.Metrics {
+		if m.Type == "span" {
+			cataloged[m.Name] = true
+		}
+	}
+	for _, info := range codes.All() {
+		sh := info.TestShapes[0]
+		reg := obs.NewRegistry()
+		code, err := codes.NewObserved(info.Name, sh.K, sh.P, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := core.NewStripeFor(code, 16)
+		s.FillRandom(rand.New(rand.NewSource(1)))
+		if err := code.Encode(s, nil); err != nil {
+			t.Fatalf("%s: encode: %v", info.Name, err)
+		}
+		if err := code.Decode(s, []int{0, 1}, nil); err != nil {
+			t.Fatalf("%s: decode: %v", info.Name, err)
+		}
+		if u, ok := code.(core.Updater); ok {
+			old := append([]byte(nil), s.Elem(0, 0)...)
+			s.Elem(0, 0)[0] ^= 1
+			if _, err := u.Update(s, 0, 0, old, nil); err != nil {
+				t.Fatalf("%s: update: %v", info.Name, err)
+			}
+		}
+		if c, ok := code.(core.ColumnCorrector); ok {
+			if _, err := c.CorrectColumn(s, nil); err != nil {
+				t.Fatalf("%s: correct: %v", info.Name, err)
+			}
+		}
+		spans := reg.Snapshot().Spans
+		if len(spans) == 0 {
+			t.Errorf("%s: no span recorded", info.Name)
+		}
+		for name := range spans {
+			if !cataloged[name] {
+				t.Errorf("%s: span %s is not in docs/METRICS.json", info.Name, name)
+			}
+		}
 	}
 }
 

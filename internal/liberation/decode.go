@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitmatrix"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Decode reconstructs up to two erased strips using the paper's optimal
@@ -199,7 +198,7 @@ func (c *Code) startingPoint(l, r int) (sp, sq []int, x int) {
 // expression, and reuses the known common expressions exactly as the
 // encoder does. Each reused expression is reported to tr (which may be
 // nil).
-func (c *Code) appendSyndromeOps(sch bitmatrix.Schedule, l, r int, tr *obs.DecodeTrace) bitmatrix.Schedule {
+func (c *Code) appendSyndromeOps(sch bitmatrix.Schedule, l, r int, tr *DecodeTrace) bitmatrix.Schedule {
 	p, k := c.p, c.k
 	accL := make([]bool, p)
 	accR := make([]bool, p)
@@ -274,7 +273,7 @@ func (c *Code) appendSyndromeOps(sch bitmatrix.Schedule, l, r int, tr *obs.Decod
 // bit-matrix-scheduled original decoder. When tr is non-nil, the builder
 // records the structured trace of its decisions (starting-point choice,
 // syndrome sets, common-expression reuse, every zig-zag step).
-func (c *Code) dataPairSchedule(l, r int, tr *obs.DecodeTrace) (bitmatrix.Schedule, error) {
+func (c *Code) dataPairSchedule(l, r int, tr *DecodeTrace) (bitmatrix.Schedule, error) {
 	p := c.p
 	// Algorithm 2, trying both orientations and taking the cheaper
 	// starting point (the paper's second decoding trick). The flipped
@@ -390,7 +389,7 @@ func (c *Code) dataPairSchedule(l, r int, tr *obs.DecodeTrace) (bitmatrix.Schedu
 // the plan's exact XOR/copy cost. The trace is data-independent — a
 // Decode of the same erasure pattern performs exactly the traced
 // operations.
-func (c *Code) TraceDecode(l, r int) (*obs.DecodeTrace, error) {
+func (c *Code) TraceDecode(l, r int) (*DecodeTrace, error) {
 	if l > r {
 		l, r = r, l
 	}
@@ -400,7 +399,7 @@ func (c *Code) TraceDecode(l, r int) (*obs.DecodeTrace, error) {
 	if c.k < 2 {
 		return nil, fmt.Errorf("%w: k=%d cannot lose two data strips", core.ErrParams, c.k)
 	}
-	tr := &obs.DecodeTrace{Code: c.Name(), K: c.k, P: c.p}
+	tr := &DecodeTrace{Code: c.Name(), K: c.k, P: c.p}
 	if _, err := c.dataPairSchedule(l, r, tr); err != nil {
 		return nil, err
 	}

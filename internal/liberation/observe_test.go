@@ -211,9 +211,9 @@ func TestTraceDecode(t *testing.T) {
 					t.Errorf("k=%d p=%d (%d,%d): Swapped=%v inconsistent with L=%d",
 						k, p, l, r, tr.Swapped, tr.L)
 				}
-				if tr.StepCount() != p {
+				if len(tr.Steps) != p {
 					t.Errorf("k=%d p=%d (%d,%d): %d zig-zag steps, want p=%d",
-						k, p, l, r, tr.StepCount(), p)
+						k, p, l, r, len(tr.Steps), p)
 				}
 				want, err := c.DecodeXORs([]int{l, r})
 				if err != nil {
@@ -223,7 +223,7 @@ func TestTraceDecode(t *testing.T) {
 					t.Errorf("k=%d p=%d (%d,%d): trace XORs %d != DecodeXORs %d",
 						k, p, l, r, tr.XORs, want)
 				}
-				if bound := 2*p*(k-1) + tr.SyndromeSum(); tr.XORs > bound {
+				if bound := 2*p*(k-1) + tr.RowSyndromes + tr.DiagSyndromes; tr.XORs > bound {
 					t.Errorf("k=%d p=%d (%d,%d): %d XORs exceeds near-optimal bound %d",
 						k, p, l, r, tr.XORs, bound)
 				}
@@ -262,8 +262,8 @@ func TestTraceDecodeP5Case(t *testing.T) {
 	if tr.XORs != 41 {
 		t.Errorf("p=5 (1,3): %d XORs, want 41", tr.XORs)
 	}
-	if tr.StepCount() != 5 {
-		t.Errorf("p=5 (1,3): %d steps, want 5", tr.StepCount())
+	if len(tr.Steps) != 5 {
+		t.Errorf("p=5 (1,3): %d steps, want 5", len(tr.Steps))
 	}
 	// Erasing (1,3) touches every adjacent-column pair of k=5, so no
 	// common expression survives to reuse; pair (0,4) leaves two.

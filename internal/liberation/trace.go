@@ -1,4 +1,4 @@
-package obs
+package liberation
 
 import (
 	"fmt"
@@ -6,10 +6,13 @@ import (
 )
 
 // DecodeTrace is a structured record of how the paper's optimal decoder
-// (Algorithms 2-4) planned the recovery of two erased data columns. The
-// plan is data-independent — it depends only on (k, p, l, r) — so the
-// trace doubles as a debugging aid for a live decode and as the artifact
-// tests use to assert the paper's step-count claims.
+// (Algorithms 2-4) planned the recovery of two erased data columns (see
+// Code.TraceDecode). The plan is data-independent — it depends only on
+// (k, p, l, r) — so the trace doubles as a debugging aid for a live
+// decode and as the artifact tests use to assert the paper's step-count
+// claims: len(Steps) is p, and RowSyndromes+DiagSyndromes bounds the
+// XORs the decode pays over the 2p(k-1) lower bound, before
+// common-expression savings.
 type DecodeTrace struct {
 	Code string `json:"code"` // code identity, e.g. "liberation(k=5,p=5)"
 	K    int    `json:"k"`
@@ -68,25 +71,6 @@ func (t *DecodeTrace) ReuseHit() {
 	if t != nil {
 		t.CommonReuse++
 	}
-}
-
-// StepCount returns the number of zig-zag iterations (p for a Liberation
-// data-pair decode: one column-l element recovered per iteration).
-func (t *DecodeTrace) StepCount() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.Steps)
-}
-
-// SyndromeSum returns the size of the starting-point constraint set —
-// the extra XORs the paper's near-optimal decode pays over the 2p(k-1)
-// lower bound, before common-expression savings.
-func (t *DecodeTrace) SyndromeSum() int {
-	if t == nil {
-		return 0
-	}
-	return t.RowSyndromes + t.DiagSyndromes
 }
 
 // String renders the trace for humans: header, starting point, then the

@@ -1,4 +1,4 @@
-package obs
+package liberation
 
 import (
 	"strings"
@@ -12,11 +12,8 @@ func TestDecodeTraceBuilding(t *testing.T) {
 	tr.ReuseHit()
 	tr.AddStep(0, 2, "row-resolve")
 	tr.AddStep(1, 4, "row-resolve", "pairA-resolve(l)")
-	if tr.StepCount() != 2 {
-		t.Errorf("StepCount = %d, want 2", tr.StepCount())
-	}
-	if tr.SyndromeSum() != 3 {
-		t.Errorf("SyndromeSum = %d, want 3", tr.SyndromeSum())
+	if len(tr.Steps) != 2 || tr.Steps[1].Row != 4 || len(tr.Steps[1].Events) != 2 {
+		t.Errorf("Steps = %+v, want two, the second at row 4 with two events", tr.Steps)
 	}
 	if tr.CommonReuse != 2 {
 		t.Errorf("CommonReuse = %d, want 2", tr.CommonReuse)
@@ -34,9 +31,6 @@ func TestDecodeTraceNilSafety(t *testing.T) {
 	var tr *DecodeTrace
 	tr.AddStep(0, 0, "x")
 	tr.ReuseHit()
-	if tr.StepCount() != 0 || tr.SyndromeSum() != 0 {
-		t.Error("nil trace must report zero")
-	}
 	if tr.String() != "decode-trace(nil)" {
 		t.Errorf("nil rendering = %q", tr.String())
 	}

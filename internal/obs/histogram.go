@@ -19,13 +19,6 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// SizeBuckets is the default bucket layout for byte sizes: powers of four
-// from 64B to 1GB.
-var SizeBuckets = []float64{
-	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10,
-	256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
-}
-
 // A Histogram counts observations into fixed buckets and tracks sum, min
 // and max, so snapshots can report both exact totals and estimated
 // percentiles. Observation is lock-free: one atomic add for the bucket,

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// A Label is one dimension of a metric series: a key (from the small
+// A Label is one dimension of a counter series: a key (from the small
 // fixed taxonomy — disk, code, op — see docs/METRICS.json) and a value
 // drawn from a bounded set (a disk index, a code name). Labels make a
 // per-disk or per-op count a first-class series,
@@ -31,11 +31,6 @@ func Li(key string, v int) Label { return Label{Key: key, Value: strconv.Itoa(v)
 // mis-labelled emitter (a path or UUID used as a label value) from
 // growing the registry and its snapshots without bound.
 const DefaultLabelCap = 64
-
-// LabelsDroppedCounter is the counter incremented once per observation
-// that overflowed a metric's cardinality budget and was collapsed into
-// its "other" series.
-const LabelsDroppedCounter = "obs.labels.dropped"
 
 // sortLabels orders labels by key (then value) in place — no allocation,
 // so the variadic hot path stays allocation-free.
@@ -104,63 +99,60 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// family is the interned label-set table of one metric name: a flat
+// family is the interned label-set table of one counter name: a flat
 // list scanned under a read lock — cardinality is capped, so the scan is
 // short and allocation-free.
-type family[M any] struct {
+type family struct {
 	mu      sync.RWMutex
-	entries []famEntry[M]
+	entries []famEntry
 }
 
-type famEntry[M any] struct {
+type famEntry struct {
 	labels []Label // sorted
-	metric M
+	c      *Counter
 }
 
-// find returns the metric for the given sorted label set, allocation-free.
-func (f *family[M]) find(labels []Label) (m M, ok bool) {
-	f.mu.RLock()
+// lookup returns the counter of a sorted label set, or nil. The caller
+// holds f.mu.
+func (f *family) lookup(labels []Label) *Counter {
 	for i := range f.entries {
 		if equalLabels(f.entries[i].labels, labels) {
-			m, ok = f.entries[i].metric, true
-			break
+			return f.entries[i].c
 		}
 	}
-	f.mu.RUnlock()
-	return m, ok
+	return nil
 }
 
-// intern returns the metric for the sorted label set, creating it with
-// mk on first use. When the family is at the cardinality cap, the set
+// intern returns the counter for the sorted label set, creating it on
+// first use; a set already interned is found under the read lock, with
+// no allocation. When the family is at the cardinality cap, a new set
 // collapses into the family's "other" child (same keys, every value
 // "other"); collapsed reports that.
-func (f *family[M]) intern(labels []Label, mk func() M) (m M, collapsed bool) {
+func (f *family) intern(labels []Label) (c *Counter, collapsed bool) {
+	f.mu.RLock()
+	c = f.lookup(labels)
+	f.mu.RUnlock()
+	if c != nil {
+		return c, false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range f.entries {
-		if equalLabels(f.entries[i].labels, labels) {
-			return f.entries[i].metric, false
-		}
+	if c = f.lookup(labels); c != nil {
+		return c, false
 	}
+	set := append([]Label(nil), labels...)
 	if len(f.entries) >= DefaultLabelCap && !isOtherSet(labels) {
-		other := make([]Label, len(labels))
-		for i, l := range labels {
-			other[i] = Label{Key: l.Key, Value: LabelOther}
+		for i := range set {
+			set[i].Value = LabelOther
 		}
-		for i := range f.entries {
-			if equalLabels(f.entries[i].labels, other) {
-				return f.entries[i].metric, true
-			}
+		if c = f.lookup(set); c != nil {
+			return c, true
 		}
-		m = mk()
-		f.entries = append(f.entries, famEntry[M]{labels: other, metric: m})
-		return m, true
+		collapsed = true
 	}
-	cp := make([]Label, len(labels))
-	copy(cp, labels)
-	m = mk()
-	f.entries = append(f.entries, famEntry[M]{labels: cp, metric: m})
-	return m, false
+	c = &Counter{}
+	f.entries = append(f.entries, famEntry{labels: set, c: c})
+	return c, collapsed
 }
 
 // LabelOther is the value every label collapses to once a metric
@@ -176,19 +168,9 @@ func isOtherSet(labels []Label) bool {
 	return len(labels) > 0
 }
 
-// snapshotEntries copies the family's entry list (metric pointers, label
-// slices shared — both are immutable once interned).
-func (f *family[M]) snapshotEntries() []famEntry[M] {
-	f.mu.RLock()
-	out := make([]famEntry[M], len(f.entries))
-	copy(out, f.entries)
-	f.mu.RUnlock()
-	return out
-}
-
 // counterFamily returns the labeled-counter family for name, creating it
 // on first use.
-func (r *Registry) counterFamily(name string) *family[*Counter] {
+func (r *Registry) counterFamily(name string) *family {
 	r.mu.RLock()
 	f := r.cfam[name]
 	r.mu.RUnlock()
@@ -198,40 +180,8 @@ func (r *Registry) counterFamily(name string) *family[*Counter] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f = r.cfam[name]; f == nil {
-		f = &family[*Counter]{}
+		f = &family{}
 		r.cfam[name] = f
-	}
-	return f
-}
-
-func (r *Registry) gaugeFamily(name string) *family[*Gauge] {
-	r.mu.RLock()
-	f := r.gfam[name]
-	r.mu.RUnlock()
-	if f != nil {
-		return f
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f = r.gfam[name]; f == nil {
-		f = &family[*Gauge]{}
-		r.gfam[name] = f
-	}
-	return f
-}
-
-func (r *Registry) histFamily(name string) *family[*Histogram] {
-	r.mu.RLock()
-	f := r.hfam[name]
-	r.mu.RUnlock()
-	if f != nil {
-		return f
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f = r.hfam[name]; f == nil {
-		f = &family[*Histogram]{}
-		r.hfam[name] = f
 	}
 	return f
 }
@@ -254,83 +204,16 @@ func (r *Registry) CounterWith(name string, labels ...Label) *Counter {
 		return r.Counter(name)
 	}
 	sortLabels(labels)
-	f := r.counterFamily(name)
-	if c, ok := f.find(labels); ok {
-		return c
-	}
-	c, collapsed := f.intern(labels, func() *Counter { return &Counter{} })
+	c, collapsed := r.counterFamily(name).intern(labels)
 	if collapsed {
-		r.Counter(LabelsDroppedCounter).Inc()
+		r.Counter("obs.labels.dropped").Inc()
 	}
 	return c
-}
-
-// GaugeWith is CounterWith for gauges.
-func (r *Registry) GaugeWith(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if len(labels) == 0 {
-		return r.Gauge(name)
-	}
-	sortLabels(labels)
-	f := r.gaugeFamily(name)
-	if g, ok := f.find(labels); ok {
-		return g
-	}
-	g, collapsed := f.intern(labels, func() *Gauge { return &Gauge{} })
-	if collapsed {
-		r.Counter(LabelsDroppedCounter).Inc()
-	}
-	return g
-}
-
-// HistogramWith is CounterWith for histograms; bounds apply on first use
-// of each child (children of one family should share bounds so the
-// family aggregate is well-defined).
-func (r *Registry) HistogramWith(name string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if len(labels) == 0 {
-		return r.Histogram(name, bounds)
-	}
-	sortLabels(labels)
-	f := r.histFamily(name)
-	if h, ok := f.find(labels); ok {
-		return h
-	}
-	h, collapsed := f.intern(labels, func() *Histogram { return newHistogram(bounds) })
-	if collapsed {
-		r.Counter(LabelsDroppedCounter).Inc()
-	}
-	return h
 }
 
 // CountWith is the nil-safe labeled counter increment.
 func (r *Registry) CountWith(name string, n uint64, labels ...Label) {
 	if r != nil {
 		r.CounterWith(name, labels...).Add(n)
-	}
-}
-
-// SetGaugeWith is the nil-safe labeled gauge store.
-func (r *Registry) SetGaugeWith(name string, v float64, labels ...Label) {
-	if r != nil {
-		r.GaugeWith(name, labels...).Set(v)
-	}
-}
-
-// AddGaugeWith is the nil-safe labeled gauge add.
-func (r *Registry) AddGaugeWith(name string, d float64, labels ...Label) {
-	if r != nil {
-		r.GaugeWith(name, labels...).Add(d)
-	}
-}
-
-// ObserveWith is the nil-safe labeled histogram observation.
-func (r *Registry) ObserveWith(name string, bounds []float64, v float64, labels ...Label) {
-	if r != nil {
-		r.HistogramWith(name, bounds, labels...).Observe(v)
 	}
 }

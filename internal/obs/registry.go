@@ -1,8 +1,9 @@
 // Package obs is the repository's observability layer: a dependency-free,
 // concurrent-safe metrics registry (counters, gauges, fixed-bucket
 // histograms with percentile summaries), a span API that ties wall time
-// and bytes to the XOR accounting of core.Ops, and a structured decode
-// tracer for the paper's Algorithms 2-4.
+// and bytes to the XOR accounting of core.Ops, and causal traces that
+// carry one operation's recovery decisions to an event log and a flight
+// recorder.
 //
 // The paper's entire evaluation rests on two observables — XOR counts
 // normalized to the k-1 lower bound (Figures 5-8) and encode/decode wall
@@ -88,11 +89,9 @@ type Registry struct {
 	hists    map[string]*Histogram
 	spans    sync.Map // name -> *SpanFamily: handles on metrics kept above
 
-	// Labeled families (see labels.go): one interned label-set table per
-	// metric name, each capped at DefaultLabelCap distinct sets.
-	cfam map[string]*family[*Counter]
-	gfam map[string]*family[*Gauge]
-	hfam map[string]*family[*Histogram]
+	// Labeled counters (see labels.go): one interned label-set table per
+	// counter name, each capped at DefaultLabelCap distinct sets.
+	cfam map[string]*family
 }
 
 // NewRegistry returns an empty registry.
@@ -101,9 +100,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		cfam:     make(map[string]*family[*Counter]),
-		gfam:     make(map[string]*family[*Gauge]),
-		hfam:     make(map[string]*family[*Histogram]),
+		cfam:     make(map[string]*family),
 	}
 }
 

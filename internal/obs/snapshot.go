@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"strings"
-)
+import "strings"
 
 // Snapshot is a point-in-time copy of a registry: raw metrics plus the
 // per-span summaries derived from the span naming convention. It is
@@ -40,13 +37,12 @@ type SpanStats struct {
 // Snapshot captures every metric in the registry. Safe to call while
 // writers are mutating; a nil registry yields an empty snapshot.
 //
-// Labeled metrics appear two ways, both under the counter/gauge/
-// histogram maps keyed by canonical series name (see SeriesName):
+// Labeled counters appear two ways in the counter map, keyed by
+// canonical series name (see SeriesName):
 //
 //   - every child:        raid.scrub.repairs{disk="3"}
-//   - the family total:   raid.scrub.repairs — the sum (merge, for
-//     histograms) of the children, emitted only when no unlabeled metric
-//     already owns the bare name.
+//   - the family total:   raid.scrub.repairs — the sum of the children,
+//     emitted only when no unlabeled counter already owns the bare name.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -70,17 +66,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	cfam := make(map[string]*family[*Counter], len(r.cfam))
+	cfam := make(map[string]*family, len(r.cfam))
 	for k, v := range r.cfam {
 		cfam[k] = v
-	}
-	gfam := make(map[string]*family[*Gauge], len(r.gfam))
-	for k, v := range r.gfam {
-		gfam[k] = v
-	}
-	hfam := make(map[string]*family[*Histogram], len(r.hfam))
-	for k, v := range r.hfam {
-		hfam[k] = v
 	}
 	r.mu.RUnlock()
 
@@ -95,52 +83,21 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 
 	for base, f := range cfam {
-		entries := f.snapshotEntries()
+		// Counter pointers and label slices are immutable once interned.
+		f.mu.RLock()
+		entries := append([]famEntry(nil), f.entries...)
+		f.mu.RUnlock()
 		if len(entries) == 0 {
 			continue
 		}
 		var total uint64
 		for _, e := range entries {
-			v := e.metric.Value()
+			v := e.c.Value()
 			total += v
 			s.Counters[SeriesName(base, e.labels)] = v
 		}
 		if _, taken := s.Counters[base]; !taken {
 			s.Counters[base] = total
-		}
-	}
-	for base, f := range gfam {
-		entries := f.snapshotEntries()
-		if len(entries) == 0 {
-			continue
-		}
-		var total float64
-		for _, e := range entries {
-			v := e.metric.Value()
-			total += v
-			s.Gauges[SeriesName(base, e.labels)] = v
-		}
-		if _, taken := s.Gauges[base]; !taken {
-			s.Gauges[base] = total
-		}
-	}
-	for base, f := range hfam {
-		entries := f.snapshotEntries()
-		if len(entries) == 0 {
-			continue
-		}
-		var agg HistogramSnapshot
-		for i, e := range entries {
-			hs := e.metric.snapshot()
-			if i == 0 {
-				agg = hs
-			} else {
-				agg = mergeHistogramSnapshots(agg, hs)
-			}
-			s.Histograms[SeriesName(base, e.labels)] = hs
-		}
-		if _, taken := s.Histograms[base]; !taken {
-			s.Histograms[base] = agg
 		}
 	}
 
@@ -169,36 +126,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Spans[base] = st
 	}
 	return s
-}
-
-// mergeHistogramSnapshots folds b into a (the family aggregate). The
-// children of one family share bucket bounds by construction; on a
-// mismatch the merge keeps a unchanged rather than inventing buckets.
-func mergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
-	if len(a.Counts) != len(b.Counts) {
-		return a
-	}
-	out := a
-	out.Counts = append([]uint64(nil), a.Counts...)
-	for i, n := range b.Counts {
-		out.Counts[i] += n
-	}
-	out.Count = a.Count + b.Count
-	out.Sum = a.Sum + b.Sum
-	switch {
-	case a.Count == 0:
-		out.Min, out.Max = b.Min, b.Max
-	case b.Count == 0:
-		out.Min, out.Max = a.Min, a.Max
-	default:
-		out.Min = math.Min(a.Min, b.Min)
-		out.Max = math.Max(a.Max, b.Max)
-	}
-	if out.Count > 0 {
-		out.Mean = out.Sum / float64(out.Count)
-		out.P50 = out.Quantile(0.50)
-		out.P90 = out.Quantile(0.90)
-		out.P99 = out.Quantile(0.99)
-	}
-	return out
 }

@@ -182,12 +182,6 @@ func StartOp(ctx context.Context, tr *Tracer, reg *Registry, name string, attrs 
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// StartSpanCtx is StartOp without the trace-rooting fallback: a child
-// span when ctx has a trace, an inert metrics-only span otherwise.
-func StartSpanCtx(ctx context.Context, reg *Registry, name string, attrs ...Attr) (context.Context, *SpanCtx) {
-	return StartOp(ctx, nil, reg, name, attrs...)
-}
-
 // TraceID returns the span's trace ID (zero when inert).
 func (s *SpanCtx) TraceID() TraceID {
 	if s == nil || s.ts == nil {

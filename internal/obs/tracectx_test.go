@@ -22,7 +22,7 @@ func TestSpanCtxParentage(t *testing.T) {
 	if got := ContextTraceID(ctx); got != root.TraceID() {
 		t.Fatalf("ContextTraceID = %v, want %v", got, root.TraceID())
 	}
-	cctx, child := StartSpanCtx(ctx, nil, "op.child")
+	cctx, child := StartOp(ctx, nil, nil, "op.child")
 	Emit(cctx, slog.LevelWarn, "op.point", slog.Int("shard", 3))
 	child.Attr(slog.Int("stripe", 7)).End(nil)
 	root.End(errors.New("boom"))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Read copies len(p) data bytes starting at logical offset off into p.
@@ -198,7 +199,7 @@ func (a *Array) Scrub() ([]ScrubResult, error) {
 			if col != core.CleanColumn {
 				a.Stats.ScrubRepairs++
 				disk := a.diskFor(stripe, col)
-				a.countDisk("raid.scrub.repairs", disk, 1)
+				a.obs.CountWith("raid.scrub.repairs", 1, obs.Li("disk", disk))
 				results = append(results, ScrubResult{
 					Stripe: stripe, Disk: disk, Strip: col})
 			}

@@ -78,9 +78,3 @@ func (s *arraySpan) end(a *Array, bytes int, err error) {
 	delta.Zeros -= s.before.Zeros
 	s.sp.Bytes(bytes).Units(1).Ops(delta).End(err)
 }
-
-// countDisk bumps a disk-labeled event counter: the snapshot renders
-// the child as name{disk="N"} and the family total under the bare name.
-func (a *Array) countDisk(name string, disk int, n uint64) {
-	a.obs.CountWith(name, n, obs.Li("disk", disk))
-}

@@ -242,7 +242,7 @@ func (r *recovery) run(sink recoverSink) error {
 	}
 	for {
 		r.rep.Attempts++
-		actx, asp := obs.StartSpanCtx(r.ctx, r.reg, "shard.attempt",
+		actx, asp := obs.StartOp(r.ctx, nil, r.reg, "shard.attempt",
 			slog.Int("attempt", r.rep.Attempts))
 		files, status, hard, soft := probeShards(actx, r.m, r.dir, r.st, r.reg, r.forced, sums)
 		r.rep.Status = status

@@ -237,6 +237,9 @@ func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry,
 	readWait := reg.LazyHistogram("shard.encode.read.wait.seconds", obs.LatencyBuckets)
 	encodeWait := reg.LazyHistogram("shard.encode.encode.wait.seconds", obs.LatencyBuckets)
 	writeWait := reg.LazyHistogram("shard.encode.write.wait.seconds", obs.LatencyBuckets)
+	// The depth gauge is resolved once, at the first hand-off, so it
+	// appears only once a batch has been queued.
+	depth := sync.OnceValue(func() *obs.Gauge { return reg.Gauge("shard.encode.queue_depth") })
 	var wg sync.WaitGroup
 
 	// Stage 1: reader.
@@ -259,7 +262,7 @@ func encodeRing(ctx context.Context, s batchShape, total int, reg *obs.Registry,
 			}
 			select {
 			case filled <- b:
-				addGauge(reg, "shard.encode.queue_depth", 1)
+				depth().Add(1)
 			case <-abort:
 				return
 			}
@@ -320,7 +323,7 @@ writeLoop:
 			fail(err)
 			break
 		}
-		addGauge(reg, "shard.encode.queue_depth", -1)
+		depth().Add(-1)
 		free <- b // ring capacity guarantees room
 	}
 	wg.Wait()

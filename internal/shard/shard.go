@@ -225,13 +225,6 @@ func since(h *obs.LazyHistogram, t0 time.Time) {
 	}
 }
 
-// addGauge is a nil-safe gauge increment.
-func addGauge(reg *obs.Registry, name string, delta float64) {
-	if reg != nil {
-		reg.Gauge(name).Add(delta)
-	}
-}
-
 // Manifest describes an encoded shard set. It is stored as JSON next to
 // the shards. Version 5 adds StripSums; version 4 records the parity
 // count M (earlier versions imply M = 2); version 2 names the erasure
@@ -432,7 +425,7 @@ var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
 // shard as a shard.unhealthy event naming the shard and its state.
 func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 	reg *obs.Registry, forced map[int]error, sums map[int]uint32) (files []store.File, status []ShardStatus, hard, soft []int) {
-	pctx, sp := obs.StartSpanCtx(ctx, reg, "shard.probe")
+	pctx, sp := obs.StartOp(ctx, nil, reg, "shard.probe")
 	defer func() {
 		sp.Attr(slog.Bool("checksums", sums == nil),
 			slog.Int("hard", len(hard)), slog.Int("soft", len(soft))).End(nil)

@@ -143,11 +143,12 @@ type Config struct {
 // context so injections are recorded into its active trace; the unbound
 // store injects silently into the registry only.
 type Store struct {
-	base   store.Store
-	reg    *obs.Registry
-	inject *obs.SpanFamily // faultstore.inject on reg
-	seed   int64
-	sleep  func(ctx context.Context, d time.Duration) error
+	base     store.Store
+	inject   *obs.SpanFamily              // faultstore.inject
+	injected *obs.LazyCounter             // faultstore.injected.total
+	byKind   [Vanish + 1]*obs.LazyCounter // faultstore.injected.<kind>
+	seed     int64
+	sleep    func(ctx context.Context, d time.Duration) error
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -163,14 +164,23 @@ type ruleState struct {
 
 // New wraps base with the configured fault schedule.
 func New(base store.Store, cfg Config) *Store {
+	reg := cfg.Registry
 	s := &Store{
-		base:   base,
-		reg:    cfg.Registry,
-		inject: cfg.Registry.Family("faultstore.inject"),
-		seed:   cfg.Seed,
-		sleep:  cfg.Sleep,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		gone:   make(map[string]bool),
+		base:     base,
+		inject:   reg.Family("faultstore.inject"),
+		injected: reg.LazyCounter("faultstore.injected.total"),
+		byKind: [...]*obs.LazyCounter{
+			Transient: reg.LazyCounter("faultstore.injected.transient"),
+			Permanent: reg.LazyCounter("faultstore.injected.permanent"),
+			BitFlip:   reg.LazyCounter("faultstore.injected.bitflip"),
+			TornWrite: reg.LazyCounter("faultstore.injected.torn"),
+			Latency:   reg.LazyCounter("faultstore.injected.latency"),
+			Vanish:    reg.LazyCounter("faultstore.injected.vanish"),
+		},
+		seed:  cfg.Seed,
+		sleep: cfg.Sleep,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		gone:  make(map[string]bool),
 	}
 	if s.sleep == nil {
 		s.sleep = store.SleepContext
@@ -237,12 +247,11 @@ func (s *Store) record(ctx context.Context, inj *injection) {
 		slog.String("path", inj.path),
 		slog.Int64("seed", s.seed),
 		slog.Int("rule", inj.rule))
-	if s.reg == nil {
-		return
-	}
 	sp := s.inject.Start()
-	s.reg.Count("faultstore.injected.total", 1)
-	s.reg.Count("faultstore.injected."+inj.kind.String(), 1)
+	s.injected.Add(1)
+	if inj.kind >= 0 && int(inj.kind) < len(s.byKind) {
+		s.byKind[inj.kind].Add(1)
+	}
 	sp.End(nil)
 }
 

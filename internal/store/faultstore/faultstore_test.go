@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,5 +256,33 @@ func TestProfiles(t *testing.T) {
 	}
 	if _, err := Profile("nope", 1); err == nil {
 		t.Error("unknown profile accepted")
+	}
+}
+
+// TestInjectedCounterPerKind: each fired fault counts once in
+// faultstore.injected.total and once in the counter named after its
+// kind, faultstore.injected.<Kind.String()>; a kind outside the six
+// counts only in the total.
+func TestInjectedCounterPerKind(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(store.OS{}, Config{Registry: reg})
+	kinds := []Kind{Transient, Permanent, BitFlip, TornWrite, Latency, Vanish}
+	for _, k := range append(kinds, Kind(len(kinds))) {
+		s.record(context.Background(), &injection{kind: k})
+	}
+	counters := reg.Snapshot().Counters
+	want := map[string]uint64{"faultstore.injected.total": uint64(len(kinds)) + 1}
+	for _, k := range kinds {
+		want["faultstore.injected."+k.String()] = 1
+	}
+	for name, n := range counters {
+		if strings.HasPrefix(name, "faultstore.injected.") && want[name] != n {
+			t.Errorf("%s = %d, want %d", name, n, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := counters[name]; !ok {
+			t.Errorf("%s missing from %v", name, counters)
+		}
 	}
 }

@@ -42,12 +42,16 @@ check: vet fmt lint-metrics test race
 # so CI and local habits can diverge later without repurposing either.
 verify: vet fmt lint-metrics test race conformance fallback e2e-test examples
 
-# fallback runs the GF(2^8) table kernels as the only path, on any runner:
-# GOARCH=386 assembles no gf_amd64.s, and its test binaries run natively
-# on an amd64 host. arm64 (also table-only) is built and vetted, not run.
+# fallback runs the portable paths as the only path, on any runner: the
+# GF(2^8) table kernels and hash/crc32 under every shard checksum.
+# GOARCH=386 assembles no amd64 kernel, and its test binaries run natively
+# on an amd64 host. arm64 (also portable-only) is built and vetted, not
+# run. The first line logs which CRC path this runner's CPU takes: the
+# kernel subtest of TestUpdate passes, or skips with the missing feature.
 fallback:
-	GOARCH=386 $(GO) test -count=1 ./internal/gf ./internal/rs
-	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/rs
+	$(GO) test -count=1 -v -run 'TestUpdate$$' ./internal/crc
+	GOARCH=386 $(GO) test -count=1 ./internal/gf ./internal/rs ./internal/crc ./internal/shard
+	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/rs ./internal/crc
 
 # e2e-test vets and runs the end-to-end benchmark's own tests.
 # cmd/e2ebench is a separate module (it reaches the repository's packages

@@ -12,8 +12,8 @@
 // kernels (MulSlice, MulXorSlice and Dot, the fused kernel behind every
 // Reed-Solomon strip) pick their path from the CPU alone:
 //
-//   - On amd64 with GFNI and AVX2, the block-aligned prefix of each slice
-//     runs through VGF2P8AFFINEQB, 32 bytes per instruction
+//   - On amd64 with GFNI and AVX2 (cpu.GFNI), the block-aligned prefix
+//     of each slice runs through VGF2P8AFFINEQB, 32 bytes per instruction
 //     (gf_amd64.s). Dot takes one source per pass over dst: a 4 KiB strip
 //     stays in L1 between passes, so reloading dst costs little next to
 //     the loads of the sources.
@@ -28,6 +28,7 @@ package gf
 import (
 	"encoding/binary"
 
+	"repro/internal/cpu"
 	"repro/internal/xorblk"
 )
 
@@ -98,7 +99,7 @@ func Exp(n int) byte {
 // simdLen returns the prefix of an n-byte slice the GFNI kernels run: n
 // rounded down to whole 32-byte blocks, or 0 without GFNI.
 func simdLen(n int) int {
-	if !hasGFNI {
+	if !cpu.GFNI {
 		return 0
 	}
 	return n &^ 31

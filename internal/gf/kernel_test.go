@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // kernelLens are the slice lengths the kernel tests sweep: every ragged
@@ -43,7 +45,7 @@ func dotRef(n int, srcs [][]byte, coeffs []byte) []byte {
 // where the exported kernels run the table path the "table" subtests check.
 func skipWithoutGFNI(t *testing.T) {
 	t.Helper()
-	if !hasGFNI {
+	if !cpu.GFNI {
 		t.Skip("no GFNI kernel: not amd64, or the CPU or OS lacks GFNI, AVX2 or YMM state")
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/crc"
 	"repro/internal/store"
 )
 
@@ -300,7 +300,7 @@ func fillBatch(files []store.File, b *batch, rolling []uint32) (int, error) {
 			return i, fmt.Errorf("shard: shard %d failed mid-stream: %w", i, err)
 		}
 		if rolling != nil {
-			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, col)
+			rolling[i] = crc.Update(rolling[i], col)
 		}
 	}
 	return -1, nil
@@ -324,7 +324,7 @@ func writeCol(f store.File, b *batch, i int) error {
 func (b *batch) rollStrips(i int, sum uint32, ends []byte) uint32 {
 	col, ends := b.col(i), ends[4*b.first:]
 	for j := range b.n {
-		sum = crc32.Update(sum, crc32.IEEETable, col[j*b.sb:(j+1)*b.sb])
+		sum = crc.Update(sum, col[j*b.sb:(j+1)*b.sb])
 		binary.BigEndian.PutUint32(ends[4*j:], sum)
 	}
 	return sum

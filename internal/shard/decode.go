@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"path/filepath"
@@ -12,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/crc"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -436,7 +436,7 @@ func (r *recovery) erasureStream(ctx context.Context, files []store.File, erased
 				return err
 			}
 			for _, e := range erased {
-				rolling[e] = crc32.Update(rolling[e], crc32.IEEETable, b.col(e))
+				rolling[e] = crc.Update(rolling[e], b.col(e))
 			}
 		}
 		return sink.consume(b)
@@ -609,7 +609,7 @@ func (r *recovery) correctionStream(ctx context.Context, files []store.File, sof
 			}
 		}
 		for i := range rolling {
-			rolling[i] = crc32.Update(rolling[i], crc32.IEEETable, b.col(i))
+			rolling[i] = crc.Update(rolling[i], b.col(i))
 		}
 		return sink.consume(b)
 	}
@@ -740,7 +740,7 @@ func (s *repairSink) consume(b *batch) error {
 		if err := writeCol(s.files[e], b, e); err != nil {
 			return err
 		}
-		s.rolling[e] = crc32.Update(s.rolling[e], crc32.IEEETable, b.col(e))
+		s.rolling[e] = crc.Update(s.rolling[e], b.col(e))
 	}
 	return nil
 }

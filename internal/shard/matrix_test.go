@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -269,6 +271,46 @@ func TestManifestV5Fixture(t *testing.T) {
 	}
 }
 
+// TestChecksumsMatchStdlib pins the sums a v5 encode writes where crc's
+// folding kernel runs. The v5 fixture's 160-byte strips are under the
+// kernel's 256-byte minimum; here liberation k=6, p=7 with 88-byte
+// elements makes 616-byte strips: 576 bytes through the kernel where the
+// CPU has it (its first 256, one 256-byte fold and one 64-byte fold, so
+// every fold constant) and a 40-byte tail through hash/crc32. Every
+// whole-shard checksum and every running strip sum is recomputed from the
+// written shard files with hash/crc32 alone.
+func TestChecksumsMatchStdlib(t *testing.T) {
+	const k, p, elem = 6, 7, 88
+	data := make([]byte, 300*k*p*elem+1000) // 300 full stripes and part of one
+	rand.New(rand.NewSource(5)).Read(data)
+	dir := t.TempDir()
+	m, err := EncodeOpts(bytes.NewReader(data), int64(len(data)), "obj.bin", k, p, elem, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, _ := m.shardShape()
+	if sb != 616 || m.Version != FormatVersion || m.Stripes != 301 {
+		t.Fatalf("encoded %d-byte strips, version %d, %d stripes; want 616, %d, 301",
+			sb, m.Version, m.Stripes, FormatVersion)
+	}
+	for i := 0; i < m.NumShards(); i++ {
+		b, err := os.ReadFile(filepath.Join(dir, m.ShardName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum uint32
+		for s := 0; s < m.Stripes; s++ {
+			sum = crc32.Update(sum, crc32.IEEETable, b[s*sb:(s+1)*sb])
+			if got := m.stripSum(i, s); got != sum {
+				t.Fatalf("shard %d stripe %d: strip sum %#08x, hash/crc32 %#08x", i, s, got, sum)
+			}
+		}
+		if want := crc32.ChecksumIEEE(b); m.Checksums[i] != want {
+			t.Errorf("shard %d: checksum %#08x, hash/crc32 %#08x", i, m.Checksums[i], want)
+		}
+	}
+}
+
 // TestManifestV5StripSumsValidation: a manifest comes from outside the
 // program, so every way a version 5 manifest's strip sums can disagree
 // with its shape or its checksums is an ErrManifest at load, never a
@@ -291,10 +333,11 @@ func TestManifestV5StripSumsValidation(t *testing.T) {
 		{"last sum differs from checksum", func(m *Manifest) { m.Checksums[3] ^= 1 }},
 		{"last sum altered", func(m *Manifest) { m.StripSums[4][4*m.Stripes-1] ^= 1 }},
 		{"negative stripes", func(m *Manifest) { m.Stripes = -1 }},
-		// 4·stripes wraps to 0 in a 64-bit int: the sums' length must not be
-		// compared through that product.
+		// 4·stripes wraps to 0 in an int (1<<62 on 64-bit, 1<<30 on
+		// 32-bit): the sums' length must not be compared through that
+		// product.
 		{"stripes overflowing the sum length", func(m *Manifest) {
-			m.Stripes = 1 << 62
+			m.Stripes = 1 << (bits.UintSize - 2)
 			for i := range m.StripSums {
 				m.StripSums[i] = []byte{}
 			}

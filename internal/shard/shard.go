@@ -48,7 +48,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"log/slog"
@@ -60,6 +59,7 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
+	"repro/internal/crc"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -254,7 +254,7 @@ type Manifest struct {
 	// Checksums, the shard's running CRC-32 at the end of every stripe:
 	// 4 bytes per stripe, big-endian, one base64 string per shard in the
 	// JSON. The last sum equals the shard's checksum, and strip s checks
-	// on its own as crc32.Update(sum[s-1], strip) == sum[s], with
+	// on its own as crc.Update(sum[s-1], strip) == sum[s], with
 	// sum[-1] = 0. Nil before version 5.
 	StripSums [][]byte `json:"strip_sums,omitempty"`
 }
@@ -387,7 +387,7 @@ func (m *Manifest) stripSum(i, s int) uint32 {
 // stripOK reports whether strip, read as stripe s of shard i, matches
 // the manifest's strip sums.
 func (m *Manifest) stripOK(i, s int, strip []byte) bool {
-	return crc32.Update(m.stripSum(i, s-1), crc32.IEEETable, strip) == m.stripSum(i, s)
+	return crc.Update(m.stripSum(i, s-1), strip) == m.stripSum(i, s)
 }
 
 // probeBufSize is the scratch-buffer size of the streaming checksum
@@ -565,7 +565,7 @@ func streamCRC(r io.Reader, buf []byte) (uint32, error) {
 	var sum uint32
 	for {
 		n, err := r.Read(buf)
-		sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+		sum = crc.Update(sum, buf[:n])
 		if err == io.EOF {
 			return sum, nil
 		}

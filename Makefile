@@ -68,16 +68,18 @@ e2e-test:
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
-# conformance runs the registry-driven matrices explicitly and verbosely:
-# the codetest battery, the full shard round-trip for every registered
-# code at every advertised (k, p) shape, the per-code pins of repair's
-# and decode's bytes read (each survivor exactly once), and the decodes
-# that read ahead (every code; errors in stripe order; seeded replays).
-# Redundant with `test` except for -count=1 — CI wants these exercised
-# even when cached — and for the legible per-code subtest listing when
-# something breaks.
+# conformance runs the registry-driven matrices on their own: the
+# codetest battery, the full shard round-trip for every registered code
+# at every advertised (k, p) shape, the per-code pins of repair's and
+# decode's bytes read (each survivor exactly once), the strip rule for
+# every code (failing strips in up to m shards beside a lost one, or in
+# m+1 shards, through Verify, decode and repair), and the decodes that
+# read ahead (every code; errors in stripe order; seeded replays). It is
+# redundant with `test` except for -count=1: CI wants these exercised
+# even when cached. A passing run prints one line per package; a failing
+# one names each failing per-code subtest.
 conformance:
-	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce|TestDecodeReadsEachSurvivorOnce|TestReadAhead|TestSeededScheduleReplays' \
+	$(GO) test -count=1 -run 'TestConformanceMatrix|TestCodeMatrixRoundTrip|TestRepairReadsEachSurvivorOnce|TestDecodeReadsEachSurvivorOnce|TestFailingStripsEveryCode|TestReadAhead|TestSeededScheduleReplays' \
 		./internal/codes ./internal/shard
 
 # chaos is the extended fault-injection soak (~30s): thousands of seeded

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	raidcli encode -k 6 [-code liberation] [-p 7] [-m M] [-elem 4096] [-out DIR] [-workers N] [-batch N] FILE
-//	raidcli decode [-out FILE] [-code NAME] [-heal] [-workers N] [-batch N] MANIFEST
+//	raidcli decode [-out FILE] [-code NAME] [-workers N] [-batch N] MANIFEST
 //	raidcli repair [-code NAME] [-workers N] [-batch N] MANIFEST
 //	raidcli verify [-code NAME] MANIFEST
 //	raidcli info [-code NAME] MANIFEST
@@ -22,9 +22,9 @@
 // environment opt-in.
 //
 // Every operation runs under a causal trace: -log-json streams the
-// event log (retries, quarantines, heals, injected faults) as JSON
-// lines on stderr, and -stats or -log-json print the trace ID; verify
-// always prints it.
+// event log (retries, quarantines, failing strips, injected faults) as
+// JSON lines on stderr, and -stats or -log-json print the trace ID;
+// verify always prints it.
 //
 // Exit codes: 0 on success (including decodes that recovered in degraded
 // mode, which warn on stderr), 1 on ordinary failure, 2 when the shard
@@ -131,7 +131,7 @@ func run(cmd string, args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   raidcli encode -k K [-code NAME] [-p P] [-m M] [-elem N] [-out DIR] [-workers N] [-batch N] FILE
-  raidcli decode [-out FILE] [-code NAME] [-heal] [-workers N] [-batch N] MANIFEST
+  raidcli decode [-out FILE] [-code NAME] [-workers N] [-batch N] MANIFEST
   raidcli repair [-code NAME] [-workers N] [-batch N] MANIFEST
   raidcli verify [-code NAME] MANIFEST
   raidcli info [-code NAME] MANIFEST
@@ -256,8 +256,8 @@ func (f *ioFlags) options() (shard.Options, *obs.Registry, error) {
 }
 
 // traced takes the root span of the operation's causal trace, whose
-// context the caller puts into shard.Options.Context so every retry,
-// quarantine, and heal below chains onto one trace; done ends the root
+// context the caller puts into shard.Options.Context so every retry
+// and quarantine below chains onto one trace; done ends the root
 // span and — under -stats or -log-json — prints the trace ID so the
 // operator can correlate the run with its event log.
 func (f *ioFlags) traced(root *obs.SpanCtx) (done func(error)) {
@@ -337,7 +337,6 @@ func cmdEncode(args []string) error {
 func cmdDecode(args []string) error {
 	fs := flag.NewFlagSet("decode", flag.ContinueOnError)
 	out := fs.String("out", "", "output file (default: recovered.<name>)")
-	heal := fs.Bool("heal", false, "scan every stripe with column correction while decoding a version 1-4 set (version 5 sets check every strip)")
 	iof := addIOFlags(fs)
 	if err := parseFlags(fs, args, 1, "one manifest"); err != nil {
 		return err
@@ -346,7 +345,6 @@ func cmdDecode(args []string) error {
 	if err != nil {
 		return err
 	}
-	opt.Heal = *heal
 	manifest := fs.Arg(0)
 	m, err := shard.LoadManifest(manifest)
 	if err != nil {
@@ -387,8 +385,8 @@ func cmdDecode(args []string) error {
 	}
 	if rep.Degraded {
 		fmt.Fprintf(os.Stderr,
-			"raidcli: warning: recovered in degraded mode (quarantined shards %v, %d stripes corrected, %d attempts)\n",
-			rep.Quarantined, rep.Corrections, rep.Attempts)
+			"raidcli: warning: recovered in degraded mode (quarantined shards %v, %d attempts)\n",
+			rep.Quarantined, rep.Attempts)
 	}
 	fmt.Printf("recovered %d bytes into %s\n", m.FileSize, dest)
 	printStats(os.Stdout, reg, m.K)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -143,52 +144,45 @@ func logJSONDecode(t *testing.T, dir, manifest string) []map[string]any {
 	return recs
 }
 
-// TestLogJSON runs a degraded decode of a version 4 set under -log-json
-// and checks the stderr stream is JSON lines carrying the causal record
-// — the probe's findings, the quarantine, the heals — all correlated to
-// the trace ID printed on stdout.
+// TestLogJSON runs a degraded decode under -log-json, of the encoded
+// version 5 set and of the set rewritten as version 4, and checks the
+// stderr stream is JSON lines carrying the causal record — the probe,
+// and one health verdict and one quarantine of shard 1 — all correlated
+// to the trace ID printed on stdout. On version 5 the decode finds the
+// corrupt strip in stream, so the probe reads no checksums and both
+// lines name stripe 0. On version 4 the probe reads every shard, and
+// shard 1, whose checksum fails, is erased whole with no stripe named.
 func TestLogJSON(t *testing.T) {
-	dir, _, manifest := traceFixture(t)
-	asVersion4(t, manifest)
-
-	names := make(map[string]int)
-	for _, rec := range logJSONDecode(t, dir, manifest) {
-		names[rec["msg"].(string)]++
-	}
-	for _, want := range []string{"raidcli.decode", "shard.decode", "shard.probe",
-		"shard.unhealthy", "shard.quarantine"} {
-		if names[want] == 0 {
-			t.Errorf("event log missing %q lines (have %v)", want, names)
-		}
-	}
-}
-
-// TestLogJSONV5 is the version 5 twin of TestLogJSON: the decode finds
-// the corrupt strip in stream, so the probe reads no checksums, one
-// shard.unhealthy and one shard.quarantine line name shard 1 and stripe
-// 0, and nothing is corrected.
-func TestLogJSONV5(t *testing.T) {
-	dir, _, manifest := traceFixture(t)
-	names := make(map[string]int)
-	for _, rec := range logJSONDecode(t, dir, manifest) {
-		msg := rec["msg"].(string)
-		names[msg]++
-		switch msg {
-		case "shard.probe":
-			if rec["checksums"] != false {
-				t.Errorf("shard.probe line %v, want checksums=false", rec)
+	for _, version := range []int{5, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir, _, manifest := traceFixture(t)
+			v4 := version == 4
+			var stripe any = 0.0 // JSON numbers decode as float64
+			if v4 {
+				asVersion4(t, manifest)
+				stripe = nil
 			}
-		case "shard.unhealthy", "shard.quarantine":
-			// JSON numbers decode as float64.
-			if rec["shard"] != 1.0 || rec["stripe"] != 0.0 || rec["state"] != "corrupt" {
-				t.Errorf("%s line %v, want shard=1 stripe=0 state=corrupt", msg, rec)
+			names := make(map[string]int)
+			for _, rec := range logJSONDecode(t, dir, manifest) {
+				msg := rec["msg"].(string)
+				names[msg]++
+				switch msg {
+				case "shard.probe":
+					if rec["checksums"] != v4 {
+						t.Errorf("shard.probe line %v, want checksums=%v", rec, v4)
+					}
+				case "shard.unhealthy", "shard.quarantine":
+					if rec["shard"] != 1.0 || rec["stripe"] != stripe || rec["state"] != "corrupt" {
+						t.Errorf("%s line %v, want shard=1 stripe=%v state=corrupt", msg, rec, stripe)
+					}
+				}
 			}
-		}
-	}
-	for want, n := range map[string]int{"raidcli.decode": 1, "shard.decode": 1, "shard.probe": 1,
-		"shard.unhealthy": 1, "shard.quarantine": 1, "shard.correct_column": 0} {
-		if names[want] != n {
-			t.Errorf("event log has %d %q lines, want %d (have %v)", names[want], want, n, names)
-		}
+			for want, n := range map[string]int{"raidcli.decode": 1, "shard.decode": 1, "shard.probe": 1,
+				"shard.unhealthy": 1, "shard.quarantine": 1} {
+				if names[want] != n {
+					t.Errorf("event log has %d %q lines, want %d (have %v)", names[want], want, n, names)
+				}
+			}
+		})
 	}
 }

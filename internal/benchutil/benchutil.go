@@ -96,7 +96,7 @@ func newVariant(variant string, k, p int) (core.Code, error) {
 // opt.Rounds rounds).
 func MeasureEncode(c core.Code, elemSize int, opt Options) float64 {
 	best := 0.0
-	for r := 0; r < maxInt(opt.Rounds, 1); r++ {
+	for r := 0; r < max(opt.Rounds, 1); r++ {
 		if v := measureEncodeOnce(c, elemSize, opt); v > best {
 			best = v
 		}
@@ -128,7 +128,7 @@ func measureEncodeOnce(c core.Code, elemSize int, opt Options) float64 {
 // does (best of opt.Rounds rounds).
 func MeasureDecode(c core.Code, elemSize int, opt Options) float64 {
 	best := 0.0
-	for r := 0; r < maxInt(opt.Rounds, 1); r++ {
+	for r := 0; r < max(opt.Rounds, 1); r++ {
 		if v := measureDecodeOnce(c, elemSize, opt); v > best {
 			best = v
 		}
@@ -262,11 +262,4 @@ func DecodeFigure(ks []int, fixedP, elemSize int, opt Options) ThroughputFigure 
 		fig.Series = append(fig.Series, series)
 	}
 	return fig
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -174,7 +174,7 @@ func RunCoreReport(benchTime time.Duration) (*CoreReport, error) {
 			}
 		})
 
-	// Single-column correction: the degraded-I/O heal rung. Each op
+	// Single-column correction, as raidsim's scrubber runs it. Each op
 	// re-corrupts one element and locates + repairs it.
 	corrupt := func() { s.Elem(1, 0)[0] ^= 0xff }
 	corrupt()

@@ -52,13 +52,6 @@ func lookupT(s ThroughputSeries, x int) (float64, bool) {
 	return 0, false
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SeriesByName returns the named series, or an empty one.
 func (f ThroughputFigure) SeriesByName(name string) ThroughputSeries {
 	for _, s := range f.Series {

@@ -46,7 +46,7 @@ func New(k, p int) (*Code, error) {
 
 // NewAuto returns the EVENODD code with the smallest usable prime >= k.
 func NewAuto(k int) (*Code, error) {
-	return New(k, core.NextOddPrime(maxInt(k, 2)))
+	return New(k, core.NextOddPrime(max(k, 2)))
 }
 
 // Instrument attaches a metrics registry to the code: from then on every
@@ -149,11 +149,4 @@ func (c *Code) encode(s *core.Stripe, ops *core.Ops) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

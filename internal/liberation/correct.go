@@ -22,7 +22,7 @@ const CleanColumn = core.CleanColumn
 // the syndrome rows dP/dQ, the per-candidate prediction rows, and the
 // bookkeeping that keeps the locate phase sparse. It is recycled through
 // Code.scratch (a sync.Pool), so steady-state correction — the scrub loop
-// and the heal rung hammer it once per stripe — allocates nothing.
+// hammers it once per stripe — allocates nothing.
 type correctScratch struct {
 	elemSize int
 	dP, dQ   [][]byte // syndrome rows, p each

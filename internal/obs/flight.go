@@ -9,7 +9,7 @@ const DefaultFlightSize = 256
 // A FlightRecorder keeps the last N events in a fixed-size in-memory
 // ring — the storage equivalent of an aircraft's flight recorder. When
 // a recovery fails, the tail of the ring is the causal record of what
-// the operation tried (every retry, quarantine, heal, and fallback),
+// the operation tried (every retry, quarantine, and erased strip),
 // attached to the typed error, so a post-mortem needs no live process
 // and no external log pipeline.
 //

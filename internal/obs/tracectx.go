@@ -13,7 +13,7 @@ import (
 // This file is the causal half of the observability layer. The metrics
 // Span answers "how much, how fast" in aggregate; the types here answer
 // "why did THIS operation do what it did": every recovery decision —
-// each retry, quarantine, CorrectColumn heal, erasure fallback — becomes
+// each retry, quarantine, strip erased for its stripe — becomes
 // a child span or event of one request-scoped trace, carried through the
 // stack via context.Context and fanned out to pluggable sinks (the JSON
 // event log and the flight recorder).

@@ -38,11 +38,11 @@ type Params struct {
 	// that checksums catch only on read) per disk-hour. Zero disables
 	// silent-corruption modelling entirely.
 	SilentPerDiskHour float64
-	// CorrectionSuccess is the probability that the correction layer
-	// (the paper's single-column error correction plus quarantine and
-	// retry) heals a silent corruption before it matters. Feed it from
-	// observed shard.correct_column.* counters via
-	// CorrectionSuccessRatio; zero means no corruption is ever healed.
+	// CorrectionSuccess is the probability that the layer above the
+	// disks (strip checksums that locate the error, or the paper's
+	// single-column correction where none are kept, plus quarantine and
+	// retry) heals a silent corruption before it matters; zero means no
+	// corruption is ever healed.
 	CorrectionSuccess float64
 }
 
@@ -90,17 +90,6 @@ func (p Params) ureDuringRebuild() float64 {
 func (p Params) SilentDuringRebuild() float64 {
 	exposure := p.SilentPerDiskHour * float64(p.Disks-1) * p.RebuildHours()
 	return (1 - p.CorrectionSuccess) * -math.Expm1(-exposure)
-}
-
-// CorrectionSuccessRatio converts observed correction counters (e.g.
-// shard.correct_column.total and shard.correct_column.failed from a
-// decode fleet) into the CorrectionSuccess parameter. With no
-// observations it returns 1: no correction has been seen to fail.
-func CorrectionSuccessRatio(corrected, failed uint64) float64 {
-	if corrected+failed == 0 {
-		return 1
-	}
-	return float64(corrected) / float64(corrected+failed)
 }
 
 // Result summarizes a simulation.

@@ -161,18 +161,6 @@ func TestSilentDuringRebuildHandComputed(t *testing.T) {
 	}
 }
 
-func TestCorrectionSuccessRatio(t *testing.T) {
-	if got := CorrectionSuccessRatio(3, 1); got != 0.75 {
-		t.Errorf("ratio(3,1) = %v, want 0.75", got)
-	}
-	if got := CorrectionSuccessRatio(0, 5); got != 0 {
-		t.Errorf("ratio(0,5) = %v, want 0", got)
-	}
-	if got := CorrectionSuccessRatio(0, 0); got != 1 {
-		t.Errorf("ratio(0,0) = %v, want 1 (no observed failures)", got)
-	}
-}
-
 func TestSilentDisabledPreservesSequence(t *testing.T) {
 	// Perfect correction makes the silent term vanish without touching
 	// the rng draw sequence: results must be identical to the rate being

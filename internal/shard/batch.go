@@ -62,7 +62,7 @@ type batch struct {
 	first   int // index of stripes[0] in the shard set
 	n       int // stripes in use
 	// failed holds, per stripe in use, the streamed strips that failed
-	// their strip sums (a version 5 decode; see recovery.checkStrips).
+	// their strip sums (see recovery.checkStrips).
 	failed [][]int
 }
 
@@ -278,12 +278,12 @@ func (o Options) batchStripes(stripeBytes, total int) int {
 
 // fillBatch reads the batch's stripes of every streaming shard (nil
 // entries are skipped: the decoder rewrites those strips) straight into
-// the batch, one positional read per shard, and updates the rolling CRCs
-// when given. A read that returns the whole column with io.EOF succeeds,
-// as io.ReaderAt allows; a short one fails even without an error. On
-// failure (transient retries already exhausted below this layer) it
-// returns the failing column for quarantine.
-func fillBatch(files []store.File, b *batch, rolling []uint32) (int, error) {
+// the batch, one positional read per shard. A read that returns the
+// whole column with io.EOF succeeds, as io.ReaderAt allows; a short one
+// fails even without an error. On failure (transient retries already
+// exhausted below this layer) it returns the failing column for
+// quarantine.
+func fillBatch(files []store.File, b *batch) (int, error) {
 	for i, f := range files {
 		if f == nil {
 			continue
@@ -298,9 +298,6 @@ func fillBatch(files []store.File, b *batch, rolling []uint32) (int, error) {
 		}
 		if err != nil {
 			return i, fmt.Errorf("shard: shard %d failed mid-stream: %w", i, err)
-		}
-		if rolling != nil {
-			rolling[i] = crc.Update(rolling[i], col)
 		}
 	}
 	return -1, nil

@@ -51,9 +51,9 @@ func assertNoRepairTemps(t *testing.T, dir string) {
 
 // soakAsVersion4 picks, from a soak schedule's seed alone, whether the
 // schedule rewrites its freshly encoded set as version 4 before decoding.
-// About half do, so the soaks cover the version 1-4 decode (checksummed
-// probe, correction rung, end-of-stream check) beside version 5's strip
-// checks. The pick is the top bit of a Fibonacci hash of the seed, which
+// About half do, so the soaks cover the version 1-4 decode (a probe that
+// reads every shard and rolls its strip sums, and the end-of-stream check
+// of shards erased whole) beside version 5's recorded sums. The pick is the top bit of a Fibonacci hash of the seed, which
 // no profile, family or shape cycle of a soak aliases.
 func soakAsVersion4(seed int64) bool {
 	return uint64(seed)*0x9e3779b97f4a7c15>>63 == 1
@@ -160,75 +160,69 @@ func TestChaosSoak(t *testing.T) {
 		schedules, encodeFailed, decodeFailed, degraded, v4)
 }
 
-// TestDegradedHealMetrics pins the headline acceptance scenario: one
-// shard CRC-quarantined on disk, a silent bit-flip injected on another
-// column's streaming read. The decode must recover the original bytes
-// and both shard.quarantine.total and shard.correct_column.total must be
-// observable in the registry.
+// TestDegradedHealMetrics pins the headline acceptance scenario: shard 1
+// corrupt on disk in stripe 0, and a one-off read-path bit-flip on the
+// stream's read of shard 3. The decode into a writer that cannot rewind
+// recovers the original bytes in one attempt, with both shards
+// quarantined and counted in shard.quarantine.total. On version 5 both
+// corrupt strips fail their recorded strip sums and are erased for their
+// stripes. On version 4 the probe reads every shard: shard 1 fails its
+// checksum and is erased whole, and After:1 lands the flip on the
+// stream's read of shard 3, after the probe's, where the strip it hits
+// fails the sum the probe rolled.
 func TestDegradedHealMetrics(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	asVersion4(t, dir, m)
+	for _, version := range []int{5, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+			after := 0
+			if version == 4 {
+				asVersion4(t, dir, m)
+				after = 1
+			}
+			path := filepath.Join(dir, m.ShardName(1))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0xff
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 3, Rules: []faultstore.Rule{
+				{Path: m.ShardName(3), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1, After: after},
+			}})
 
-	// Shard 1: persistent on-disk corruption in stripe 0 — the probe
-	// quarantines it (CRC mismatch) but keeps it streaming.
-	path := filepath.Join(dir, m.ShardName(1))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard 3: a one-off read-path bit-flip, injected after the probe's
-	// single read so it lands on the streaming pass.
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 3, Rules: []faultstore.Rule{
-		{Path: m.ShardName(3), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1, After: 1},
-	}})
-
-	reg := obs.NewRegistry()
-	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), out,
-		Options{Store: faulty, Registry: reg})
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("degraded decode produced wrong bytes")
-	}
-	if !rep.Degraded {
-		t.Error("report not marked degraded")
-	}
-	if len(rep.Quarantined) == 0 || rep.Quarantined[0] != 1 {
-		t.Errorf("quarantined = %v, want shard 1 listed", rep.Quarantined)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["shard.quarantine.total"] == 0 {
-		t.Error("shard.quarantine.total not incremented")
-	}
-	if snap.Counters["shard.correct_column.total"] == 0 {
-		t.Errorf("shard.correct_column.total not incremented (corrections = %d)", rep.Corrections)
-	}
-	if rep.Corrections == 0 {
-		t.Error("report shows no corrections")
+			reg := obs.NewRegistry()
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+				Options{Store: faulty, Registry: reg})
+			if err != nil {
+				t.Fatalf("DecodeReport: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), content) {
+				t.Fatal("degraded decode produced wrong bytes")
+			}
+			if !rep.Degraded || rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[1 3]" {
+				t.Errorf("report: degraded %v, %d attempts, quarantined %v; want true, 1, [1 3]",
+					rep.Degraded, rep.Attempts, rep.Quarantined)
+			}
+			if got := reg.Snapshot().Counters["shard.quarantine.total"]; got != 2 {
+				t.Errorf("shard.quarantine.total = %d, want 2", got)
+			}
+		})
 	}
 }
 
-// TestHealBeyondErasureBudget shows the correction rung recovering what
-// classic RAID-6 cannot: three shards with silent single-column
-// corruption in different stripes — one more than the erasure budget —
-// all healed by per-stripe CorrectColumn.
+// TestHealBeyondErasureBudget pins a decision about version 1–4 sets:
+// three shards whose whole-shard checksums fail, in three different
+// stripes, and none missing, are one more than the m=2 budget. Such a
+// set records no strip sums, so nothing says which strips of those
+// shards are bad; each is erased whole, and the set is unrecoverable.
+// DecodeReport writes nothing, and DecodeReport, RepairOpts and Verify
+// all return an *UnrecoverableError naming the three shards. (The
+// version 5 twin recovers the same damage strip by strip.)
 func TestHealBeyondErasureBudget(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+	dir, _, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
 	asVersion4(t, dir, m)
 	stripBytes := 5 * 64
 	for i, victim := range []int{0, 2, 5} { // two data columns and Q
@@ -242,65 +236,27 @@ func TestHealBeyondErasureBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	manifest := filepath.Join(dir, ManifestName(m.FileName))
+	check := func(op string, err error) {
+		t.Helper()
+		var unrec *UnrecoverableError
+		if !errors.As(err, &unrec) {
+			t.Fatalf("%s = %v, want *UnrecoverableError", op, err)
+		}
+		if got := fmt.Sprint(unrec.Failed()); got != "[0 2 5]" {
+			t.Errorf("%s names shards %s, want [0 2 5]", op, got)
+		}
+	}
 	var out bytes.Buffer
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out, Options{})
-	if err != nil {
-		t.Fatalf("DecodeReport with 3 corrupt shards: %v", err)
+	_, err := DecodeReport(manifest, &out, Options{})
+	check("DecodeReport", err)
+	if out.Len() != 0 {
+		t.Errorf("unrecoverable decode wrote %d bytes", out.Len())
 	}
-	if !bytes.Equal(out.Bytes(), content) {
-		t.Fatal("healed decode produced wrong bytes")
-	}
-	if rep.Corrections != 3 {
-		t.Errorf("corrections = %d, want 3 (one per corrupted stripe)", rep.Corrections)
-	}
-	if len(rep.Quarantined) != 3 {
-		t.Errorf("quarantined = %v, want the three corrupt shards", rep.Quarantined)
-	}
-}
-
-// TestDegradedHealMetricsV5 is the version 5 twin of
-// TestDegradedHealMetrics: the same on-disk corruption of shard 1 in
-// stripe 0, and a read-path bit-flip on the stream's read of shard 3.
-// Each corrupt strip fails its strip sum and is erased for its stripe,
-// so the decode into a writer that cannot rewind recovers the original
-// bytes in one attempt with both shards quarantined and counted, and
-// nothing corrected.
-func TestDegradedHealMetricsV5(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	path := filepath.Join(dir, m.ShardName(1))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 3, Rules: []faultstore.Rule{
-		{Path: m.ShardName(3), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1},
-	}})
-
-	reg := obs.NewRegistry()
-	var out bytes.Buffer
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
-		Options{Store: faulty, Registry: reg})
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), content) {
-		t.Fatal("degraded decode produced wrong bytes")
-	}
-	if !rep.Degraded || rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1 3]" {
-		t.Errorf("report: degraded %v, %d attempts, %d corrections, quarantined %v; want true, 1, 0, [1 3]",
-			rep.Degraded, rep.Attempts, rep.Corrections, rep.Quarantined)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["shard.quarantine.total"]; got != 2 {
-		t.Errorf("shard.quarantine.total = %d, want 2", got)
-	}
-	if got := snap.Counters["shard.correct_column.total"]; got != 0 {
-		t.Errorf("shard.correct_column.total = %d, want 0", got)
-	}
+	_, err = RepairOpts(manifest, Options{})
+	check("RepairOpts", err)
+	assertNoRepairTemps(t, dir)
+	check("Verify", Verify(manifest, Options{}))
 }
 
 // TestHealBeyondErasureBudgetV5 is the version 5 twin of
@@ -308,7 +264,7 @@ func TestDegradedHealMetricsV5(t *testing.T) {
 // stripes, one more shard than the erasure budget. Each stripe has one
 // strip that fails its sum, and erasing it for that stripe alone
 // decodes byte-identically, in one attempt, into a writer that cannot
-// rewind, with no column correction.
+// rewind.
 func TestHealBeyondErasureBudgetV5(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
 	stripBytes := 5 * 64
@@ -331,9 +287,8 @@ func TestHealBeyondErasureBudgetV5(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), content) {
 		t.Fatal("decode produced wrong bytes")
 	}
-	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[0 2 5]" {
-		t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, [0 2 5]",
-			rep.Attempts, rep.Corrections, rep.Quarantined)
+	if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[0 2 5]" {
+		t.Errorf("%d attempts, quarantined %v; want 1, [0 2 5]", rep.Attempts, rep.Quarantined)
 	}
 	for _, i := range []int{0, 2, 5} {
 		if rep.Status[i].State != StateCorrupt {

@@ -21,26 +21,25 @@ var ErrManifest = errors.New("shard: bad manifest")
 type ShardState int
 
 const (
-	// StateOK: present and its checksum matched — or, on repair's fast
-	// pass, which reads no checksums, present and right-sized, left for
-	// the stream's rolling CRC to verify.
+	// StateOK: present and right-sized, and every strip of it read so
+	// far matched its strip sum. A probe that reads nothing (a version 5
+	// decode or repair) leaves every strip to the stream.
 	StateOK ShardState = iota
 	// StateMissing: the shard file does not exist.
 	StateMissing
 	// StateTruncated: present but the wrong size.
 	StateTruncated
-	// StateCorrupt: present and readable, but its CRC-32 does not match
-	// the manifest — quarantined; its content is only used through the
-	// single-column correction path. In a version 5 decode: a strip of
-	// it failed its strip sum; each failing strip is erased for its own
-	// stripe, and the shard's other strips are used as read.
+	// StateCorrupt: present and readable, but a strip of it failed its
+	// strip sum; each failing strip is erased for its own stripe, and the
+	// shard's other strips are used as read. On a version 1–4 set a
+	// shard whose whole-shard checksum fails is StateCorrupt and erased
+	// whole, as nothing says which of its strips are bad.
 	StateCorrupt
 	// StateIOError: the shard could not be read (open/read failure that
 	// survived the retry budget).
 	StateIOError
-	// StateQuarantined: the shard failed mid-stream (permanent read
-	// error or rolling-CRC mismatch) and was excluded on a later
-	// attempt.
+	// StateQuarantined: a read of the shard failed mid-stream, and it was
+	// excluded on a later attempt.
 	StateQuarantined
 )
 
@@ -68,7 +67,7 @@ type ShardStatus struct {
 	Index   int
 	Name    string
 	Present bool
-	Valid   bool // checksum matched
+	Valid   bool // every strip matched its strip sum
 	// State refines Present/Valid into the full fault taxonomy.
 	State ShardState
 	// Err is the underlying cause for io-error and quarantined states.
@@ -105,10 +104,10 @@ func countUnusable(status []ShardStatus) int {
 }
 
 // DegradedError reports that a shard set has lost redundancy but remains
-// recoverable (at most m shards unusable). Verify returns it so
-// callers can distinguish "clean", "recoverable but degraded", and
-// "lost"; it carries the per-shard status so tests and operators can see
-// exactly which shards failed and why.
+// recoverable (no stripe has more than m strips unusable). Verify
+// returns it so callers can distinguish "clean", "recoverable but
+// degraded", and "lost"; it carries the per-shard status so tests and
+// operators can see exactly which shards failed and why.
 type DegradedError struct {
 	Status []ShardStatus
 	// Flight is the tail of the operation's trace from the flight
@@ -134,10 +133,10 @@ func (e *DegradedError) Unusable() []int {
 	return out
 }
 
-// UnrecoverableError reports that recovery is impossible: more shards
-// are lost than the code tolerates, or corruption could not be
-// attributed. It replaces the old untyped "N shards unusable" error and
-// carries the full per-shard report.
+// UnrecoverableError reports that recovery is impossible: a stripe has
+// more strips unusable than the code tolerates, or a reconstructed strip
+// fails its sum. It replaces the old untyped "N shards unusable" error
+// and carries the full per-shard report.
 type UnrecoverableError struct {
 	Status []ShardStatus
 	Reason string
@@ -182,15 +181,11 @@ func stampFlight(ctx context.Context, err error) {
 	}
 }
 
-// quarantineError is the internal restart signal: column col proved
-// untrustworthy mid-stream (permanent read failure or rolling-CRC
-// mismatch) and the attempt must be retried with it erased.
+// quarantineError is the internal restart signal: a read of column col
+// failed mid-stream and the attempt must be retried with it erased.
 type quarantineError struct {
 	col   int
 	cause error
-	// sums holds, for a checksum mismatch found at the end of a stream,
-	// the rolling CRC of every shard that stream read in full.
-	sums map[int]uint32
 }
 
 func (e *quarantineError) Error() string {

@@ -37,9 +37,9 @@ func shardOutage(name string, after int) []faultstore.Rule {
 // read-path bit-flip on a third, decoded one stripe per batch (so each
 // shard is read once per stripe) under a causal trace. The
 // decode must reproduce the original bytes, and the trace must show the
-// ladder's rungs in order: the per-shard health verdicts first, the
-// probe span closing over them next, the rung choice after, with an
-// injected refusal feeding the probe.
+// recovery's steps in order: the per-shard health verdicts first, the
+// probe span closing over them next, the rung (the erasure stream) after,
+// with an injected refusal feeding the probe.
 func TestMixedFaultLadderTrace(t *testing.T) {
 	dir := t.TempDir()
 	content := make([]byte, 3*5*32*6+29)

@@ -113,13 +113,13 @@ func readAheadSet(t *testing.T) (dir string, content []byte, m *Manifest, stripe
 }
 
 // TestReadAheadDecodeFamilies decodes every registered code through the
-// read-ahead path, version 5 (strip checks, erasure rung) and version 4
-// with Heal (checksummed probe; the correction rung where the code has
-// one), at one and four workers: with 0…m shards lost and, while the
-// budget allows, one flipped strip in the second-to-last batch of a
-// survivor. The output into a writer that cannot rewind is the original
-// in one attempt, the flipped shard is the one quarantined, no file is
-// read after it is closed, and no goroutine outlives the decode.
+// read-ahead path, version 5 (the recorded strip sums) and version 4 (a
+// probe that reads every shard, erasing a flipped one whole), at one and
+// four workers: with 0…m shards lost and, while the budget allows, one
+// flipped strip in the second-to-last batch of a survivor. The output
+// into a writer that cannot rewind is the original in one attempt, the
+// flipped shard is the one quarantined, no file is read after it is
+// closed, and no goroutine outlives the decode.
 func TestReadAheadDecodeFamilies(t *testing.T) {
 	for _, name := range codes.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -171,7 +171,7 @@ func TestReadAheadDecodeFamilies(t *testing.T) {
 							before := runtime.NumGoroutine()
 							var out bytes.Buffer
 							rep, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{
-								Store: newGuardStore(t, nil), Workers: workers, BatchStripes: 1, Heal: v4})
+								Store: newGuardStore(t, nil), Workers: workers, BatchStripes: 1})
 							checkGoroutines(t, before)
 							if err != nil {
 								t.Fatalf("DecodeReport: %v", err)

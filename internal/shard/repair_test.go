@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -166,7 +167,7 @@ func TestRepairReadsEachSurvivorOnce(t *testing.T) {
 // batches of four (which run in line). Each survivor is read exactly
 // once, shardSize bytes, the output is the original in one attempt, and
 // the flipped strip is erased for its stripe alone: its shard is
-// quarantined and nothing is corrected. A checksum probe before the
+// quarantined. A checksum probe before the
 // stream would double every count, and a reader running further ahead
 // than the stream would add to it.
 func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
@@ -238,10 +239,9 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 					if !bytes.Equal(out.Bytes(), content) {
 						t.Fatal("decode output differs from the original")
 					}
-					if rep.Attempts != 1 || rep.Corrections != 0 ||
-						fmt.Sprint(rep.Quarantined) != fmt.Sprint(wantQuarantined) {
-						t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, %v",
-							rep.Attempts, rep.Corrections, rep.Quarantined, wantQuarantined)
+					if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != fmt.Sprint(wantQuarantined) {
+						t.Errorf("%d attempts, quarantined %v; want 1, %v",
+							rep.Attempts, rep.Quarantined, wantQuarantined)
 					}
 					for i := 0; i < m.NumShards(); i++ {
 						want := shardSize
@@ -258,17 +258,116 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 	}
 }
 
-// TestRepairFastPassFallback drives repair's fast pass into its
-// fallback: a survivor whose checksum misses restarts the repair on the
-// checksums its stream rolled, with nothing quarantined by force, so
-// the probe finds the corrupt shard soft and the ladder rebuilds it or,
-// with no shard lost, corrects it. With Heal set the fast pass must
-// still take the erasure rung: corrected in stream with no suspect
-// named, the corrupt shard would be left as it is on disk. Only the
-// attempt that commits renames, once per repaired shard, and no shard
-// is read more often than by a checksum probe followed by the ladder's
-// stream: every survivor twice, except a corrupt one that the erasure
-// rung then leaves out.
+// TestFailingStripsEveryCode pins the one integrity rule on version 5
+// sets of every registered code: a strip is usable iff it matches its
+// strip sum, whichever operation reads it. One case loses a data shard
+// and gives m other shards one failing strip each, in different
+// stripes; the other gives m+1 shards one failing strip each with none
+// lost. Every stripe then has at most m strips unusable, so Verify
+// reports the set degraded and names each corrupt shard's stripe, a
+// decode into a writer that cannot rewind returns the original in one
+// attempt, and repair rebuilds every one of those shards byte for byte,
+// after which Verify is clean.
+func TestFailingStripsEveryCode(t *testing.T) {
+	for _, name := range codes.Names() {
+		t.Run(name, func(t *testing.T) {
+			const k, elem = 3, 32
+			code, err := codes.New(name, k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := int64(k*code.W()*elem*6 + 17) // 7 stripes
+			content := make([]byte, size)
+			rand.New(rand.NewSource(size)).Read(content)
+			dir := t.TempDir()
+			m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, 0, elem, dir, Options{Code: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := readShards(t, dir, m)
+			manifest := filepath.Join(dir, ManifestName(m.FileName))
+			survivors := []int{0} // every shard but data shard 1
+			for i := 2; i < m.NumShards(); i++ {
+				survivors = append(survivors, i)
+			}
+			for _, tc := range []struct {
+				name string
+				lost int // -1: none
+				bad  []int
+			}{
+				{"one-lost+m-bad-strips", 1, survivors[:m.M]},
+				{"m+1-bad-strips", -1, survivors[:m.M+1]},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					defer func() {
+						for i, b := range golden {
+							if err := os.WriteFile(filepath.Join(dir, m.ShardName(i)), b, 0o644); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}()
+					want := slices.Clone(tc.bad)
+					if tc.lost >= 0 {
+						if err := os.Remove(filepath.Join(dir, m.ShardName(tc.lost))); err != nil {
+							t.Fatal(err)
+						}
+						want = append(want, tc.lost)
+						slices.Sort(want)
+					}
+					for j, i := range tc.bad {
+						flipStrip(t, dir, m, i, j+1) // stripes 1, 2, …: never the same
+					}
+
+					var deg *DegradedError
+					if err := Verify(manifest, Options{}); !errors.As(err, &deg) {
+						t.Errorf("Verify = %v, want *DegradedError", err)
+					} else {
+						if fmt.Sprint(deg.Unusable()) != fmt.Sprint(want) {
+							t.Errorf("Verify names %v, want %v", deg.Unusable(), want)
+						}
+						for j, i := range tc.bad {
+							st := deg.Status[i]
+							if st.State != StateCorrupt || st.Err == nil || !strings.Contains(st.Err.Error(), fmt.Sprintf("stripes [%d]", j+1)) {
+								t.Errorf("shard %d: %v, %v; want corrupt naming stripe %d", i, st.State, st.Err, j+1)
+							}
+						}
+					}
+
+					var out bytes.Buffer
+					rep, err := DecodeReport(manifest, struct{ io.Writer }{&out}, Options{BatchStripes: 2})
+					if err != nil {
+						t.Fatalf("DecodeReport: %v", err)
+					}
+					if !bytes.Equal(out.Bytes(), content) || rep.Attempts != 1 {
+						t.Errorf("decode: output equal %v, %d attempts; want the original in 1",
+							bytes.Equal(out.Bytes(), content), rep.Attempts)
+					}
+
+					repaired, err := RepairOpts(manifest, Options{BatchStripes: 2})
+					if err != nil {
+						t.Fatalf("RepairOpts: %v", err)
+					}
+					if fmt.Sprint(repaired) != fmt.Sprint(want) {
+						t.Errorf("repaired %v, want %v", repaired, want)
+					}
+					checkShardsEqual(t, dir, m, golden)
+					if err := Verify(manifest, Options{}); err != nil {
+						t.Errorf("Verify after repair: %v", err)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestRepairFastPassFallback pins repair when a survivor has a strip
+// that fails its sum, on its own or beside a lost shard. The first
+// attempt erases that strip for its stripe, so any shard it rebuilds
+// comes out right, and restarts with the survivor among the targets; the
+// second streams it, rebuilds the failing strip and writes it whole.
+// Only that attempt renames, once per repaired shard, every survivor is
+// read exactly twice (the flipped one included), the flipped shard is
+// quarantined once, and Verify is clean afterwards.
 func TestRepairFastPassFallback(t *testing.T) {
 	const k, elem = 4, 64
 	size := int64(k*5*elem*20 + 33) // liberation p=5: 21 stripes
@@ -280,74 +379,65 @@ func TestRepairFastPassFallback(t *testing.T) {
 		flip int // the survivor flipped on disk
 		off  func(m *Manifest) int64
 		want []int
-		// corrections is what shard.correct_column.total must read.
-		corrections uint64
-		// flipReads is how many times the flipped shard is read in full.
-		flipReads int64
 	}{
-		{"lost-data+flipped-survivor", 1, 3, func(*Manifest) int64 { return 7 }, []int{1, 3}, 0, 1},
+		{"lost-data+flipped-survivor", 1, 3, func(*Manifest) int64 { return 7 }, []int{1, 3}},
 		{"one-stripe-flip", -1, 2, func(m *Manifest) int64 {
 			sb, _ := m.shardShape()
 			return int64(5*sb + 100) // inside stripe 5
-		}, []int{2}, 1, 2},
+		}, []int{2}},
 	} {
-		for _, heal := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/heal=%v/workers=%d", tc.name, heal, workers), func(t *testing.T) {
-					dir := t.TempDir()
-					m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, 5, elem, dir, Options{})
-					if err != nil {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				dir := t.TempDir()
+				m, err := EncodeOpts(bytes.NewReader(content), size, "blob.bin", k, 5, elem, dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden := readShards(t, dir, m)
+				if tc.lost >= 0 {
+					if err := os.Remove(filepath.Join(dir, m.ShardName(tc.lost))); err != nil {
 						t.Fatal(err)
 					}
-					golden := readShards(t, dir, m)
-					if tc.lost >= 0 {
-						if err := os.Remove(filepath.Join(dir, m.ShardName(tc.lost))); err != nil {
-							t.Fatal(err)
-						}
-					}
-					path := filepath.Join(dir, m.ShardName(tc.flip))
-					b := append([]byte(nil), golden[tc.flip]...)
-					b[tc.off(m)] ^= 0x5a
-					if err := os.WriteFile(path, b, 0o644); err != nil {
-						t.Fatal(err)
-					}
+				}
+				path := filepath.Join(dir, m.ShardName(tc.flip))
+				b := append([]byte(nil), golden[tc.flip]...)
+				b[tc.off(m)] ^= 0x5a
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 
-					manifest := filepath.Join(dir, ManifestName(m.FileName))
-					l := newIOLog()
-					reg := obs.NewRegistry()
-					repaired, err := RepairOpts(manifest, Options{Store: l, Registry: reg,
-						Heal: heal, Workers: workers, BatchStripes: 4})
-					if err != nil {
-						t.Fatalf("RepairOpts: %v", err)
+				manifest := filepath.Join(dir, ManifestName(m.FileName))
+				l := newIOLog()
+				reg := obs.NewRegistry()
+				repaired, err := RepairOpts(manifest, Options{Store: l, Registry: reg,
+					Workers: workers, BatchStripes: 4})
+				if err != nil {
+					t.Fatalf("RepairOpts: %v", err)
+				}
+				if fmt.Sprint(repaired) != fmt.Sprint(tc.want) {
+					t.Fatalf("repaired %v, want %v", repaired, tc.want)
+				}
+				if got := reg.Snapshot().Counters["shard.quarantine.total"]; got != 1 {
+					t.Errorf("shard.quarantine.total = %d, want 1", got)
+				}
+				checkShardsEqual(t, dir, m, golden)
+				if err := Verify(manifest, Options{}); err != nil {
+					t.Fatalf("Verify after repair: %v", err)
+				}
+				if got := l.renames(t); len(got) != len(tc.want) {
+					t.Errorf("renamed %v, want one rename per repaired shard %v", got, tc.want)
+				}
+				_, shardSize := m.shardShape()
+				for i := 0; i < m.NumShards(); i++ {
+					reads := int64(2)
+					if i == tc.lost {
+						reads = 0
 					}
-					if fmt.Sprint(repaired) != fmt.Sprint(tc.want) {
-						t.Fatalf("repaired %v, want %v", repaired, tc.want)
+					if got := l.read[m.ShardName(i)]; got != reads*shardSize {
+						t.Errorf("read %d bytes of %s, want %d·%d", got, m.ShardName(i), reads, shardSize)
 					}
-					if got := reg.Snapshot().Counters["shard.correct_column.total"]; got != tc.corrections {
-						t.Errorf("shard.correct_column.total = %d, want %d", got, tc.corrections)
-					}
-					checkShardsEqual(t, dir, m, golden)
-					if err := Verify(manifest, Options{}); err != nil {
-						t.Fatalf("Verify after repair: %v", err)
-					}
-					if got := l.renames(t); len(got) != len(tc.want) {
-						t.Errorf("renamed %v, want one rename per repaired shard %v", got, tc.want)
-					}
-					_, shardSize := m.shardShape()
-					for i := 0; i < m.NumShards(); i++ {
-						reads := int64(2)
-						switch i {
-						case tc.lost:
-							reads = 0
-						case tc.flip:
-							reads = tc.flipReads
-						}
-						if got := l.read[m.ShardName(i)]; got != reads*shardSize {
-							t.Errorf("read %d bytes of %s, want %d·%d", got, m.ShardName(i), reads, shardSize)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package shard applies the registry's erasure codes to whole files: a
 // file is striped into k data shards plus the code's m parity shards
 // (P and Q for the RAID-6 families), any m of which may be lost (or
-// silently corrupted — detected via per-shard checksums) while the file
+// silently corrupted — detected via per-strip checksums) while the file
 // remains recoverable. It is the library behind the raidcli tool and
 // doubles as an end-to-end exercise of the public coding API.
 //
@@ -15,31 +15,28 @@
 // batch N-1), and a decode reads batch N+1 on a second goroutine while
 // the caller decodes and writes batch N. Streams of one or two batches,
 // and every repair, run on the caller with one batch. Peak memory is at
-// most three batches regardless of file size, plus the manifest's strip
-// sums (4 bytes per strip per shard). Checksums verify
-// every column while the stripes stream through. A version 5 manifest
-// records the running CRC-32 of every shard at the end of every stripe,
-// so decode checks each strip in the one read that streams it, before
-// the stripe is decoded or written: a strip that fails is erased for
-// that stripe alone, and the decode of a healthy set reads each shard
-// once. Decodes of version 1–4 sets, which have only whole-shard
-// checksums, decide shard health up front with a stat+checksum probe,
-// because the writer cannot take back bytes it has been given. Repair
-// writes temp files it renames only after the rolling CRCs match, so
-// its first pass only stats the shards and reads each survivor once.
-// When a survivor is corrupt, that pass's checksums name it and the
-// repair restarts on them; only a failed read sends it back to the
-// checksum probe.
+// most three batches regardless of file size, plus the strip sums (4
+// bytes per strip per shard).
+//
+// One integrity rule serves decode, repair and Verify: a strip is usable
+// iff it matches its strip sum, the shard's running CRC-32 at the end of
+// that stripe. A version 5 manifest records the sums, so the stream
+// checks each strip in the one read that moves it, before the stripe is
+// decoded or written: a strip that fails is erased for that stripe
+// alone, and a healthy set's shards are each read once. Sets of versions
+// 1–4 record only whole-shard checksums; their probe reads each shard
+// once first and rolls its strip sums from a read whose CRC matches the
+// checksum, and a shard whose CRC does not is erased whole. Repair
+// writes temp files it renames only after their CRCs match, and rebuilds
+// every survivor found with a failing strip as well.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
 // transient I/O errors are retried with capped exponential backoff,
 // shards whose reads fail mid-stream are quarantined and the operation
 // restarts without them, and silent corruption is erased strip by strip
-// (version 5 decodes) or repaired in stream with the paper's
-// CorrectColumn (repair, and decodes of older sets) — the degradation
-// ladder is CRC quarantine → CorrectColumn → erasure decode → typed
-// failure (see docs/ROBUSTNESS.md).
+// — a stripe with more than m strips unusable is a typed failure (see
+// docs/ROBUSTNESS.md).
 package shard
 
 import (
@@ -91,9 +88,8 @@ func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
 // optional placement block, which no longer has a reader and is ignored
 // on load; version 2 records the erasure code by registry name together
 // with its strip width; version 1 manifests (implicitly Liberation)
-// still load, as do versions 2 to 4. The version picks the
-// decode path: version 5 checks every strip in stream, older versions
-// probe every shard's checksum first.
+// still load, as do versions 2 to 4. Before version 5 the probe derives
+// the strip sums by reading every shard (see probeShards).
 const FormatVersion = 5
 
 // Options tunes the streaming data path. The zero value is valid:
@@ -102,8 +98,7 @@ const FormatVersion = 5
 type Options struct {
 	// Workers sets how many goroutines code each batch's stripes: 0 or 1
 	// code them in line, n > 1 splits each batch into up to n contiguous
-	// runs coded concurrently, and <0 uses all cores. Encode and erasure
-	// decode use it; the correction rung always runs in line.
+	// runs coded concurrently, and <0 uses all cores.
 	Workers int
 	// BatchStripes is the number of stripes per streaming batch. Zero
 	// sizes batches to about 1 MiB, with at least one stripe per worker.
@@ -116,8 +111,8 @@ type Options struct {
 	// to the underlying code (liberation.* spans).
 	Registry *obs.Registry
 	// Tracer, when non-nil, roots a causal trace per operation: every
-	// retry, quarantine, CorrectColumn heal, and erasure fallback is a
-	// child span/event with typed attributes, fanned out to the
+	// retry, quarantine, and strip that fails its sum is a child
+	// span/event with typed attributes, fanned out to the
 	// tracer's sinks (event log, flight recorder). When Context already
 	// carries an active trace the operation chains onto it instead.
 	Tracer *obs.Tracer
@@ -135,16 +130,6 @@ type Options struct {
 	// in-flight I/O stops at its next backoff sleep between retries.
 	// Nil means context.Background().
 	Context context.Context
-	// Heal makes the decode of a version 1–4 set scan every stripe with
-	// the paper's single-column error correction even when the up-front
-	// probe found all shards clean, catching read-path bit-flips at the
-	// cost of one extra parity computation per stripe. (When the probe
-	// quarantines checksum-corrupt shards, the correction path engages
-	// regardless.) Codes without the core.ColumnCorrector capability skip
-	// this rung and fall straight to erasure decode. A version 5 decode
-	// ignores it: it verifies every strip it reads against the strip
-	// sums, which catches read-path bit-flips without a parity scan.
-	Heal bool
 	// Code selects the erasure code by registry name for Encode (empty =
 	// codes.Default, i.e. "liberation"). Decode, repair and verify take
 	// the code from the manifest instead.
@@ -338,7 +323,7 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 			ErrManifest, len(m.Checksums), m.NumShards())
 	}
 	if m.Version < 5 {
-		m.StripSums = nil // the version picks the decode path
+		m.StripSums = nil // the probe derives them (see probeShards)
 	} else if err := m.checkStripSums(); err != nil {
 		return nil, err
 	}
@@ -390,45 +375,40 @@ func (m *Manifest) stripOK(i, s int, strip []byte) bool {
 	return crc.Update(m.stripSum(i, s-1), strip) == m.stripSum(i, s)
 }
 
-// probeBufSize is the scratch-buffer size of the streaming checksum
-// probe: the probe reads each shard once in probeBufSize chunks, so its
-// resident memory is O(1) regardless of shard size.
+// probeBufSize is the scratch-buffer size of a reading probe: it reads
+// each shard once in probeBufSize chunks, so its resident memory is O(1)
+// regardless of shard size.
 const probeBufSize = 128 << 10
 
 // probeBufs recycles the probe's scratch buffers across calls.
 var probeBufs = sync.Pool{New: func() any { return new([probeBufSize]byte) }}
 
 // probeShards makes the up-front health decision for every shard of m.
-// Shards are classified into three tiers:
+// It returns every shard the stream may read, open (the caller closes
+// them), its status, and the shards erased whole: missing, truncated,
+// unreadable, quarantined by an earlier attempt (forced), or failing the
+// checksum of a version 1–4 set.
 //
-//   - clean (StateOK): present, right-sized, CRC matches — returned open;
-//   - soft-quarantined (StateCorrupt): present and readable but the CRC
-//     mismatches — returned open too, because the correction path can
-//     still stream them and repair single-column corruption in stream;
-//   - hard-erased (missing, truncated, unreadable, or force-quarantined
-//     from a previous attempt): cannot be streamed at all.
+// Without read it opens and size-checks and reads nothing: the stream
+// checks every strip against its sum. With read (Verify, and every
+// attempt on a version 1–4 set) it reads each right-sized shard once as
+// well (see readStrips). On a version 5 set bad lists, per shard, the
+// stripes whose strips fail their sums; such a shard is StateCorrupt and
+// its Err names them, but it stays open and is not erased. On a version
+// 1–4 set a shard whose CRC matches its checksum gets the strip sums
+// the read rolled, in m.StripSums for this operation only, and any
+// other is StateCorrupt and erased whole, as nothing says which of its
+// strips are bad.
 //
-// With sums nil the probe reads every right-sized shard for its CRC.
-// Otherwise it reads nothing (see recovery.run): a shard with a
-// checksum in sums, rolled by the previous attempt's stream, is judged
-// by it, and any other right-sized shard counts as clean, unverified
-// until this attempt's stream checks it. Repair's fast pass and every
-// version 5 decode pass an empty set; a version 5 decode checks each
-// strip against the manifest's strip sums as it streams. Decodes of
-// older sets and Verify always read: such a decode's writer cannot take
-// back bytes from a shard that turns out corrupt, and Verify reads
-// nothing else.
-//
-// The caller owns every non-nil file. The work is recorded as a
-// shard.probe span (a child of ctx's trace when one is active) whose
-// checksums attribute says whether the CRC pass ran, and every unhealthy
-// shard as a shard.unhealthy event naming the shard and its state.
+// The work is recorded as a shard.probe span (a child of ctx's trace
+// when one is active) whose checksums attribute says whether the probe
+// read, and every unhealthy shard as a shard.unhealthy event naming the
+// shard and its state.
 func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
-	reg *obs.Registry, forced map[int]error, sums map[int]uint32) (files []store.File, status []ShardStatus, hard, soft []int) {
+	reg *obs.Registry, forced map[int]error, read bool) (files []store.File, status []ShardStatus, erased []int, bad [][]int) {
 	pctx, sp := obs.StartOp(ctx, nil, reg, "shard.probe")
 	defer func() {
-		sp.Attr(slog.Bool("checksums", sums == nil),
-			slog.Int("hard", len(hard)), slog.Int("soft", len(soft))).End(nil)
+		sp.Attr(slog.Bool("checksums", read), slog.Int("erased", len(erased))).End(nil)
 	}()
 	note := func(i int) {
 		obs.EmitErr(pctx, slog.LevelWarn, "shard.unhealthy", status[i].Err,
@@ -437,9 +417,14 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 	}
 	_, shardSize := m.shardShape()
 	var buf *[probeBufSize]byte
-	if sums == nil {
+	if read {
 		buf = probeBufs.Get().(*[probeBufSize]byte)
 		defer probeBufs.Put(buf)
+	}
+	if m.Version < 5 {
+		m.StripSums = make([][]byte, m.NumShards())
+	} else if read {
+		bad = make([][]int, m.NumShards())
 	}
 	files = make([]store.File, m.NumShards())
 	status = make([]ShardStatus, m.NumShards())
@@ -449,7 +434,7 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 			status[i].Present = true
 			status[i].State = StateQuarantined
 			status[i].Err = cause
-			hard = append(hard, i)
+			erased = append(erased, i)
 			note(i)
 			continue
 		}
@@ -462,55 +447,88 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 				status[i].State = StateIOError
 			}
 			status[i].Err = openErr
-			hard = append(hard, i)
+			erased = append(erased, i)
 			note(i)
 			continue
 		}
 		status[i].Present = true
-		size, sizeErr := f.Size()
-		if sizeErr != nil {
+		size, err := f.Size()
+		var failing []int
+		switch {
+		case err != nil:
 			status[i].State = StateIOError
-			status[i].Err = sizeErr
-			hard = append(hard, i)
-			note(i)
-			f.Close()
-			continue
-		}
-		if size != shardSize {
+		case size != shardSize:
 			status[i].State = StateTruncated
-			hard = append(hard, i)
+		case read:
+			var sums []byte
+			sums, failing, err = m.readStrips(i, store.SectionReader(f, size), buf[:])
+			switch {
+			case err != nil:
+				status[i].State = StateIOError
+			case m.Version < 5 && sums == nil:
+				status[i].State = StateCorrupt
+				err = fmt.Errorf("shard %d (%s) fails its checksum %08x", i, m.ShardName(i), m.Checksums[i])
+			case m.Version < 5:
+				m.StripSums[i] = sums
+			}
+		}
+		if status[i].State != StateOK {
+			status[i].Err = err
+			erased = append(erased, i)
 			note(i)
 			f.Close()
 			continue
 		}
-		sum, streamed := sums[i]
-		if sums != nil && !streamed {
-			files[i] = f // unverified: this attempt's rolling CRC checks it
-			continue
-		}
-		var crcErr error
-		if sums == nil {
-			sum, crcErr = streamCRC(store.SectionReader(f, size), buf[:])
-		}
-		if crcErr != nil {
-			status[i].State = StateIOError
-			status[i].Err = crcErr
-			hard = append(hard, i)
-			note(i)
-			f.Close()
-			continue
-		}
-		if sum != m.Checksums[i] {
-			status[i].State = StateCorrupt
-			soft = append(soft, i)
-			note(i)
-			files[i] = f // kept open: the correction path streams it
-			continue
-		}
-		status[i].Valid = true
 		files[i] = f
+		status[i].Valid = read
+		if len(failing) > 0 {
+			bad[i] = failing
+			status[i].State, status[i].Valid = StateCorrupt, false
+			status[i].Err = fmt.Errorf("shard %d (%s): strips fail their sums in stripes %v", i, m.ShardName(i), failing)
+			note(i)
+		}
 	}
-	return files, status, hard, soft
+	return files, status, erased, bad
+}
+
+// readStrips reads shard i of m once from r, in len(buf) chunks, and
+// splits its CRC at every strip's end. On a version 5 set it checks each
+// strip from its recorded start, crc.Update(sum[s-1], strip) == sum[s],
+// so one bad strip fails alone (a running CRC would fail every strip
+// after it), and returns the stripes that fail. On a version 1–4 set it
+// records the running CRC at every stripe's end and returns those sums
+// when the last one is the shard's checksum, nil otherwise.
+func (m *Manifest) readStrips(i int, r io.Reader, buf []byte) (sums []byte, failing []int, err error) {
+	sb, _ := m.shardShape()
+	if m.Version < 5 {
+		sums = make([]byte, 4*m.Stripes)
+	}
+	var sum uint32
+	s, left := 0, sb
+	for err != io.EOF {
+		var n int
+		if n, err = r.Read(buf); err != nil && err != io.EOF {
+			return nil, nil, err
+		}
+		for p := buf[:n]; len(p) > 0; {
+			c := min(left, len(p))
+			sum = crc.Update(sum, p[:c])
+			if p, left = p[c:], left-c; left > 0 {
+				continue
+			}
+			if sums != nil {
+				binary.BigEndian.PutUint32(sums[4*s:], sum)
+			} else if want := m.stripSum(i, s); sum != want {
+				failing = append(failing, s)
+				sum = want
+			}
+			s, left = s+1, sb
+		}
+	}
+	if sums != nil && sum != m.Checksums[i] {
+		sums = nil
+	}
+	return sums, failing, nil
 }
 
 // countShardOp bills one top-level shard operation into the
@@ -520,12 +538,15 @@ func countShardOp(reg *obs.Registry, op, code string) {
 	reg.CountWith("shard.ops", 1, obs.L("op", op), obs.L("code", code))
 }
 
-// Verify probes the shard set's health without decoding anything. It
-// returns nil when every shard is clean, a *DegradedError when at most
-// m shards are unusable (recovery would succeed), and an
-// *UnrecoverableError when the set is lost. Checksum-corrupt-but-present
-// shards beyond the m-erasure budget still count as recoverable: the
-// correction path can heal per-stripe single-column corruption.
+// Verify reads the shard set and judges its health without decoding
+// anything, by the rule decode and repair use: a strip is usable iff it
+// matches its strip sum, and a stripe is lost when its shards erased
+// whole plus its failing strips exceed m. It returns nil when every
+// shard is clean, a *DegradedError when no stripe is lost (recovery
+// would succeed; each corrupt shard's ShardStatus.Err names its failing
+// stripes), and an *UnrecoverableError when one is. On a version 1–4
+// set a shard that fails its whole-shard checksum is erased whole, and
+// so counts in every stripe.
 func Verify(manifestPath string, opt Options) (err error) {
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.verify",
 		slog.String("manifest", filepath.Base(manifestPath)))
@@ -539,40 +560,35 @@ func Verify(manifestPath string, opt Options) (err error) {
 		return err
 	}
 	countShardOp(opt.Registry, "verify", m.Code)
-	files, status, hard, soft := probeShards(ctx, m, filepath.Dir(manifestPath), st, opt.Registry, nil, nil)
+	files, status, erased, bad := probeShards(ctx, m, filepath.Dir(manifestPath), st, opt.Registry, nil, true)
 	for _, f := range files {
 		if f != nil {
 			f.Close()
 		}
 	}
-	switch {
-	case len(hard) == 0 && len(soft) == 0:
-		return nil
-	case len(hard) > m.M:
+	if len(erased) > m.M {
 		return &UnrecoverableError{Status: status,
-			Reason: fmt.Sprintf("%d shards beyond repair, can tolerate %d", len(hard), m.M)}
-	case len(hard) > 0 && len(hard)+len(soft) > m.M:
-		return &UnrecoverableError{Status: status,
-			Reason: fmt.Sprintf("%d shards unusable, can tolerate %d", len(hard)+len(soft), m.M)}
-	default:
+			Reason: fmt.Sprintf("%d shards unusable, can tolerate %d", len(erased), m.M)}
+	}
+	var failing []int // failing strips per stripe
+	for _, stripes := range bad {
+		for _, s := range stripes {
+			if failing == nil {
+				failing = make([]int, m.Stripes)
+			}
+			failing[s]++
+		}
+	}
+	for s, n := range failing {
+		if len(erased)+n > m.M {
+			return &UnrecoverableError{Status: status, Reason: fmt.Sprintf(
+				"stripe %d: %d strips unusable, can tolerate %d", s, len(erased)+n, m.M)}
+		}
+	}
+	if countUnusable(status) > 0 {
 		return &DegradedError{Status: status}
 	}
-}
-
-// streamCRC computes the CRC-32 (IEEE) of r's remaining contents using
-// the supplied scratch buffer.
-func streamCRC(r io.Reader, buf []byte) (uint32, error) {
-	var sum uint32
-	for {
-		n, err := r.Read(buf)
-		sum = crc.Update(sum, buf[:n])
-		if err == io.EOF {
-			return sum, nil
-		}
-		if err != nil {
-			return sum, err
-		}
-	}
+	return nil
 }
 
 // shardShape returns the strip size in bytes and the byte size every

@@ -26,9 +26,9 @@ func encodeTestFile(t *testing.T, size int64, k, p, elem int) (dir string, conte
 
 // asVersion4 rewrites the manifest of the set m that was just encoded
 // into dir as version 4: the same fields without the strip sums, which
-// is exactly the version 4 format. Its decodes then take the version
-// 1–4 path: the checksummed probe, the correction rung, Options.Heal
-// and the end-of-stream checksum check.
+// is exactly the version 4 format. Its probe then reads every shard and
+// rolls the strip sums that version 5 records, and a shard erased whole
+// is checked against its checksum at the end of the stream.
 func asVersion4(t *testing.T, dir string, m *Manifest) {
 	t.Helper()
 	v4 := *m

@@ -442,11 +442,11 @@ func TestEncodeCleansUpOnError(t *testing.T) {
 }
 
 // TestCancelledContextStops: a cancelled Options.Context stops encode,
-// decode (erasure and heal rungs) and repair on a healthy store, with or
-// without the parallel split, and the error wraps context.Canceled. A
-// stopped encode leaves no shard behind and a stopped repair no temp file.
-// The heal row decodes a version 4 set: only there does Heal reach the
-// correction rung (a version 5 decode checks strips in its erasure rung).
+// decode (of a version 5 set with a shard lost, and of a healthy
+// version 4 set, whose probe reads every shard) and repair on a healthy
+// store, with or without the parallel split, and the error wraps
+// context.Canceled. A stopped encode leaves no shard behind and a
+// stopped repair no temp file.
 func TestCancelledContextStops(t *testing.T) {
 	const size = 4 * 5 * 64 * 20
 	content := make([]byte, size)
@@ -467,8 +467,7 @@ func TestCancelledContextStops(t *testing.T) {
 			_, err := DecodeReport(manifest, io.Discard, opt)
 			return err
 		}},
-		{"decode/heal", false, true, func(_, manifest string, opt Options) error {
-			opt.Heal = true
+		{"decode/v4", false, true, func(_, manifest string, opt Options) error {
 			_, err := DecodeReport(manifest, io.Discard, opt)
 			return err
 		}},
@@ -581,74 +580,45 @@ func TestEncodeShortReaderFails(t *testing.T) {
 	}
 }
 
-// TestDecodeDetectsMidStreamCorruption checks the rolling-CRC defense:
-// a shard whose content lies between the probe and the streaming read
-// (here: a read-path bit-flip injected after the probe's checksum pass)
-// must not silently feed stale bytes into the output — the self-healing
-// decode quarantines it and restarts without it.
+// TestDecodeDetectsMidStreamCorruption: a read-path bit-flip on the
+// stream's read of d01 fails the strip sum of the strip it hits, before
+// its stripe is decoded or written, so that strip is erased for its
+// stripe alone and a writer that cannot rewind gets the original bytes
+// in one attempt, with d01 quarantined. On version 5 the sums are the
+// manifest's, and the stream's read is d01's only one. A version 4 set
+// records whole-shard checksums alone: its probe reads d01 once (d01 is
+// smaller than one probe buffer), rolls its strip sums from that read
+// and checks them against the checksum, and After:1 makes the flip land
+// on the stream's read instead.
 func TestDecodeDetectsMidStreamCorruption(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	asVersion4(t, dir, m)
-
-	// Shard d01 is smaller than one probe buffer, so the probe costs
-	// exactly one read; After:1 makes the single bit-flip land on the
-	// streaming read instead.
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
-		{Path: m.ShardName(1), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1, After: 1},
-	}})
-	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), out,
-		Options{Store: faulty})
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	if rep.Attempts < 2 {
-		t.Errorf("attempts = %d, want a quarantine restart", rep.Attempts)
-	}
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 1 {
-		t.Errorf("quarantined = %v, want [1]", rep.Quarantined)
-	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("self-healed decode differs from the original")
-	}
-}
-
-// TestDecodeDetectsMidStreamCorruptionV5 is the version 5 twin of
-// TestDecodeDetectsMidStreamCorruption. The read-path bit-flip lands on
-// the stream's one read of d01 (there is no probe read), and the strip
-// it hits fails its strip sum before its stripe is decoded or written:
-// that strip is erased, so a writer that cannot rewind gets the
-// original bytes in one attempt, with d01 quarantined and nothing
-// corrected.
-func TestDecodeDetectsMidStreamCorruptionV5(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
-		{Path: m.ShardName(1), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1},
-	}})
-	var out bytes.Buffer
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
-		Options{Store: faulty})
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), content) {
-		t.Fatal("decode differs from the original")
-	}
-	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1]" {
-		t.Errorf("%d attempts, %d corrections, quarantined %v; want 1, 0, [1]",
-			rep.Attempts, rep.Corrections, rep.Quarantined)
-	}
-	if rep.Status[1].State != StateCorrupt || !rep.Degraded {
-		t.Errorf("shard 1 reported %v, degraded %v; want corrupt and a degraded decode",
-			rep.Status[1].State, rep.Degraded)
+	for _, version := range []int{5, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+			after := 0
+			if version == 4 {
+				asVersion4(t, dir, m)
+				after = 1
+			}
+			faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
+				{Path: m.ShardName(1), Op: faultstore.OpRead, Kind: faultstore.BitFlip, Prob: 1, Count: 1, After: after},
+			}})
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+				Options{Store: faulty})
+			if err != nil {
+				t.Fatalf("DecodeReport: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), content) {
+				t.Fatal("decode differs from the original")
+			}
+			if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[1]" {
+				t.Errorf("%d attempts, quarantined %v; want 1, [1]", rep.Attempts, rep.Quarantined)
+			}
+			if rep.Status[1].State != StateCorrupt || !rep.Degraded {
+				t.Errorf("shard 1 reported %v, degraded %v; want corrupt and a degraded decode",
+					rep.Status[1].State, rep.Degraded)
+			}
+		})
 	}
 }
 
@@ -837,13 +807,13 @@ func TestReadAtContract(t *testing.T) {
 			t.Fatalf("repaired %v, want [1 %d]", repaired, m.K+1)
 		}
 		checkShards(t)
-		// The correction rung streams every column, parity included. Heal
-		// reaches it on a version 4 set only; restore puts the version 5
-		// manifest back.
+		// A version 4 set's probe reads every shard, through a sequential
+		// reader, before the stream; restore puts the version 5 manifest
+		// back.
 		asVersion4(t, dir, m)
-		rep, got, err := decodeTo(t, Options{Store: eofAtEnd, Heal: true})
+		rep, got, err := decodeTo(t, Options{Store: eofAtEnd})
 		if err != nil || rep.Attempts != 1 || !bytes.Equal(got, content) {
-			t.Fatalf("heal decode: err %v, %d attempts, output equal %v", err, rep.Attempts, bytes.Equal(got, content))
+			t.Fatalf("v4 decode: err %v, %d attempts, output equal %v", err, rep.Attempts, bytes.Equal(got, content))
 		}
 	})
 

@@ -19,184 +19,101 @@ import (
 
 // TestDecodeCausalTrace is the tracing acceptance scenario: a seeded
 // chaos schedule (transient read faults on shard 0) plus persistent
-// on-disk corruption of shard 1 drive a degraded decode, and the
-// resulting trace must be complete — every injected fault, retry,
-// quarantine, rung choice, and CorrectColumn heal is a child event of
-// one trace, with typed attributes, in both the flight recorder and the
-// JSON event log.
+// on-disk corruption of shard 1 in stripe 0 drive a degraded decode into
+// a writer that cannot rewind, and the resulting trace must be complete
+// — every injected fault, retry, health verdict, quarantine and rung
+// choice is a child event of one trace, with typed attributes, in both
+// the flight recorder and the JSON event log. The decode takes one
+// attempt and quarantines shard 1. On version 5 the probe reads nothing;
+// the stream finds the corrupt strip, names the shard and the stripe,
+// and erases that strip for its stripe. On version 4 the probe reads
+// every shard (the transient faults land there), finds shard 1's
+// checksum wrong and erases it whole, with no stripe named.
 func TestDecodeCausalTrace(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	asVersion4(t, dir, m)
+	for _, version := range []int{5, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
+			v4 := version == 4
+			if v4 {
+				asVersion4(t, dir, m)
+			}
+			path := filepath.Join(dir, m.ShardName(1))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0xff
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Shard 0: two seeded transient read faults, absorbed by the
+			// retry layer — they must surface as faultstore.inject +
+			// store.retry events, not as failures.
+			faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
+				{Path: m.ShardName(0), Op: faultstore.OpRead, Kind: faultstore.Transient, Prob: 1, Count: 2},
+			}})
+			flight := obs.NewFlightRecorder(1024)
+			var logBuf bytes.Buffer
+			tracer := obs.NewTracer(flight, obs.NewEventLog(&logBuf, slog.LevelInfo))
+			tracer.Seed(42)
+			opt := Options{
+				Store: faulty, Registry: obs.NewRegistry(), Tracer: tracer,
+				Retry: store.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Sleep: instantSleep},
+			}
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out}, opt)
+			if err != nil {
+				t.Fatalf("DecodeReport: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), content) {
+				t.Fatal("degraded decode produced wrong bytes")
+			}
+			if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[1]" {
+				t.Fatalf("report = %+v, want shard 1 quarantined in one attempt", rep)
+			}
 
-	// Shard 1: persistent corruption in stripe 0 — CRC soft quarantine,
-	// healed in stream by CorrectColumn.
-	path := filepath.Join(dir, m.ShardName(1))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard 0: two seeded transient read faults, absorbed by the retry
-	// layer — they must surface as faultstore.inject + store.retry
-	// events, not as failures.
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
-		{Path: m.ShardName(0), Op: faultstore.OpRead, Kind: faultstore.Transient, Prob: 1, Count: 2},
-	}})
-
-	flight := obs.NewFlightRecorder(1024)
-	var logBuf bytes.Buffer
-	tracer := obs.NewTracer(flight, obs.NewEventLog(&logBuf, slog.LevelInfo))
-	tracer.Seed(42)
-	reg := obs.NewRegistry()
-	opt := Options{
-		Store: faulty, Registry: reg, Tracer: tracer,
-		Retry: store.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Sleep: instantSleep},
-	}
-
-	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), out, opt)
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("degraded decode produced wrong bytes")
-	}
-	if rep.Corrections == 0 || len(rep.Quarantined) != 1 || rep.Quarantined[0] != 1 {
-		t.Fatalf("report = %+v, want shard 1 quarantined and healed", rep)
-	}
-
-	events := flight.Snapshot()
-	count := checkTrace(t, events, &logBuf)
-
-	// Every decision of the recovery must be in the trace, with its
-	// typed attributes.
-	for _, ev := range events {
-		switch ev.Name {
-		case "faultstore.inject":
-			if ev.Attrs["seed"] != int64(7) || ev.Attrs["rule"] != int64(0) || ev.Attrs["op"] != "read" {
-				t.Errorf("faultstore.inject attrs = %v, want seed=7 rule=0 op=read", ev.Attrs)
+			// The stripe is named when a strip fails its recorded sum, and
+			// not when a version 4 shard fails its checksum.
+			var stripe any = int64(0)
+			erased := int64(0)
+			if v4 {
+				stripe, erased = nil, 1
 			}
-		case "store.retry":
-			if ev.Attrs["op"] != "read" || ev.Err == "" {
-				t.Errorf("store.retry attrs = %v err=%q, want op=read and a cause", ev.Attrs, ev.Err)
+			events := flight.Snapshot()
+			count := checkTrace(t, events, &logBuf)
+			for _, ev := range events {
+				switch ev.Name {
+				case "faultstore.inject":
+					if ev.Attrs["seed"] != int64(7) || ev.Attrs["rule"] != int64(0) || ev.Attrs["op"] != "read" {
+						t.Errorf("faultstore.inject attrs = %v, want seed=7 rule=0 op=read", ev.Attrs)
+					}
+				case "store.retry":
+					if ev.Attrs["op"] != "read" || ev.Err == "" {
+						t.Errorf("store.retry attrs = %v err=%q, want op=read and a cause", ev.Attrs, ev.Err)
+					}
+				case "shard.probe":
+					if ev.Attrs["checksums"] != v4 {
+						t.Errorf("shard.probe attrs = %v, want checksums=%v", ev.Attrs, v4)
+					}
+				case "shard.unhealthy", "shard.quarantine":
+					if ev.Attrs["shard"] != int64(1) || ev.Attrs["state"] != "corrupt" || ev.Attrs["stripe"] != stripe {
+						t.Errorf("%s attrs = %v, want shard=1 state=corrupt stripe=%v", ev.Name, ev.Attrs, stripe)
+					}
+				case "shard.rung":
+					if ev.Attrs["rung"] != "erasure" || ev.Attrs["erased"] != erased {
+						t.Errorf("shard.rung attrs = %v, want rung=erasure erased=%d", ev.Attrs, erased)
+					}
+				}
 			}
-		case "shard.unhealthy":
-			if ev.Attrs["shard"] != int64(1) || ev.Attrs["state"] != "corrupt" {
-				t.Errorf("shard.unhealthy attrs = %v, want shard=1 state=corrupt", ev.Attrs)
+			for name, want := range map[string]int{
+				"shard.decode": 1, "shard.attempt": 1, "shard.probe": 1, "shard.unhealthy": 1,
+				"shard.quarantine": 1, "shard.rung": 1, "faultstore.inject": 2, "store.retry": 2,
+			} {
+				if count[name] != want {
+					t.Errorf("trace has %d %q events, want %d (have %v)", count[name], name, want, count)
+				}
 			}
-		case "shard.quarantine":
-			if ev.Attrs["shard"] != int64(1) {
-				t.Errorf("shard.quarantine attrs = %v, want shard=1", ev.Attrs)
-			}
-		case "shard.rung":
-			if ev.Attrs["rung"] != "correction" {
-				t.Errorf("shard.rung attrs = %v, want rung=correction", ev.Attrs)
-			}
-		case "shard.correct_column":
-			if ev.Attrs["stripe"] != int64(0) || ev.Attrs["col"] != int64(1) {
-				t.Errorf("shard.correct_column attrs = %v, want stripe=0 col=1", ev.Attrs)
-			}
-		}
-	}
-	for _, name := range []string{
-		"shard.decode", "shard.attempt", "shard.probe", "shard.unhealthy",
-		"shard.quarantine", "shard.rung", "shard.correct_column",
-		"faultstore.inject", "store.retry",
-	} {
-		if count[name] == 0 {
-			t.Errorf("trace is missing %q events (have %v)", name, count)
-		}
-	}
-	if count["faultstore.inject"] != 2 || count["store.retry"] != 2 {
-		t.Errorf("injections/retries = %d/%d, want 2/2",
-			count["faultstore.inject"], count["store.retry"])
-	}
-}
-
-// TestDecodeCausalTraceV5 is the version 5 twin of TestDecodeCausalTrace:
-// the same transient read faults on shard 0 and on-disk corruption of
-// shard 1 in stripe 0. The probe reads no checksums; the stream finds
-// the corrupt strip, names the shard and the stripe in one
-// shard.unhealthy and one shard.quarantine event, and erases that strip
-// for its stripe, so the trace has the erasure rung and no
-// CorrectColumn heal. The decode writes into a writer that cannot
-// rewind and takes one attempt.
-func TestDecodeCausalTraceV5(t *testing.T) {
-	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
-	path := filepath.Join(dir, m.ShardName(1))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
-		{Path: m.ShardName(0), Op: faultstore.OpRead, Kind: faultstore.Transient, Prob: 1, Count: 2},
-	}})
-	flight := obs.NewFlightRecorder(1024)
-	var logBuf bytes.Buffer
-	tracer := obs.NewTracer(flight, obs.NewEventLog(&logBuf, slog.LevelInfo))
-	tracer.Seed(42)
-	opt := Options{
-		Store: faulty, Registry: obs.NewRegistry(), Tracer: tracer,
-		Retry: store.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Sleep: instantSleep},
-	}
-	var out bytes.Buffer
-	rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out}, opt)
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), content) {
-		t.Fatal("degraded decode produced wrong bytes")
-	}
-	if rep.Attempts != 1 || rep.Corrections != 0 || fmt.Sprint(rep.Quarantined) != "[1]" {
-		t.Fatalf("report = %+v, want shard 1 quarantined in one attempt, nothing corrected", rep)
-	}
-
-	events := flight.Snapshot()
-	count := checkTrace(t, events, &logBuf)
-	for _, ev := range events {
-		switch ev.Name {
-		case "shard.probe":
-			if ev.Attrs["checksums"] != false {
-				t.Errorf("shard.probe attrs = %v, want checksums=false", ev.Attrs)
-			}
-		case "shard.unhealthy":
-			if ev.Attrs["shard"] != int64(1) || ev.Attrs["state"] != "corrupt" || ev.Attrs["stripe"] != int64(0) {
-				t.Errorf("shard.unhealthy attrs = %v, want shard=1 state=corrupt stripe=0", ev.Attrs)
-			}
-		case "shard.quarantine":
-			if ev.Attrs["shard"] != int64(1) || ev.Attrs["stripe"] != int64(0) {
-				t.Errorf("shard.quarantine attrs = %v, want shard=1 stripe=0", ev.Attrs)
-			}
-		case "shard.rung":
-			if ev.Attrs["rung"] != "erasure" || ev.Attrs["erased"] != int64(0) {
-				t.Errorf("shard.rung attrs = %v, want rung=erasure erased=0", ev.Attrs)
-			}
-		}
-	}
-	for name, want := range map[string]int{
-		"shard.decode": 1, "shard.attempt": 1, "shard.probe": 1, "shard.unhealthy": 1,
-		"shard.quarantine": 1, "shard.rung": 1, "shard.correct_column": 0,
-		"faultstore.inject": 2, "store.retry": 2,
-	} {
-		if count[name] != want {
-			t.Errorf("trace has %d %q events, want %d (have %v)", count[name], name, want, count)
-		}
+		})
 	}
 }
 
@@ -264,12 +181,13 @@ func checkTrace(t *testing.T, events []obs.Event, log *bytes.Buffer) map[string]
 	return count
 }
 
-// TestRepairFastPassTrace pins how a repair's fast pass reads in its
-// trace: a probe span with checksums=false, the fast attempt's erasure
-// rung, and, when a survivor's streamed checksum misses, one warn event
-// naming it before the restart's probe, health verdicts, quarantine and
-// rung. The restart's probe reads no checksums either: it takes the ones
-// the fast pass's stream rolled.
+// TestRepairFastPassTrace pins how a repair of a version 5 set reads in
+// its trace when a survivor has a strip that fails its sum beside a lost
+// shard. Neither attempt's probe reads checksums. The first attempt's
+// stream names the survivor and its stripe and quarantines it, and the
+// attempt ends in error to restart with the survivor among its targets;
+// the second streams it again, finds the same strip, and commits. The
+// quarantine is reported once.
 func TestRepairFastPassTrace(t *testing.T) {
 	dir, _, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
 	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
@@ -296,31 +214,29 @@ func TestRepairFastPassTrace(t *testing.T) {
 		t.Fatalf("repaired %v, want [1 2]", repaired)
 	}
 
-	// The ladder's events in flight-recorder order. Spans land on End,
-	// so each probe follows the shard.unhealthy verdicts it emitted.
+	// The recovery's events in flight-recorder order. Spans land on End,
+	// so each probe follows the shard.unhealthy verdicts it emitted, and
+	// each attempt follows everything it did.
 	var got []string
 	for _, ev := range flight.Snapshot() {
 		switch ev.Name {
+		case "shard.attempt":
+			got = append(got, fmt.Sprintf("attempt %v failed=%v", ev.Attrs["attempt"], ev.Err != ""))
 		case "shard.probe":
 			got = append(got, fmt.Sprintf("probe checksums=%v", ev.Attrs["checksums"]))
 		case "shard.unhealthy":
-			got = append(got, fmt.Sprintf("unhealthy %v %v", ev.Attrs["shard"], ev.Attrs["state"]))
+			got = append(got, fmt.Sprintf("unhealthy %v %v stripe=%v", ev.Attrs["shard"], ev.Attrs["state"], ev.Attrs["stripe"]))
 		case "shard.quarantine":
 			got = append(got, fmt.Sprintf("quarantine %v", ev.Attrs["shard"]))
 		case "shard.rung":
 			got = append(got, fmt.Sprintf("rung %v erased=%v", ev.Attrs["rung"], ev.Attrs["erased"]))
-		case "shard.fastpass.miss":
-			if ev.Level != slog.LevelWarn || ev.Attrs["name"] != m.ShardName(2) {
-				t.Errorf("shard.fastpass.miss level %v attrs %v, want warn naming %s", ev.Level, ev.Attrs, m.ShardName(2))
-			}
-			got = append(got, fmt.Sprintf("miss %v", ev.Attrs["shard"]))
 		}
 	}
 	want := []string{
-		"unhealthy 1 missing", "probe checksums=false", "rung erasure erased=1",
-		"miss 2",
-		"unhealthy 1 missing", "unhealthy 2 corrupt", "probe checksums=false",
-		"quarantine 2", "rung erasure erased=2",
+		"unhealthy 1 missing stripe=<nil>", "probe checksums=false", "rung erasure erased=1",
+		"unhealthy 2 corrupt stripe=0", "quarantine 2", "attempt 1 failed=true",
+		"unhealthy 1 missing stripe=<nil>", "probe checksums=false", "rung erasure erased=1",
+		"unhealthy 2 corrupt stripe=0", "attempt 2 failed=false",
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("repair trace:\n got  %q\n want %q", got, want)

@@ -27,10 +27,9 @@ fmt:
 
 # lint-metrics checks the emitted metric surface against the committed
 # catalog (docs/METRICS.json): every metric name is a string literal at
-# the call that emits it (a non-literal name or label key fails), every
-# name + label key set in the code must be declared, every declared
-# entry must still be emitted, and every label key must be in the
-# bounded taxonomy. After changing instrumentation, regenerate with
+# the call that emits it (a non-literal name fails), every name and type
+# in the code must be declared, and every declared entry must still be
+# emitted. After changing instrumentation, regenerate with
 # `go run ./cmd/metriclint -write`.
 lint-metrics:
 	$(GO) run ./cmd/metriclint
@@ -123,11 +122,11 @@ bench-baseline:
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_core.json -write
 
 # Race-detector pass focused on the observability surfaces: concurrent
-# flight-recorder scrapes, event-log writes, traced degraded decodes,
-# per-attempt deadlines, the shard-outage soak, and the decodes whose
-# reader runs a batch ahead of the caller.
+# registry and span updates, event-log writes, traced decodes, repairs
+# and verifies, per-attempt deadlines, the shard-outage soak, and the
+# decodes whose reader runs a batch ahead of the caller.
 race-obs:
-	$(GO) test -race -count=1 -run 'Trace|Flight|LogJSON|Concurrent|EventLog|Outage|Timeout|ReadAhead|SeededSchedule' \
+	$(GO) test -race -count=1 -run 'Trace|LogJSON|Concurrent|EventLog|Outage|Timeout|ReadAhead|SeededSchedule' \
 		./internal/obs ./internal/shard ./cmd/raidcli ./internal/store
 
 clean:

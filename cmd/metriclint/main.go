@@ -1,16 +1,14 @@
 // Command metriclint checks the metric catalog (docs/METRICS.json)
 // against the code in both directions: every metric the code emits is
-// declared, and every declared metric is still emitted. Every label key,
-// in code and catalog, must be in the catalog's label_keys taxonomy.
+// declared, and every declared metric is still emitted.
 //
 // The rule that makes this a syntax check: a metric name is a string
-// literal at the registry call that emits it, and so is every label key
-// (obs.L("op", v), obs.Li("disk", d)). The scanner is a go/ast pass over
-// the non-test files that import obs. It knows an emitting call by its
-// method name and argument count (see emitters), so sp.Count(ops) and
-// h.Observe(v) are not emissions, and it skips calls on other packages,
-// such as strings.Count(s, "a.b"). A name or label key that is not a
-// literal, or a name that is not lowercase dotted words, is an error.
+// literal at the registry call that emits it. The scanner is a go/ast
+// pass over the non-test files that import obs. It knows an emitting
+// call by its method name and argument count (see emitters), so
+// sp.Count(ops) and h.Observe(v) are not emissions, and it skips calls
+// on other packages, such as strings.Count(s, "a.b"). A name that is not
+// a literal, or not lowercase dotted words, is an error.
 // internal/obs is the runtime: its literal emissions count, and its
 // plumbing, which forwards a caller's name, is not checked.
 //
@@ -44,25 +42,19 @@ const obsImportPath = "repro/internal/obs"
 // metricNameRe is what a metric name must be: lowercase dotted words.
 var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
 
-// Entry is one catalog row: a metric name, its type (counter, gauge,
+// Entry is one catalog row: a metric name and its type (counter, gauge,
 // histogram, or span — span covers the whole <name>.seconds/.calls/...
-// family), and its label key set.
+// family).
 type Entry struct {
-	Name   string   `json:"name"`
-	Type   string   `json:"type"`
-	Labels []string `json:"labels,omitempty"`
+	Name string `json:"name"`
+	Type string `json:"type"`
 }
 
-func (e Entry) key() string {
-	labels := append([]string(nil), e.Labels...)
-	sort.Strings(labels)
-	return e.Type + " " + e.Name + "{" + strings.Join(labels, ",") + "}"
-}
+func (e Entry) key() string { return e.Type + " " + e.Name }
 
-// Catalog is the committed metric surface: label-key taxonomy, metrics.
+// Catalog is the committed metric surface.
 type Catalog struct {
-	LabelKeys []string `json:"label_keys"`
-	Metrics   []Entry  `json:"metrics"`
+	Metrics []Entry `json:"metrics"`
 }
 
 // emission is one emitting call found in the code.
@@ -72,19 +64,17 @@ type emission struct {
 }
 
 // emitter describes a registry call that emits a metric: the metric
-// type, its argument count (the least, when labels or a span's slog
-// attrs may follow) and the index of the name.
+// type, its argument count (the least, when a span's slog attrs may
+// follow) and the index of the name.
 type emitter struct {
-	kind          string
-	args, name    int
-	labels, attrs bool
+	kind       string
+	args, name int
+	attrs      bool
 }
 
 var emitters = map[string]emitter{
 	"Count":         {kind: "counter", args: 2},
-	"CountWith":     {kind: "counter", args: 2, labels: true},
 	"Counter":       {kind: "counter", args: 1},
-	"CounterWith":   {kind: "counter", args: 1, labels: true},
 	"LazyCounter":   {kind: "counter", args: 1},
 	"Gauge":         {kind: "gauge", args: 1},
 	"SetGauge":      {kind: "gauge", args: 2},
@@ -166,7 +156,7 @@ func emissionOf(call *ast.CallExpr, others map[string]bool, runtime bool) (Entry
 		return Entry{}, ""
 	}
 	em, ok := emitters[sel.Sel.Name]
-	if n := len(call.Args); !ok || n < em.args || n > em.args && !em.labels && !em.attrs {
+	if n := len(call.Args); !ok || n < em.args || n > em.args && !em.attrs {
 		return Entry{}, ""
 	}
 	if pkg, ok := sel.X.(*ast.Ident); ok && others[pkg.Name] {
@@ -182,18 +172,7 @@ func emissionOf(call *ast.CallExpr, others map[string]bool, runtime bool) (Entry
 	case !metricNameRe.MatchString(name):
 		return Entry{}, fmt.Sprintf("metric name %q is not lowercase dotted words (%s)", name, metricNameRe)
 	}
-	e := Entry{Name: name, Type: em.kind}
-	if em.labels {
-		for _, a := range call.Args[em.args:] {
-			key, ok := labelKey(a)
-			if !ok {
-				return Entry{}, fmt.Sprintf("label %s on %s is not obs.L or obs.Li with a literal key", types.ExprString(a), name)
-			}
-			e.Labels = append(e.Labels, key)
-		}
-		sort.Strings(e.Labels)
-	}
-	return e, ""
+	return Entry{Name: name, Type: em.kind}, ""
 }
 
 func stringLit(e ast.Expr) (string, bool) {
@@ -205,45 +184,16 @@ func stringLit(e ast.Expr) (string, bool) {
 	return s, err == nil
 }
 
-// labelKey returns the literal key of an obs.L("key", v) or
-// obs.Li("key", v) label.
-func labelKey(e ast.Expr) (string, bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "L" && sel.Sel.Name != "Li" {
-		return "", false
-	}
-	return stringLit(call.Args[0])
-}
-
-// lint checks both directions and the taxonomy, returning one message
-// per violation.
+// lint checks both directions, returning one message per violation.
 func lint(ems []emission, cat Catalog) []string {
 	var errs []string
-	allowed := map[string]bool{}
-	for _, k := range cat.LabelKeys {
-		allowed[k] = true
-	}
-	taxonomy := func(where string, e Entry) {
-		for _, k := range e.Labels {
-			if !allowed[k] {
-				errs = append(errs, fmt.Sprintf("%s: label key %q on %s is outside the taxonomy %v",
-					where, k, e.key(), cat.LabelKeys))
-			}
-		}
-	}
 	declared := map[string]bool{}
 	for _, c := range cat.Metrics {
 		declared[c.key()] = true
-		taxonomy("catalog", c)
 	}
 	emitted := map[string]bool{}
 	for _, e := range ems {
 		emitted[e.key()] = true
-		taxonomy(e.pos, e.Entry)
 		if !declared[e.key()] {
 			errs = append(errs, fmt.Sprintf("%s: %s is emitted but not in the catalog (run metriclint -write)", e.pos, e.key()))
 		}

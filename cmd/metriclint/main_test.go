@@ -28,32 +28,29 @@ const obsHeader = `package x
 
 import "repro/internal/obs"
 
-var _ = obs.L
+var _ = obs.NewRegistry
 `
 
-func findEmission(es []emission, name, kind string) (emission, bool) {
+func hasEmission(es []emission, name, kind string) bool {
 	for _, e := range es {
 		if e.Name == name && e.Type == kind {
-			return e, true
+			return true
 		}
 	}
-	return emission{}, false
+	return false
 }
 
 // TestScanResolution: every emitting call of the registry, with a
-// literal name at its name argument and literal label keys, is an
-// emission of its type with its sorted label keys, also where obs is
-// imported under another name.
+// literal name at its name argument, is an emission of its type, also
+// where obs is imported under another name.
 func TestScanResolution(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
-func emit(ctx context.Context, reg *obs.Registry, node int) {
+func emit(ctx context.Context, reg *obs.Registry) {
 	reg.Count("svc.reads.total", 1)
 	reg.Counter("svc.plain.total").Inc()
 	reg.Observe("svc.lat.seconds", nil, 0.1)
 	reg.Histogram("svc.size", nil)
-	reg.CountWith("svc.by_node.total", 1, obs.Li("disk", node), obs.L("code", "x"))
-	reg.CounterWith("svc.by_disk.total", obs.L("disk", "3"))
 	reg.SetGauge("svc.depth", 1)
 	reg.Gauge("svc.level").Set(1)
 	reg.Family("svc.op")
@@ -76,32 +73,25 @@ func alias(reg *metrics.Registry) { reg.Count("svc.alias.total", 1) }
 	if len(errs) != 0 {
 		t.Fatalf("scan errors %v, want none", errs)
 	}
-	want := []struct{ name, kind, labels string }{
-		{"svc.reads.total", "counter", ""},
-		{"svc.plain.total", "counter", ""},
-		{"svc.lat.seconds", "histogram", ""},
-		{"svc.size", "histogram", ""},
-		{"svc.by_node.total", "counter", "code,disk"},
-		{"svc.by_disk.total", "counter", "disk"},
-		{"svc.depth", "gauge", ""},
-		{"svc.level", "gauge", ""},
-		{"svc.op", "span", ""},
-		{"svc.lazy.total", "counter", ""},
-		{"svc.wait.seconds", "histogram", ""},
-		{"svc.call", "span", ""},
-		{"svc.alias.total", "counter", ""},
+	want := []struct{ name, kind string }{
+		{"svc.reads.total", "counter"},
+		{"svc.plain.total", "counter"},
+		{"svc.lat.seconds", "histogram"},
+		{"svc.size", "histogram"},
+		{"svc.depth", "gauge"},
+		{"svc.level", "gauge"},
+		{"svc.op", "span"},
+		{"svc.lazy.total", "counter"},
+		{"svc.wait.seconds", "histogram"},
+		{"svc.call", "span"},
+		{"svc.alias.total", "counter"},
 	}
 	if len(es) != len(want) {
 		t.Errorf("scan found %d emissions, want %d: %+v", len(es), len(want), es)
 	}
 	for _, w := range want {
-		e, ok := findEmission(es, w.name, w.kind)
-		if !ok {
+		if !hasEmission(es, w.name, w.kind) {
 			t.Errorf("missing %s %s in %+v", w.kind, w.name, es)
-			continue
-		}
-		if got := strings.Join(e.Labels, ","); got != w.labels {
-			t.Errorf("%s labels = %q, want %q", w.name, got, w.labels)
 		}
 	}
 }
@@ -158,32 +148,28 @@ func h(ops *core.Ops, h *obs.Histogram, v float64) {
 
 // TestScanErrors: an emitting call whose name is not a string literal
 // (a parameter, a local, a package constant, a concatenation) is an
-// error, as is a literal that is not lowercase dotted words and a label
-// that is not obs.L/obs.Li with a literal key. Inside internal/obs a
-// non-literal name is the runtime forwarding its caller's, and is
-// skipped; a literal there is an emission.
+// error, as is a literal that is not lowercase dotted words. Inside
+// internal/obs a non-literal name is the runtime forwarding its
+// caller's, and is skipped; a literal there is an emission.
 func TestScanErrors(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
 const total = "svc.ops.total"
 
-func emit(reg *obs.Registry, name, key string, kind fmt.Stringer) {
+func emit(reg *obs.Registry, name string, kind fmt.Stringer) {
 	reg.Count(name, 1)
 	local := "svc.writes.total"
 	reg.Count(local, 1)
 	reg.Count(total, 1)
 	reg.Family("svc.injected." + kind.String())
 	reg.Family("liberation-original.encode")
-	l := obs.L("disk", "3")
-	reg.CountWith("svc.by_disk.total", 1, l)
-	reg.CounterWith("svc.by_key.total", obs.L(key, "3"))
 }
 `,
 		"internal/obs/obs.go": `package obs
 
 func (r *Registry) Count(name string, n uint64) { r.Counter(name).Add(n) }
 
-func (r *Registry) drop() { r.Counter("obs.labels.dropped").Inc() }
+func (r *Registry) reset() { r.Counter("obs.resets.total").Inc() }
 `,
 	})
 	es, errs, err := scan(root)
@@ -196,8 +182,6 @@ func (r *Registry) drop() { r.Counter("obs.labels.dropped").Inc() }
 		"a/a.go:13:2: Count name total is not a string literal",
 		`a/a.go:14:2: Family name "svc.injected." + kind.String() is not a string literal`,
 		`a/a.go:15:2: metric name "liberation-original.encode" is not lowercase dotted words`,
-		"a/a.go:17:2: label l on svc.by_disk.total is not obs.L or obs.Li with a literal key",
-		`a/a.go:18:2: label obs.L(key, "3") on svc.by_key.total is not obs.L or obs.Li with a literal key`,
 	}
 	if len(errs) != len(want) {
 		t.Fatalf("scan errors:\n%s\nwant %d", strings.Join(errs, "\n"), len(want))
@@ -207,34 +191,32 @@ func (r *Registry) drop() { r.Counter("obs.labels.dropped").Inc() }
 			t.Errorf("error %d = %q, want prefix %q", i, errs[i], w)
 		}
 	}
-	if len(es) != 1 || es[0].Name != "obs.labels.dropped" || es[0].Type != "counter" {
-		t.Errorf("emissions = %+v, want only the runtime's obs.labels.dropped", es)
+	if len(es) != 1 || es[0].Name != "obs.resets.total" || es[0].Type != "counter" {
+		t.Errorf("emissions = %+v, want only the runtime's obs.resets.total", es)
 	}
 }
 
 func testCatalog() Catalog {
 	return Catalog{
-		LabelKeys: []string{"disk", "op"},
 		Metrics: []Entry{
 			{Name: "svc.reads.total", Type: "counter"},
-			{Name: "svc.by_disk.total", Type: "counter", Labels: []string{"disk"}},
+			{Name: "svc.writes.total", Type: "counter"},
 			{Name: "svc.op", Type: "span"},
 		},
 	}
 }
 
 // TestLintDirections: both directions of the catalog check (every
-// emission declared, every entry emitted) and the label taxonomy, in
-// code and in the catalog.
+// emission declared, every entry emitted).
 func TestLintDirections(t *testing.T) {
-	em := func(name, kind string, labels ...string) emission {
-		return emission{Entry: Entry{Name: name, Type: kind, Labels: labels}, pos: name + ":1"}
+	em := func(name, kind string) emission {
+		return emission{Entry: Entry{Name: name, Type: kind}, pos: name + ":1"}
 	}
 	cat := testCatalog()
 	clean := []emission{
 		em("svc.reads.total", "counter"),
-		em("svc.by_disk.total", "counter", "disk"),
-		em("svc.by_disk.total", "counter", "disk"), // a second call site
+		em("svc.writes.total", "counter"),
+		em("svc.writes.total", "counter"), // a second call site
 		em("svc.op", "span"),
 	}
 	if errs := lint(clean, cat); len(errs) != 0 {
@@ -255,11 +237,9 @@ func TestLintDirections(t *testing.T) {
 	}
 	one("uncataloged emission", lint(append(clean, em("svc.rogue.total", "counter")), cat),
 		"svc.rogue.total", "not in the catalog")
-	one("label-set mismatch", lint(append(clean, em("svc.reads.total", "counter", "op")), cat),
-		"svc.reads.total{op}", "not in the catalog")
 	one("type mismatch", lint(append(clean, em("svc.op", "counter")), cat),
-		"counter svc.op{}", "not in the catalog")
-	one("stale entry", lint(clean[:3], cat), "span svc.op{}", "stale")
+		"counter svc.op", "not in the catalog")
+	one("stale entry", lint(clean[:3], cat), "span svc.op", "stale")
 
 	// A misspelled name fails both ways: the emission is undeclared and
 	// the entry it replaced is stale.
@@ -267,32 +247,22 @@ func TestLintDirections(t *testing.T) {
 	if errs := lint(misspelled, cat); len(errs) != 2 {
 		t.Errorf("misspelled name errors = %v, want two", errs)
 	}
-
-	// A label key outside label_keys fails even when cataloged: once for
-	// the emission, once for the entry.
-	badCat := testCatalog()
-	badCat.Metrics = append(badCat.Metrics, Entry{Name: "svc.hot.total", Type: "counter", Labels: []string{"user"}})
-	errs := lint(append(clean, em("svc.hot.total", "counter", "user")), badCat)
-	if len(errs) != 2 || !strings.Contains(errs[0], `"user"`) || !strings.Contains(errs[1], `"user"`) {
-		t.Errorf("taxonomy errors = %v, want two mentioning user", errs)
-	}
 }
 
 // TestRegenerate: -write rewrites the metrics list as one entry per
-// distinct emission, sorted by name, dropping stale entries and keeping
-// the taxonomy; the file it writes checks clean.
+// distinct emission, sorted by name, dropping stale entries; the file it
+// writes checks clean.
 func TestRegenerate(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a/a.go": obsHeader + `
 func emit(reg *obs.Registry) {
 	reg.Count("svc.reads.total", 1)
 	reg.Count("svc.reads.total", 2)
-	reg.CountWith("svc.new.total", 1, obs.L("op", "read"))
+	reg.Count("svc.new.total", 1)
 	reg.Family("svc.apply")
 }
 `,
 		"docs/METRICS.json": `{
-  "label_keys": ["op"],
   "metrics": [
     {"name": "svc.stale.total", "type": "counter"},
     {"name": "svc.reads.total", "type": "counter"}
@@ -312,9 +282,6 @@ func emit(reg *obs.Registry) {
 		t.Fatal(err)
 	}
 	want := `{
-  "label_keys": [
-    "op"
-  ],
   "metrics": [
     {
       "name": "svc.apply",
@@ -322,10 +289,7 @@ func emit(reg *obs.Registry) {
     },
     {
       "name": "svc.new.total",
-      "type": "counter",
-      "labels": [
-        "op"
-      ]
+      "type": "counter"
     },
     {
       "name": "svc.reads.total",
@@ -339,15 +303,18 @@ func emit(reg *obs.Registry) {
 	}
 }
 
-// TestCatalogRejectsUnknownFields: a catalog row in a form the checker
-// does not know (a prefix wildcard, an exemption) is an error, not a
-// silently ignored field.
+// TestCatalogRejectsUnknownFields: a catalog in a form the checker does
+// not know (a prefix wildcard, the old label-key taxonomy and label
+// lists) is an error, not a silently ignored field.
 func TestCatalogRejectsUnknownFields(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"METRICS.json": `{"label_keys": [], "metrics": [{"prefix": "svc.", "type": "counter"}]}`,
+		"prefix.json": `{"metrics": [{"prefix": "svc.", "type": "counter"}]}`,
+		"labels.json": `{"label_keys": ["op"], "metrics": [{"name": "store.io", "type": "counter", "labels": ["op"]}]}`,
 	})
-	if _, err := load(filepath.Join(root, "METRICS.json")); err == nil {
-		t.Error("a prefix entry loaded without error")
+	for _, name := range []string{"prefix.json", "labels.json"} {
+		if _, err := load(filepath.Join(root, name)); err == nil {
+			t.Errorf("%s loaded without error", name)
+		}
 	}
 }
 

@@ -226,15 +226,18 @@ func (f *ioFlags) options() (shard.Options, *obs.Registry, error) {
 	if f.stats {
 		reg = obs.NewRegistry()
 	}
-	sinks := []obs.EventSink{obs.NewFlightRecorder(obs.DefaultFlightSize)}
+	// The tracer mints the trace ID every command can print; its one
+	// sink is the event log, under -log-json. A nil interface, not a nil
+	// *EventLog, is what NewTracer skips.
+	var sink obs.EventSink
 	if f.logJSON {
-		sinks = append(sinks, obs.NewEventLog(os.Stderr, slog.LevelInfo))
+		sink = obs.NewEventLog(os.Stderr, slog.LevelInfo)
 	}
 	opt := shard.Options{
 		Workers:      workers,
 		BatchStripes: f.batch,
 		Registry:     reg,
-		Tracer:       obs.NewTracer(sinks...),
+		Tracer:       obs.NewTracer(sink),
 		Retry: store.RetryPolicy{
 			MaxAttempts: f.retries + 1,
 			BaseBackoff: f.backoff,
@@ -370,13 +373,7 @@ func cmdDecode(args []string) error {
 	}
 	done(err)
 	if rep != nil {
-		for _, st := range rep.Status {
-			mark := st.State.String()
-			if st.State != shard.StateOK {
-				mark += " (reconstructed)"
-			}
-			fmt.Printf("  shard %-14s %s\n", st.Name, mark)
-		}
+		printShards(rep.Status, " (reconstructed)")
 	}
 	if err != nil {
 		// Never leave a partial recovery behind for someone to trust.
@@ -451,9 +448,7 @@ func cmdVerify(args []string) error {
 	fmt.Printf("trace: %s\n", root.TraceID())
 	var deg *shard.DegradedError
 	if errors.As(err, &deg) {
-		for _, st := range deg.Status {
-			fmt.Printf("  shard %-14s %s\n", st.Name, st.State)
-		}
+		printShards(deg.Status, "")
 		fmt.Fprintf(os.Stderr, "raidcli: warning: %v\n", err)
 		return nil // still recoverable: exit 0 with the warning
 	}
@@ -463,6 +458,22 @@ func cmdVerify(args []string) error {
 	fmt.Println("all shards healthy")
 	printStats(os.Stdout, reg, 0)
 	return nil
+}
+
+// printShards lists every shard's state, and after each unusable one's
+// state its mark and its cause: the failing stripes of a corrupt shard,
+// the open error of a missing one.
+func printShards(status []shard.ShardStatus, mark string) {
+	for _, st := range status {
+		line := fmt.Sprintf("  shard %-14s %s", st.Name, st.State)
+		if st.State != shard.StateOK {
+			line += mark
+			if st.Err != nil {
+				line += ": " + st.Err.Error()
+			}
+		}
+		fmt.Println(line)
+	}
 }
 
 func cmdInfo(args []string) error {

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // encodeCLIFixture writes a random blob and encodes it through the real
@@ -77,6 +81,65 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 	if err := run("verify", []string{manifest}); err != nil {
 		t.Fatalf("verify after repair: %v", err)
+	}
+}
+
+// TestVerifyNamesFailingStripes: verify prints each unusable shard's
+// cause on its line, so the stripes that fail their sums reach the
+// operator. The version 5 set has d01 removed and one byte flipped in
+// stripe 0 of d00 and in the last stripe of p.
+func TestVerifyNamesFailingStripes(t *testing.T) {
+	dir := t.TempDir()
+	blob := filepath.Join(dir, "blob.bin")
+	content := make([]byte, 200_000)
+	rand.New(rand.NewSource(5)).Read(content)
+	if err := os.WriteFile(blob, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("encode", []string{"-k", "4", "-elem", "1024", "-out", dir, blob}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	manifest := filepath.Join(dir, "blob.bin.manifest.json")
+	m, err := shard.LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != 5 || m.Stripes < 2 {
+		t.Fatalf("fixture is version %d with %d stripes, want version 5 and several stripes", m.Version, m.Stripes)
+	}
+	if err := os.Remove(filepath.Join(dir, m.ShardName(1))); err != nil {
+		t.Fatal(err)
+	}
+	last := m.Stripes - 1
+	flip := func(i int, off int64) {
+		path := filepath.Join(dir, m.ShardName(i))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[off] ^= 0xff
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip(0, 7)
+	flip(m.K, int64(last)*int64(m.W*m.ElemSize)+7) // p
+
+	out, _ := captureBoth(t, func() error { return run("verify", []string{manifest}) })
+	lines := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "shard" {
+			lines[f[1]] = line
+		}
+	}
+	for i, want := range map[int]string{
+		0:   "corrupt: shard 0 (blob.bin.shard.d00): strips fail their sums in stripes [0]",
+		1:   "missing: ",
+		m.K: fmt.Sprintf("corrupt: shard %d (blob.bin.shard.p): strips fail their sums in stripes [%d]", m.K, last),
+	} {
+		if line := lines[m.ShardName(i)]; !strings.Contains(line, want) {
+			t.Errorf("verify line of %s = %q, want it to contain %q\noutput:\n%s", m.ShardName(i), line, want, out)
+		}
 	}
 }
 

@@ -13,11 +13,6 @@ import (
 // corruption is not confined to a single column.
 var ErrAmbiguousCorruption = errors.New("liberation: corruption not attributable to a single column")
 
-// CleanColumn is returned by CorrectColumn when no corruption is present.
-// It now lives in core (the capability home of core.ColumnCorrector);
-// this alias keeps existing callers compiling.
-const CleanColumn = core.CleanColumn
-
 // correctScratch is the reusable working set of one CorrectColumn call:
 // the syndrome rows dP/dQ, the per-candidate prediction rows, and the
 // bookkeeping that keeps the locate phase sparse. It is recycled through
@@ -70,8 +65,8 @@ func (c *Code) getScratch(elemSize int) *correctScratch {
 // CorrectColumn scans a full stripe (no erasures) for a single silently
 // corrupted strip and repairs it in place — the single-column error
 // correction the paper provides to protect against silent data
-// corruption. It returns the index of the repaired strip, or CleanColumn
-// if the parities verify.
+// corruption. It returns the index of the repaired strip, or
+// core.CleanColumn if the parities verify.
 //
 // The method: form the row discrepancy dP and anti-diagonal discrepancy
 // dQ by streaming each syndrome row directly off the live stripe —
@@ -140,7 +135,7 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 
 	switch {
 	case len(sc.nzP) == 0 && len(sc.nzQ) == 0:
-		return CleanColumn, nil
+		return core.CleanColumn, nil
 	case len(sc.nzP) != 0 && len(sc.nzQ) == 0:
 		// Only the row parity disagrees: the P strip is corrupt, and dP
 		// is exactly its error pattern.
@@ -176,7 +171,7 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 		}
 		ops.XorInto(sc.pred[q], src)
 	}
-	candidate := CleanColumn
+	candidate := core.CleanColumn
 	for col := 0; col < k; col++ {
 		clearDirty()
 		for _, i := range sc.nzP {
@@ -201,13 +196,13 @@ func (c *Code) correctColumn(s *core.Stripe, ops *core.Ops) (int, error) {
 			}
 		}
 		if match {
-			if candidate != CleanColumn {
+			if candidate != core.CleanColumn {
 				return 0, ErrAmbiguousCorruption
 			}
 			candidate = col
 		}
 	}
-	if candidate == CleanColumn {
+	if candidate == core.CleanColumn {
 		return 0, ErrAmbiguousCorruption
 	}
 	for _, i := range sc.nzP {

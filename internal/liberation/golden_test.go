@@ -210,7 +210,7 @@ func FuzzCorrectColumn(f *testing.F) {
 			return // ambiguous is acceptable; silence is not
 		}
 		if !changed {
-			if fixed != CleanColumn {
+			if fixed != core.CleanColumn {
 				t.Fatalf("clean stripe 'repaired' at column %d", fixed)
 			}
 			return

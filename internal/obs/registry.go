@@ -2,8 +2,11 @@
 // concurrent-safe metrics registry (counters, gauges, fixed-bucket
 // histograms with percentile summaries), a span API that ties wall time
 // and bytes to the XOR accounting of core.Ops, and causal traces that
-// carry one operation's recovery decisions to an event log and a flight
-// recorder.
+// carry one operation's recovery decisions to the sinks a caller
+// attaches (the JSON event log).
+//
+// Every metric is one series, named by a string literal at the call that
+// emits it (docs/METRICS.json catalogs them).
 //
 // The paper's entire evaluation rests on two observables — XOR counts
 // normalized to the k-1 lower bound (Figures 5-8) and encode/decode wall
@@ -22,7 +25,7 @@ import (
 )
 
 // A Counter is a monotonically increasing uint64. A nil *Counter (from
-// a labeled lookup on a nil registry) is a valid no-op.
+// a lookup on a nil registry) is a valid no-op.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -88,10 +91,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	spans    sync.Map // name -> *SpanFamily: handles on metrics kept above
-
-	// Labeled counters (see labels.go): one interned label-set table per
-	// counter name, each capped at DefaultLabelCap distinct sets.
-	cfam map[string]*family
 }
 
 // NewRegistry returns an empty registry.
@@ -100,7 +99,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		cfam:     make(map[string]*family),
 	}
 }
 

@@ -36,13 +36,6 @@ type SpanStats struct {
 
 // Snapshot captures every metric in the registry. Safe to call while
 // writers are mutating; a nil registry yields an empty snapshot.
-//
-// Labeled counters appear two ways in the counter map, keyed by
-// canonical series name (see SeriesName):
-//
-//   - every child:        raid.scrub.repairs{disk="3"}
-//   - the family total:   raid.scrub.repairs — the sum of the children,
-//     emitted only when no unlabeled counter already owns the bare name.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -66,10 +59,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	cfam := make(map[string]*family, len(r.cfam))
-	for k, v := range r.cfam {
-		cfam[k] = v
-	}
 	r.mu.RUnlock()
 
 	for k, v := range counters {
@@ -80,25 +69,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.snapshot()
-	}
-
-	for base, f := range cfam {
-		// Counter pointers and label slices are immutable once interned.
-		f.mu.RLock()
-		entries := append([]famEntry(nil), f.entries...)
-		f.mu.RUnlock()
-		if len(entries) == 0 {
-			continue
-		}
-		var total uint64
-		for _, e := range entries {
-			v := e.c.Value()
-			total += v
-			s.Counters[SeriesName(base, e.labels)] = v
-		}
-		if _, taken := s.Counters[base]; !taken {
-			s.Counters[base] = total
-		}
 	}
 
 	// Reassemble span families: every ".calls" counter roots one.

@@ -115,10 +115,9 @@ func TestSpanMetricsAppearOnFirstRecord(t *testing.T) {
 	}
 }
 
-// TestSpanHotPathAllocs mirrors TestLabeledCounterHotPathAllocs for
-// spans: once a family's metrics exist, recording a span, its counts
-// given by Ops or counted through Count, allocates nothing, and neither
-// do the lazy counter and histogram handles.
+// TestSpanHotPathAllocs: once a family's metrics exist, recording a
+// span, its counts given by Ops or counted through Count, allocates
+// nothing, and neither do the lazy counter and histogram handles.
 func TestSpanHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	f := r.Family("hot")

@@ -15,8 +15,8 @@ import (
 // "why did THIS operation do what it did": every recovery decision —
 // each retry, quarantine, strip erased for its stripe — becomes
 // a child span or event of one request-scoped trace, carried through the
-// stack via context.Context and fanned out to pluggable sinks (the JSON
-// event log and the flight recorder).
+// stack via context.Context and fanned out to the sinks the tracer was
+// built with (the JSON event log; tests collect events with their own).
 
 // A TraceID identifies one causally-related operation tree (one decode,
 // one repair, one fault episode). Zero means "no trace".
@@ -91,19 +91,6 @@ func NewTracer(sinks ...EventSink) *Tracer {
 
 // Seed fixes the trace-ID sequence base so tests get deterministic IDs.
 func (t *Tracer) Seed(base uint64) { t.base = base }
-
-// Flight returns the tracer's flight recorder sink, if it has one.
-func (t *Tracer) Flight() *FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	for _, s := range t.sinks {
-		if r, ok := s.(*FlightRecorder); ok {
-			return r
-		}
-	}
-	return nil
-}
 
 func (t *Tracer) record(ev Event) {
 	if t == nil {
@@ -284,31 +271,6 @@ func EmitErr(ctx context.Context, level slog.Level, name string, err error, attr
 		ev.Err = err.Error()
 	}
 	ts.tracer.record(ev)
-}
-
-// ContextTraceID returns the trace ID ctx carries (zero if none).
-func ContextTraceID(ctx context.Context) TraceID {
-	if ctx == nil {
-		return 0
-	}
-	sc, _ := ctx.Value(ctxKey{}).(*SpanCtx)
-	if sc == nil {
-		return 0
-	}
-	return sc.TraceID()
-}
-
-// ContextFlight returns the flight recorder of the tracer whose trace
-// ctx carries, if both exist.
-func ContextFlight(ctx context.Context) *FlightRecorder {
-	if ctx == nil {
-		return nil
-	}
-	sc, _ := ctx.Value(ctxKey{}).(*SpanCtx)
-	if sc == nil || sc.ts == nil {
-		return nil
-	}
-	return sc.ts.tracer.Flight()
 }
 
 // attrMap resolves a typed attribute list into the Event's plain-data

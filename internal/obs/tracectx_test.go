@@ -3,15 +3,27 @@ package obs
 import (
 	"context"
 	"errors"
-	"io"
 	"log/slog"
+	"sync"
 	"testing"
 )
+
+// collector is a test sink: it keeps every event, in arrival order.
+type collector struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (c *collector) RecordEvent(ev Event) {
+	c.mu.Lock()
+	c.events = append(c.events, ev)
+	c.mu.Unlock()
+}
 
 // TestSpanCtxParentage checks the causal chain: root → child spans →
 // point events all share one trace ID and link parent to child.
 func TestSpanCtxParentage(t *testing.T) {
-	rec := NewFlightRecorder(64)
+	rec := &collector{}
 	tr := NewTracer(rec)
 	tr.Seed(0)
 
@@ -19,15 +31,12 @@ func TestSpanCtxParentage(t *testing.T) {
 	if root.TraceID() == 0 {
 		t.Fatal("root span has no trace ID")
 	}
-	if got := ContextTraceID(ctx); got != root.TraceID() {
-		t.Fatalf("ContextTraceID = %v, want %v", got, root.TraceID())
-	}
 	cctx, child := StartOp(ctx, nil, nil, "op.child")
 	Emit(cctx, slog.LevelWarn, "op.point", slog.Int("shard", 3))
 	child.Attr(slog.Int("stripe", 7)).End(nil)
 	root.End(errors.New("boom"))
 
-	events := rec.Snapshot()
+	events := rec.events
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3: %+v", len(events), events)
 	}
@@ -65,7 +74,7 @@ func TestSpanCtxParentage(t *testing.T) {
 // existing trace rather than starting a second one, and that distinct
 // top-level operations get distinct trace IDs.
 func TestStartOpRootsOnlyWithoutTrace(t *testing.T) {
-	tr := NewTracer(NewFlightRecorder(8))
+	tr := NewTracer(&collector{})
 	tr.Seed(0)
 	ctx1, sp1 := StartOp(context.Background(), tr, nil, "a")
 	_, sp2 := StartOp(ctx1, tr, nil, "b")
@@ -89,9 +98,6 @@ func TestInertSpans(t *testing.T) {
 		t.Error("inert span has a trace ID")
 	}
 	sp.Attr(slog.Int("x", 1)).Bytes(10).Units(2).End(nil)
-	if ContextFlight(ctx) != nil {
-		t.Error("inert context has a flight recorder")
-	}
 
 	// Registry only: the metric families must land.
 	reg := NewRegistry()
@@ -103,17 +109,4 @@ func TestInertSpans(t *testing.T) {
 
 	// Emit on a nil context must not panic.
 	Emit(nil, slog.LevelInfo, "nothing") //nolint:staticcheck // deliberate nil
-}
-
-// TestContextFlight finds the tracer's recorder through the context.
-func TestContextFlight(t *testing.T) {
-	rec := NewFlightRecorder(8)
-	tr := NewTracer(NewEventLog(io.Discard, slog.LevelInfo), rec)
-	ctx, _ := StartOp(context.Background(), tr, nil, "op")
-	if got := ContextFlight(ctx); got != rec {
-		t.Fatalf("ContextFlight = %p, want %p", got, rec)
-	}
-	if tr.Flight() != rec {
-		t.Fatal("Tracer.Flight did not find the recorder")
-	}
 }

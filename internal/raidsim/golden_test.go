@@ -127,7 +127,6 @@ counter raid.rebuild.xors = 80
 counter raid.scrub.bytes = 1600
 counter raid.scrub.calls = 1
 counter raid.scrub.repairs = 1
-counter raid.scrub.repairs{disk="1"} = 1
 counter raid.scrub.units = 1
 counter raid.scrub.xors = 223
 counter raid.small_writes = 8

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Read copies len(p) data bytes starting at logical offset off into p.
@@ -199,7 +198,7 @@ func (a *Array) Scrub() ([]ScrubResult, error) {
 			if col != core.CleanColumn {
 				a.Stats.ScrubRepairs++
 				disk := a.diskFor(stripe, col)
-				a.obs.CountWith("raid.scrub.repairs", 1, obs.Li("disk", disk))
+				a.met.scrubRepairs.Add(1)
 				results = append(results, ScrubResult{
 					Stripe: stripe, Disk: disk, Strip: col})
 			}

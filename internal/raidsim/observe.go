@@ -9,7 +9,7 @@ import (
 // Read/Write/Rebuild/Scrub records a span (raid.read, raid.write,
 // raid.rebuild, raid.scrub) carrying latency, bytes, and the element-
 // operation counts of the coding work it triggered; the array-level
-// event counters (degraded reads, small writes, scrub repairs by disk)
+// event counters (degraded reads, small writes, scrub repairs)
 // and the raid.rebuild.progress gauge update live. The spans and event
 // counters are resolved here, once, so recording them takes no lock,
 // map lookup or allocation. When the underlying code is obs.Observable
@@ -28,6 +28,7 @@ func (a *Array) Instrument(reg *obs.Registry) {
 		parityElemWrites: reg.LazyCounter("raid.parity_elem_writes"),
 		degradedReads:    reg.LazyCounter("raid.degraded_reads"),
 		stripesRebuilt:   reg.LazyCounter("raid.stripes_rebuilt"),
+		scrubRepairs:     reg.LazyCounter("raid.scrub.repairs"),
 	}
 	if o, ok := a.code.(obs.Observable); ok {
 		o.Instrument(reg)
@@ -40,7 +41,7 @@ type arrayMetrics struct {
 	read, write, rebuild, scrub *obs.SpanFamily
 
 	stripeEncodes, smallWrites, parityElemWrites *obs.LazyCounter
-	degradedReads, stripesRebuilt                *obs.LazyCounter
+	degradedReads, stripesRebuilt, scrubRepairs  *obs.LazyCounter
 }
 
 // Registry returns the metrics sink attached with Instrument (nil when

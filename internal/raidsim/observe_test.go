@@ -11,12 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// scrubRepairSeries names disk's child of the per-disk scrub repair
-// counter.
-func scrubRepairSeries(disk int) string {
-	return obs.SeriesName("raid.scrub.repairs", []obs.Label{obs.Li("disk", disk)})
-}
-
 // newTestRegistry attaches a fresh registry to the array.
 func newTestRegistry(a *Array) *obs.Registry {
 	reg := obs.NewRegistry()
@@ -88,18 +82,6 @@ func TestMetricsMatchStats(t *testing.T) {
 	check("raid.scrub.repairs", a.Stats.ScrubRepairs)
 	if a.Stats.DegradedReads == 0 || a.Stats.SmallWrites == 0 || a.Stats.ScrubRepairs == 0 {
 		t.Fatalf("workload did not exercise all paths: %+v", a.Stats)
-	}
-
-	// Per-disk scrub repair attribution: exactly the corrupted disk.
-	repairs := uint64(0)
-	for d := 0; d < a.NumDisks(); d++ {
-		repairs += snap.Counters[scrubRepairSeries(d)]
-	}
-	if repairs != a.Stats.ScrubRepairs {
-		t.Errorf("per-disk scrub repairs sum %d, want %d", repairs, a.Stats.ScrubRepairs)
-	}
-	if snap.Counters[scrubRepairSeries(1)] == 0 {
-		t.Error("repair not attributed to corrupted disk 1")
 	}
 
 	if g := snap.Gauges["raid.rebuild.progress"]; g != 1 {

@@ -62,8 +62,10 @@ type batch struct {
 	first   int // index of stripes[0] in the shard set
 	n       int // stripes in use
 	// failed holds, per stripe in use, the streamed strips that failed
-	// their strip sums (see recovery.checkStrips).
+	// their strip sums, and errs the error its decode returned (see
+	// recovery.stream). Both keep their storage from batch to batch.
 	failed [][]int
+	errs   []error
 }
 
 var (
@@ -121,6 +123,19 @@ func (b *batch) off() int64 { return int64(b.first) * int64(b.sb) }
 
 // live returns the stripes in use.
 func (b *batch) live() []*core.Stripe { return b.stripes[:b.n] }
+
+// clearChecks empties the per-stripe check results of a batch about to
+// be checked, keeping their storage.
+func (b *batch) clearChecks() {
+	if b.failed == nil {
+		b.failed = make([][]int, len(b.stripes))
+		b.errs = make([]error, len(b.stripes))
+	}
+	for j := range b.failed {
+		b.failed[j] = b.failed[j][:0]
+	}
+	clear(b.errs)
+}
 
 // forEachStripe runs fn on every stripe, with the stripe's index in
 // stripes. With one worker it runs in line; otherwise it splits the

@@ -84,7 +84,6 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 			sp.Bytes(int(m.FileSize))
 		}
 		sp.End(err)
-		stampFlight(ctx, err)
 	}()
 	st := opt.store(ctx)
 	m, err = loadManifest(st, manifestPath)
@@ -95,7 +94,6 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 	if err != nil {
 		return nil, err
 	}
-	countShardOp(opt.Registry, "decode", m.Code)
 
 	r := &recovery{m: m, code: code, opt: opt, st: st, ctx: ctx, dir: filepath.Dir(manifestPath), ahead: true}
 	sink := &decodeSink{w: w, m: m}
@@ -129,7 +127,6 @@ func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 			sp.Bytes(int(m.FileSize))
 		}
 		sp.End(err)
-		stampFlight(ctx, err)
 	}()
 	st := opt.store(ctx)
 	m, err = loadManifest(st, manifestPath)
@@ -140,7 +137,6 @@ func RepairOpts(manifestPath string, opt Options) (_ []int, err error) {
 	if err != nil {
 		return nil, err
 	}
-	countShardOp(opt.Registry, "repair", m.Code)
 
 	dir := filepath.Dir(manifestPath)
 	r := &recovery{m: m, code: code, opt: opt, st: st, ctx: ctx, dir: dir}
@@ -284,9 +280,10 @@ func (r *recovery) stripFailed(ctx context.Context, i, stripe int) {
 // stream is the one recovery pass, for decode and repair alike, recorded
 // as a shard.rung event in the attempt's trace: the shards the probe
 // erased are reconstructed from the survivors, batch by batch, and every
-// strip is held to its strip sum. checkStrips checks each streamed strip
-// on the fill side, and decodeChecked erases the failing ones for their
-// stripe alone and checks every reconstructed strip that has a sum. A
+// strip is held to its strip sum. The fill side checks each streamed
+// strip and keeps the failing ones on the batch; the use side decodes
+// every stripe with its failing strips erased for it alone (see
+// decodeStripe), then reports the failures (see reportStripes). A
 // version 1–4 shard the probe erased has no strip sums: its
 // reconstructed column is checked whole, against the manifest checksum,
 // at the end of the stream.
@@ -308,15 +305,39 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 		}
 	}
 	rolling := make([]uint32, len(unsummed))
+	// The per-stripe steps are built once per stream, not per batch:
+	// forEachStripe may run them on goroutines, so each escapes to the
+	// heap. Fill and use run on different goroutines, so each step reads
+	// its own side's batch.
+	workers := r.opt.workerCount()
+	var checking, decoding *batch
+	check := func(j int, s *core.Stripe) error {
+		b := checking
+		for i, f := range files {
+			if f != nil && !m.stripOK(i, b.first+j, s.Strips[i]) {
+				b.failed[j] = append(b.failed[j], i)
+			}
+		}
+		return nil
+	}
+	decode := func(j int, s *core.Stripe) error {
+		b := decoding
+		b.errs[j] = r.decodeStripe(s, b.first+j, erased, b.failed[j])
+		return b.errs[j]
+	}
 	fill := func(b *batch) error {
 		if col, err := fillBatch(files, b); err != nil {
 			return &quarantineError{col: col, cause: err}
 		}
-		r.checkStrips(b, files)
+		checking = b
+		b.clearChecks()
+		forEachStripe(b.live(), workers, check)
 		return nil
 	}
 	use := func(b *batch) error {
-		if err := r.decodeChecked(ctx, b, erased); err != nil {
+		decoding = b
+		forEachStripe(b.live(), workers, decode)
+		if err := r.reportStripes(ctx, b); err != nil {
 			return err
 		}
 		for j, e := range unsummed {
@@ -342,46 +363,16 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 	return sink.finish()
 }
 
-// checkStrips is the fill side of the stream: it checks every streamed
-// strip of the batch against its strip sum, split over the workers, and
-// records the ones that fail on the batch (b.failed) for decodeChecked
-// to erase and report. It touches nothing but the batch, so it may run
-// ahead of the caller.
-func (r *recovery) checkStrips(b *batch, streams []store.File) {
-	if len(b.failed) < b.n {
-		b.failed = make([][]int, len(b.stripes))
-	}
-	for j := range b.failed {
-		b.failed[j] = b.failed[j][:0]
-	}
-	forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
-		for i, f := range streams {
-			if f != nil && !r.m.stripOK(i, b.first+j, s.Strips[i]) {
-				b.failed[j] = append(b.failed[j], i)
-			}
-		}
-		return nil
-	})
-}
-
-// decodeChecked is the coding step for one batch that checkStrips has
-// checked: decodeStripe runs on every stripe, split over the workers.
-// Once the stripes are done, one pass in stripe order reports their
-// failed strips up to the first stripe that failed and returns that
-// stripe's error alone, before the batch reaches the sink.
-func (r *recovery) decodeChecked(ctx context.Context, b *batch, erased []int) error {
-	failed := b.failed[:b.n]
-	errs := make([]error, b.n)
-	forEachStripe(b.live(), r.opt.workerCount(), func(j int, s *core.Stripe) error {
-		errs[j] = r.decodeStripe(s, b.first+j, erased, failed[j])
-		return errs[j]
-	})
-	for j, bad := range failed {
+// reportStripes reports the batch's failed strips in stripe order, up
+// to the first stripe that failed to decode, and returns that stripe's
+// error alone, before the batch reaches the sink.
+func (r *recovery) reportStripes(ctx context.Context, b *batch) error {
+	for j, bad := range b.failed[:b.n] {
 		for _, i := range bad {
 			r.stripFailed(ctx, i, b.first+j)
 		}
-		if errs[j] != nil {
-			return errs[j]
+		if b.errs[j] != nil {
+			return b.errs[j]
 		}
 	}
 	return nil

@@ -46,13 +46,9 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	if err != nil {
 		return nil, err
 	}
-	countShardOp(reg, "encode", codeName)
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, reg, "shard.encode",
 		slog.String("file", filepath.Base(fileName)), slog.Int("k", k))
-	defer func() {
-		sp.Bytes(int(size)).End(err)
-		stampFlight(ctx, err)
-	}()
+	defer func() { sp.Bytes(int(size)).End(err) }()
 	w := code.W()
 	parities := code.M()
 	perStripe := int64(k) * int64(w) * int64(elemSize)

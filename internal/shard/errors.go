@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // ErrManifest marks a manifest that could not be read or validated
@@ -110,11 +107,6 @@ func countUnusable(status []ShardStatus) int {
 // operators can see exactly which shards failed and why.
 type DegradedError struct {
 	Status []ShardStatus
-	// Flight is the tail of the operation's trace from the flight
-	// recorder — the causal record (probe findings, retries,
-	// quarantines) behind the degradation. Empty unless the operation
-	// ran with a Tracer that has a FlightRecorder sink.
-	Flight []obs.Event
 }
 
 func (e *DegradedError) Error() string {
@@ -140,10 +132,6 @@ func (e *DegradedError) Unusable() []int {
 type UnrecoverableError struct {
 	Status []ShardStatus
 	Reason string
-	// Flight is the tail of the operation's trace from the flight
-	// recorder (see DegradedError.Flight): what recovery tried — every
-	// rung, retry, and quarantine — before giving up.
-	Flight []obs.Event
 }
 
 func (e *UnrecoverableError) Error() string {
@@ -159,26 +147,6 @@ func (e *UnrecoverableError) Failed() []int {
 		}
 	}
 	return out
-}
-
-// stampFlight attaches the trace's flight-recorder tail to the typed
-// recovery errors, so the error a caller holds carries the causal
-// record of the failure. Called after the operation's root span has
-// ended, so the tail includes the root completion event.
-func stampFlight(ctx context.Context, err error) {
-	rec := obs.ContextFlight(ctx)
-	if rec == nil || err == nil {
-		return
-	}
-	var de *DegradedError
-	if errors.As(err, &de) {
-		de.Flight = rec.Tail(obs.ContextTraceID(ctx), 0)
-		return
-	}
-	var ue *UnrecoverableError
-	if errors.As(err, &ue) {
-		ue.Flight = rec.Tail(obs.ContextTraceID(ctx), 0)
-	}
 }
 
 // quarantineError is the internal restart signal: a read of column col

@@ -59,8 +59,8 @@ func TestMixedFaultLadderTrace(t *testing.T) {
 			Kind: faultstore.BitFlip, Prob: 1, Count: 1})
 	chaos := faultstore.New(store.OS{}, faultstore.Config{Seed: 5, Rules: rules})
 
-	flight := obs.NewFlightRecorder(2048)
-	tracer := obs.NewTracer(flight)
+	sink := &eventSink{}
+	tracer := obs.NewTracer(sink)
 	tracer.Seed(99)
 	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
@@ -85,7 +85,7 @@ func TestMixedFaultLadderTrace(t *testing.T) {
 		t.Error("mixed-fault decode not reported degraded")
 	}
 
-	events := flight.Snapshot()
+	events := sink.Events()
 	first := map[string]int{}
 	count := map[string]int{}
 	for i, ev := range events {
@@ -105,7 +105,7 @@ func TestMixedFaultLadderTrace(t *testing.T) {
 			t.Errorf("trace is missing %q events (have %v)", name, count)
 		}
 	}
-	// Rung ordering via the causal trace. Spans land in the recorder on
+	// Rung ordering via the causal trace. Spans reach the sink on
 	// End, so the shard.probe completion event follows its children:
 	// per-shard health verdicts first, then the probe span closing over
 	// them, then the rung choice; and at least one injected refusal

@@ -112,9 +112,9 @@ type Options struct {
 	Registry *obs.Registry
 	// Tracer, when non-nil, roots a causal trace per operation: every
 	// retry, quarantine, and strip that fails its sum is a child
-	// span/event with typed attributes, fanned out to the
-	// tracer's sinks (event log, flight recorder). When Context already
-	// carries an active trace the operation chains onto it instead.
+	// span/event with typed attributes, fanned out to the tracer's sinks
+	// (the JSON event log, say). When Context already carries an active
+	// trace the operation chains onto it instead.
 	Tracer *obs.Tracer
 	// Store is the filesystem the shards live on (nil = the real one).
 	// Wrap it with faultstore.New to inject faults.
@@ -531,13 +531,6 @@ func (m *Manifest) readStrips(i int, r io.Reader, buf []byte) (sums []byte, fail
 	return sums, failing, nil
 }
 
-// countShardOp bills one top-level shard operation into the
-// shard.ops{op,code} family; the snapshot aggregate keeps the bare
-// shard.ops total. No-op without a registry.
-func countShardOp(reg *obs.Registry, op, code string) {
-	reg.CountWith("shard.ops", 1, obs.L("op", op), obs.L("code", code))
-}
-
 // Verify reads the shard set and judges its health without decoding
 // anything, by the rule decode and repair use: a strip is usable iff it
 // matches its strip sum, and a stripe is lost when its shards erased
@@ -550,16 +543,12 @@ func countShardOp(reg *obs.Registry, op, code string) {
 func Verify(manifestPath string, opt Options) (err error) {
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.verify",
 		slog.String("manifest", filepath.Base(manifestPath)))
-	defer func() {
-		sp.End(err)
-		stampFlight(ctx, err)
-	}()
+	defer func() { sp.End(err) }()
 	st := opt.store(ctx)
 	m, err := loadManifest(st, manifestPath)
 	if err != nil {
 		return err
 	}
-	countShardOp(opt.Registry, "verify", m.Code)
 	files, status, erased, bad := probeShards(ctx, m, filepath.Dir(manifestPath), st, opt.Registry, nil, true)
 	for _, f := range files {
 		if f != nil {

@@ -332,6 +332,56 @@ func TestProbeReusesScratch(t *testing.T) {
 	t.Logf("Verify allocated %d KiB", alloc>>10)
 }
 
+// TestHealthyBatchAllocatesNothing pins the strip-checked stream's cost
+// per batch at zero. On a healthy version 5 set at Workers: 1, the
+// stream reading ahead (as decode runs it) and in line (as repair does)
+// allocates as often over 16 one-stripe batches as over 8 two-stripe
+// ones: checking the strips and decoding the stripes reuse steps built
+// once per stream and results kept on the pooled batch. The stream reads
+// plain files, as the retry layer over them is the store's cost, not
+// the stream's.
+func TestHealthyBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled batches at random")
+	}
+	dir, _, m := encodeTestFile(t, 4*5*64*16, 4, 0, 64)
+	code, err := manifestCode(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	files, status, erased, _ := probeShards(ctx, m, dir, store.OS{}, nil, nil, false)
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	for _, ahead := range []bool{true, false} {
+		allocs := func(batchStripes int) float64 {
+			r := &recovery{m: m, code: code, opt: Options{Workers: 1, BatchStripes: batchStripes},
+				ctx: ctx, ahead: ahead, rep: &Report{Status: status}}
+			return testing.AllocsPerRun(100, func() {
+				if err := r.stream(ctx, files, erased, nopSink{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if many, few := allocs(1), allocs(2); many != few {
+			t.Errorf("ahead=%v: %v allocations in %d batches and %v in %d: %.2f per batch, want 0",
+				ahead, many, m.Stripes, few, m.Stripes/2, (many-few)/float64(m.Stripes/2))
+		}
+	}
+}
+
+// nopSink takes a stream's batches and keeps nothing.
+type nopSink struct{}
+
+func (nopSink) begin([]int) error    { return nil }
+func (nopSink) consume(*batch) error { return nil }
+func (nopSink) finish() error        { return nil }
+func (nopSink) abort()               {}
+func (nopSink) canRestart() bool     { return true }
+
 // TestEncodeBoundedAllocation is the encode counterpart: a warm encode
 // of a 256 KiB object takes its batch from the pool and writes every
 // column straight from it, so it allocates only bookkeeping (file

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +25,7 @@ import (
 // a writer that cannot rewind, and the resulting trace must be complete
 // — every injected fault, retry, health verdict, quarantine and rung
 // choice is a child event of one trace, with typed attributes, in both
-// the flight recorder and the JSON event log. The decode takes one
+// a collecting sink and the JSON event log. The decode takes one
 // attempt and quarantines shard 1. On version 5 the probe reads nothing;
 // the stream finds the corrupt strip, names the shard and the stripe,
 // and erases that strip for its stripe. On version 4 the probe reads
@@ -52,9 +54,9 @@ func TestDecodeCausalTrace(t *testing.T) {
 			faulty := faultstore.New(store.OS{}, faultstore.Config{Seed: 7, Rules: []faultstore.Rule{
 				{Path: m.ShardName(0), Op: faultstore.OpRead, Kind: faultstore.Transient, Prob: 1, Count: 2},
 			}})
-			flight := obs.NewFlightRecorder(1024)
+			sink := &eventSink{}
 			var logBuf bytes.Buffer
-			tracer := obs.NewTracer(flight, obs.NewEventLog(&logBuf, slog.LevelInfo))
+			tracer := obs.NewTracer(sink, obs.NewEventLog(&logBuf, slog.LevelInfo))
 			tracer.Seed(42)
 			opt := Options{
 				Store: faulty, Registry: obs.NewRegistry(), Tracer: tracer,
@@ -79,7 +81,7 @@ func TestDecodeCausalTrace(t *testing.T) {
 			if v4 {
 				stripe, erased = nil, 1
 			}
-			events := flight.Snapshot()
+			events := sink.Events()
 			count := checkTrace(t, events, &logBuf)
 			for _, ev := range events {
 				switch ev.Name {
@@ -117,7 +119,27 @@ func TestDecodeCausalTrace(t *testing.T) {
 	}
 }
 
-// checkTrace checks that events, a flight recorder's snapshot of one
+// eventSink is the tests' collecting sink: every event of the traces
+// it is attached to, in arrival order.
+type eventSink struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (s *eventSink) RecordEvent(ev obs.Event) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+// Events returns a copy of the events recorded so far.
+func (s *eventSink) Events() []obs.Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.events)
+}
+
+// checkTrace checks that events, everything a sink collected from one
 // decode, form one closed trace: one trace ID, every event's parent a
 // span completed in it (only the shard.decode root has none), and the
 // same events, trace-correlated, in the JSON event log. It returns the
@@ -125,7 +147,7 @@ func TestDecodeCausalTrace(t *testing.T) {
 func checkTrace(t *testing.T, events []obs.Event, log *bytes.Buffer) map[string]int {
 	t.Helper()
 	if len(events) == 0 {
-		t.Fatal("flight recorder is empty")
+		t.Fatal("the sink collected no events")
 	}
 
 	// One trace end to end.
@@ -175,7 +197,7 @@ func checkTrace(t *testing.T, events []obs.Event, log *bytes.Buffer) map[string]
 	}
 	for name, n := range count {
 		if logged[name] != n {
-			t.Errorf("event log has %d %q lines, flight recorder %d", logged[name], name, n)
+			t.Errorf("event log has %d %q lines, the sink %d", logged[name], name, n)
 		}
 	}
 	return count
@@ -203,8 +225,8 @@ func TestRepairFastPassTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flight := obs.NewFlightRecorder(256)
-	tracer := obs.NewTracer(flight)
+	sink := &eventSink{}
+	tracer := obs.NewTracer(sink)
 	tracer.Seed(45)
 	repaired, err := RepairOpts(filepath.Join(dir, ManifestName(m.FileName)), Options{Tracer: tracer})
 	if err != nil {
@@ -214,11 +236,11 @@ func TestRepairFastPassTrace(t *testing.T) {
 		t.Fatalf("repaired %v, want [1 2]", repaired)
 	}
 
-	// The recovery's events in flight-recorder order. Spans land on End,
-	// so each probe follows the shard.unhealthy verdicts it emitted, and
-	// each attempt follows everything it did.
+	// The recovery's events in the order they reached the sink. Spans
+	// land on End, so each probe follows the shard.unhealthy verdicts it
+	// emitted, and each attempt follows everything it did.
 	var got []string
-	for _, ev := range flight.Snapshot() {
+	for _, ev := range sink.Events() {
 		switch ev.Name {
 		case "shard.attempt":
 			got = append(got, fmt.Sprintf("attempt %v failed=%v", ev.Attrs["attempt"], ev.Err != ""))
@@ -243,11 +265,10 @@ func TestRepairFastPassTrace(t *testing.T) {
 	}
 }
 
-// TestUnrecoverableCarriesFlight pins the post-mortem contract: when
-// recovery is impossible, the typed error carries the trace's flight-
-// recorder tail — what the operation saw and tried — without any live
-// process or external pipeline.
-func TestUnrecoverableCarriesFlight(t *testing.T) {
+// TestUnrecoverableTrace pins the causal record of a failed recovery:
+// with three shards lost, the decode's trace holds a shard.unhealthy
+// event for each of them and the root span's failing completion.
+func TestUnrecoverableTrace(t *testing.T) {
 	dir, _, m := encodeTestFile(t, 6000, 4, 0, 64)
 	for _, i := range []int{0, 2, 4} {
 		if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
@@ -255,7 +276,8 @@ func TestUnrecoverableCarriesFlight(t *testing.T) {
 		}
 	}
 
-	tracer := obs.NewTracer(obs.NewFlightRecorder(256))
+	sink := &eventSink{}
+	tracer := obs.NewTracer(sink)
 	tracer.Seed(43)
 	var out bytes.Buffer
 	_, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), &out,
@@ -264,12 +286,13 @@ func TestUnrecoverableCarriesFlight(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *UnrecoverableError", err)
 	}
-	if len(ue.Flight) == 0 {
-		t.Fatal("UnrecoverableError carries no flight events")
+	events := sink.Events()
+	if len(events) == 0 {
+		t.Fatal("the failed decode traced no events")
 	}
 	var unhealthy int
 	var rootEnd bool
-	for _, ev := range ue.Flight {
+	for _, ev := range events {
 		if ev.Name == "shard.unhealthy" {
 			unhealthy++
 		}
@@ -278,32 +301,34 @@ func TestUnrecoverableCarriesFlight(t *testing.T) {
 		}
 	}
 	if unhealthy != 3 {
-		t.Errorf("flight records %d shard.unhealthy events, want 3", unhealthy)
+		t.Errorf("trace records %d shard.unhealthy events, want 3", unhealthy)
 	}
 	if !rootEnd {
-		t.Error("flight tail lacks the root span's failing completion event")
+		t.Error("trace lacks the root span's failing completion event")
 	}
 }
 
-// TestVerifyDegradedFlight checks that Verify roots its own trace and
-// stamps the flight tail onto the DegradedError it returns.
-func TestVerifyDegradedFlight(t *testing.T) {
+// TestVerifyDegradedTrace checks that Verify roots its own trace, whose
+// last event is shard.verify's completion carrying the degraded error.
+func TestVerifyDegradedTrace(t *testing.T) {
 	dir, _, m := encodeTestFile(t, 6000, 4, 0, 64)
 	if err := os.Remove(filepath.Join(dir, m.ShardName(2))); err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(obs.NewFlightRecorder(256))
+	sink := &eventSink{}
+	tracer := obs.NewTracer(sink)
 	tracer.Seed(44)
 	err := Verify(filepath.Join(dir, ManifestName(m.FileName)), Options{Tracer: tracer})
 	var de *DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *DegradedError", err)
 	}
-	if len(de.Flight) == 0 {
-		t.Fatal("DegradedError carries no flight events")
+	events := sink.Events()
+	if len(events) == 0 {
+		t.Fatal("the degraded verify traced no events")
 	}
-	last := de.Flight[len(de.Flight)-1]
+	last := events[len(events)-1]
 	if last.Name != "shard.verify" || last.Err == "" {
-		t.Errorf("flight tail ends with %q (err %q), want the shard.verify completion", last.Name, last.Err)
+		t.Errorf("trace ends with %q (err %q), want the shard.verify completion", last.Name, last.Err)
 	}
 }

@@ -239,7 +239,7 @@ func (s *Store) decide(op Op, path string) (*injection, bool) {
 // record bills one injection to the registry and — when ctx carries an
 // active trace — emits a faultstore.inject event naming the seed, the
 // rule that fired, and the struck operation, so a chaos failure report
-// is reproducible from the flight-recorder dump alone.
+// is reproducible from the event log alone.
 func (s *Store) record(ctx context.Context, inj *injection) {
 	obs.Emit(ctx, slog.LevelWarn, "faultstore.inject",
 		slog.String("kind", inj.kind.String()),

@@ -5,10 +5,14 @@ import (
 )
 
 // WithMetrics wraps a Store so every byte moved and every operation
-// issued is billed into reg. Each operation feeds two labeled families,
+// issued is billed into reg, one counter per operation:
 //
-//	store.io{op="read|write|open|create|sync"}        counter  calls
-//	store.io.bytes{op="read|write"}                   counter  bytes moved
+//	store.opens, store.creates, store.syncs   counter  calls
+//	store.reads, store.writes                 counter  calls
+//	store.read_bytes, store.write_bytes       counter  bytes moved
+//
+// None of the names ends in a span suffix (.calls, .bytes, ...), so a
+// snapshot does not read them as spans.
 //
 // Partial transfers bill the partial count — the bytes moved, not the
 // bytes requested — so under the retry layer the counters reflect the
@@ -20,32 +24,26 @@ func WithMetrics(base Store, reg *obs.Registry) Store {
 	if reg == nil {
 		return base
 	}
-	return &meteredStore{base: base, reg: reg, ops: newOpMetrics(reg)}
+	return &meteredStore{base: base, ops: opMetrics{
+		opens:      reg.Counter("store.opens"),
+		creates:    reg.Counter("store.creates"),
+		syncs:      reg.Counter("store.syncs"),
+		reads:      reg.Counter("store.reads"),
+		writes:     reg.Counter("store.writes"),
+		readBytes:  reg.Counter("store.read_bytes"),
+		writeBytes: reg.Counter("store.write_bytes"),
+	}}
 }
 
-// opMetrics holds the interned labeled children, resolved once so the
-// I/O path is a plain atomic add.
+// opMetrics holds the counters, resolved once so the I/O path is a plain
+// atomic add.
 type opMetrics struct {
-	opens, creates, syncs *obs.Counter // store.io{op=...}
-	reads, writes         *obs.Counter
-	readBytes, writeBytes *obs.Counter // store.io.bytes{op=...}
-}
-
-func newOpMetrics(reg *obs.Registry) opMetrics {
-	return opMetrics{
-		opens:      reg.CounterWith("store.io", obs.L("op", "open")),
-		creates:    reg.CounterWith("store.io", obs.L("op", "create")),
-		syncs:      reg.CounterWith("store.io", obs.L("op", "sync")),
-		reads:      reg.CounterWith("store.io", obs.L("op", "read")),
-		writes:     reg.CounterWith("store.io", obs.L("op", "write")),
-		readBytes:  reg.CounterWith("store.io.bytes", obs.L("op", "read")),
-		writeBytes: reg.CounterWith("store.io.bytes", obs.L("op", "write")),
-	}
+	opens, creates, syncs, reads, writes *obs.Counter
+	readBytes, writeBytes                *obs.Counter
 }
 
 type meteredStore struct {
 	base Store
-	reg  *obs.Registry
 	ops  opMetrics
 }
 

@@ -12,7 +12,8 @@ import (
 	"repro/internal/store/faultstore"
 )
 
-// TestWithMetricsCounts: every operation and every byte moved is billed.
+// TestWithMetricsCounts: every operation and every byte moved is billed,
+// and no store counter reads as a span in a snapshot.
 func TestWithMetricsCounts(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -56,20 +57,23 @@ func TestWithMetricsCounts(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name, op string
-		want     uint64
+		name string
+		want uint64
 	}{
-		{"store.io.bytes", "write", 128},
-		{"store.io.bytes", "read", 128},
-		{"store.io", "write", 2},
-		{"store.io", "read", 1},
-		{"store.io", "open", 1},
-		{"store.io", "create", 1},
-		{"store.io", "sync", 1},
+		{"store.write_bytes", 128},
+		{"store.read_bytes", 128},
+		{"store.writes", 2},
+		{"store.reads", 1},
+		{"store.opens", 1},
+		{"store.creates", 1},
+		{"store.syncs", 1},
 	} {
-		if got := reg.CounterWith(c.name, obs.L("op", c.op)).Value(); got != c.want {
-			t.Errorf("%s{op=%s} = %d, want %d", c.name, c.op, got, c.want)
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
+	}
+	if spans := reg.Snapshot().Spans; len(spans) != 0 {
+		t.Errorf("store counters read as spans: %v", spans)
 	}
 }
 
@@ -120,11 +124,11 @@ func TestWithMetricsUnderRetry(t *testing.T) {
 		t.Fatalf("read through retry layer: %v", err)
 	}
 
-	if got := reg.CounterWith("store.io", obs.L("op", "read")).Value(); got != 3 {
-		t.Errorf("store.io{op=read} = %d, want 3 (two injected failures + success)", got)
+	if got := reg.Counter("store.reads").Value(); got != 3 {
+		t.Errorf("store.reads = %d, want 3 (two injected failures + success)", got)
 	}
-	if got := reg.CounterWith("store.io.bytes", obs.L("op", "read")).Value(); got != 64 {
-		t.Errorf("store.io.bytes{op=read} = %d, want 64", got)
+	if got := reg.Counter("store.read_bytes").Value(); got != 64 {
+		t.Errorf("store.read_bytes = %d, want 64", got)
 	}
 	if got := reg.Counter("shard.retry.total").Value(); got != 2 {
 		t.Errorf("shard.retry.total = %d, want 2", got)
@@ -140,7 +144,7 @@ func TestWithMetricsErrorPaths(t *testing.T) {
 	} else if errors.Is(err, nil) {
 		t.Fatal("unreachable")
 	}
-	if got := reg.CounterWith("store.io", obs.L("op", "open")).Value(); got != 0 {
-		t.Errorf("failed open billed store.io{op=open} = %d, want 0", got)
+	if got := reg.Counter("store.opens").Value(); got != 0 {
+		t.Errorf("failed open billed store.opens = %d, want 0", got)
 	}
 }

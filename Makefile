@@ -42,15 +42,17 @@ check: vet fmt lint-metrics test race
 verify: vet fmt lint-metrics test race conformance fallback e2e-test examples
 
 # fallback runs the portable paths as the only path, on any runner: the
-# GF(2^8) table kernels and hash/crc32 under every shard checksum.
-# GOARCH=386 assembles no amd64 kernel, and its test binaries run natively
-# on an amd64 host. arm64 (also portable-only) is built and vetted, not
-# run. The first line logs which CRC path this runner's CPU takes: the
-# kernel subtest of TestUpdate passes, or skips with the missing feature.
+# GF(2^8) table kernels, hash/crc32 under every shard checksum, and
+# crypto/subtle under every element XOR. GOARCH=386 assembles no amd64
+# kernel, and its test binaries run natively on an amd64 host. arm64
+# (also portable-only) is built and vetted, not run. The first lines log
+# which CRC and XOR paths this runner's CPU takes: the kernel subtests of
+# TestUpdate and TestXorAllLengths pass, or skip with the missing feature.
 fallback:
 	$(GO) test -count=1 -v -run 'TestUpdate$$' ./internal/crc
-	GOARCH=386 $(GO) test -count=1 ./internal/gf ./internal/rs ./internal/crc ./internal/shard
-	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/rs ./internal/crc
+	$(GO) test -count=1 -v -run 'TestXorAllLengths$$' ./internal/xorblk
+	GOARCH=386 $(GO) test -count=1 ./internal/gf ./internal/rs ./internal/crc ./internal/shard ./internal/xorblk ./internal/liberation
+	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/rs ./internal/crc ./internal/xorblk
 
 # e2e-test vets and runs the end-to-end benchmark's own tests.
 # cmd/e2ebench is a separate module (it reaches the repository's packages

@@ -22,7 +22,7 @@
 //     for the GFNI path. Dot's table kernel folds two sources per pass.
 //
 // An all-ones Dot row is a copy plus one xorblk.XorInto per further
-// source, on the standard library's XOR.
+// source, on whichever XOR path the CPU allows.
 package gf
 
 import (

@@ -176,11 +176,18 @@ func doValue[T any](p RetryPolicy, ctx context.Context, op, path string, fn func
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	v, err := attemptOnce(p, ctx, op, path, fn)
+	return retryAfter(p, ctx, op, path, fn, v, err)
+}
+
+// retryAfter is doValue's loop from the end of the first attempt, which
+// returned v and err: it returns them unless err is transient, and
+// otherwise retries fn under the policy. ctx must not be nil.
+func retryAfter[T any](p RetryPolicy, ctx context.Context, op, path string, fn func() (T, error), v T, err error) (T, error) {
 	attempts := p.attempts()
 	var rng *rand.Rand
 	backoff := p.base()
 	for attempt := 1; ; attempt++ {
-		v, err := attemptOnce(p, ctx, op, path, fn)
 		if err == nil || !IsTransient(err) {
 			return v, err
 		}
@@ -218,6 +225,7 @@ func doValue[T any](p RetryPolicy, ctx context.Context, op, path string, fn func
 				backoff = p.cap()
 			}
 		}
+		v, err = attemptOnce(p, ctx, op, path, fn)
 	}
 }
 
@@ -301,14 +309,18 @@ type readResult struct {
 	buf []byte
 }
 
+// ReadAt and WriteAt without AttemptTimeout make the first attempt
+// directly and build the retry loop's closure only after a transient
+// error, so a healthy call allocates nothing.
 func (f *retryFile) ReadAt(b []byte, off int64) (int, error) {
 	if f.p.AttemptTimeout <= 0 {
-		var n int
-		err := f.p.Do(f.ctx, func() (e error) {
-			n, e = f.f.ReadAt(b, off)
-			return e
-		})
-		return n, err
+		n, err := f.f.ReadAt(b, off)
+		if err == nil || !IsTransient(err) {
+			return n, err
+		}
+		return retryAfter(f.p, f.ctx, "read", f.path, func() (int, error) {
+			return f.f.ReadAt(b, off)
+		}, n, err)
 	}
 	// Deadline-bounded reads land in a per-attempt buffer: an abandoned
 	// attempt that completes late writes into memory nobody else holds,
@@ -326,12 +338,13 @@ func (f *retryFile) ReadAt(b []byte, off int64) (int, error) {
 
 func (f *retryFile) WriteAt(b []byte, off int64) (int, error) {
 	if f.p.AttemptTimeout <= 0 {
-		var n int
-		err := f.p.Do(f.ctx, func() (e error) {
-			n, e = f.f.WriteAt(b, off)
-			return e
-		})
-		return n, err
+		n, err := f.f.WriteAt(b, off)
+		if err == nil || !IsTransient(err) {
+			return n, err
+		}
+		return retryAfter(f.p, f.ctx, "write", f.path, func() (int, error) {
+			return f.f.WriteAt(b, off)
+		}, n, err)
 	}
 	// Deadline-bounded writes snapshot b per attempt: the caller may
 	// reuse its buffer the moment we return, but an abandoned attempt

@@ -192,3 +192,32 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 		t.Errorf("calls = %d, err = %v; want 1 call and the error back", calls, err)
 	}
 }
+
+// TestHealthyIOAllocatesNothing pins a healthy positional read and write
+// through WithRetry's default policy at zero allocations: with no
+// AttemptTimeout the first attempt runs directly, and the retry loop and
+// its closure are built only after a transient error.
+func TestHealthyIOAllocatesNothing(t *testing.T) {
+	f := &hangFile{data: make([]byte, 4096)}
+	f.reads = 1 // past the hang: every read returns at once
+	h, err := WithRetry(scriptedStore{f}, context.Background(), DefaultRetry).Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	for _, op := range []struct {
+		name string
+		fn   func() (int, error)
+	}{
+		{"ReadAt", func() (int, error) { return h.ReadAt(buf, 0) }},
+		{"WriteAt", func() (int, error) { return h.WriteAt(buf, 0) }},
+	} {
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := op.fn(); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("healthy %s: %v allocations per call, want 0", op.name, a)
+		}
+	}
+}

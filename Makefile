@@ -125,11 +125,11 @@ bench-baseline:
 
 # Race-detector pass focused on the observability surfaces: concurrent
 # registry and span updates, event-log writes, traced decodes, repairs
-# and verifies, per-attempt deadlines, the shard-outage soak, and the
-# decodes whose reader runs a batch ahead of the caller.
+# and verifies, the shard-outage soak, and the decodes whose reader runs
+# a batch ahead of the caller.
 race-obs:
-	$(GO) test -race -count=1 -run 'Trace|LogJSON|Concurrent|EventLog|Outage|Timeout|ReadAhead|SeededSchedule' \
-		./internal/obs ./internal/shard ./cmd/raidcli ./internal/store
+	$(GO) test -race -count=1 -run 'Trace|LogJSON|Concurrent|EventLog|Outage|ReadAhead|SeededSchedule' \
+		./internal/obs ./internal/shard ./cmd/raidcli
 
 clean:
 	$(GO) clean ./...

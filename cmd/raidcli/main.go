@@ -218,6 +218,11 @@ func chaosEnabled() bool { return os.Getenv("RAIDCLI_CHAOS") != "" }
 // options translates the parsed flags into shard.Options, wiring the
 // retry policy and — behind the RAIDCLI_CHAOS gate — the fault injector.
 func (f *ioFlags) options() (shard.Options, *obs.Registry, error) {
+	// -retries -1 would make MaxAttempts 0, which shard.Options reads as
+	// "use the default policy" and so retries 3 times.
+	if f.retries < 0 || f.backoff < 0 {
+		return shard.Options{}, nil, usagef("-retries and -retry-backoff must not be negative")
+	}
 	workers := f.workers
 	if workers == 0 {
 		workers = -1 // on the command line 0 means all cores

@@ -183,6 +183,26 @@ func TestCLIExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	_, manifest := encodeCLIFixture(t, dir, 20_000)
 
+	// A negative retry budget or backoff is refused, not read as the
+	// default policy.
+	for _, flags := range [][]string{{"-retries", "-1"}, {"-retry-backoff", "-1ms"}} {
+		if got := realMain(append(append([]string{"verify"}, flags...), manifest)); got != exitUsage {
+			t.Errorf("verify %v: exit %d, want %d", flags, got, exitUsage)
+		}
+	}
+	// An element size below 1 is a parameter error (exit 1, like -k 0),
+	// not a panic, and leaves no shard behind.
+	for _, args := range [][]string{{"-k", "0"}, {"-elem", "0"}, {"-elem", "-1"}} {
+		out := t.TempDir()
+		argv := append(append([]string{"encode"}, args...), "-out", out, filepath.Join(dir, "blob.bin"))
+		if got := realMain(argv); got != exitFail {
+			t.Errorf("encode %v: exit %d, want %d", args, got, exitFail)
+		}
+		if left, _ := os.ReadDir(out); len(left) != 0 {
+			t.Errorf("encode %v left %d files behind", args, len(left))
+		}
+	}
+
 	// One shard down: decode recovers in degraded mode and exits 0.
 	if err := os.Remove(filepath.Join(dir, "blob.bin.shard.d01")); err != nil {
 		t.Fatal(err)

@@ -40,6 +40,9 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size", core.ErrParams)
 	}
+	if elemSize < 1 {
+		return nil, fmt.Errorf("%w: element size %d < 1", core.ErrParams, elemSize)
+	}
 	reg := opt.Registry
 	codeName := opt.codeName()
 	code, err := codes.NewObserved(codeName, k, p, reg)

@@ -121,9 +121,8 @@ type Options struct {
 	Store store.Store
 	// Retry bounds the retrying of transient store failures. The zero
 	// value selects store.DefaultRetry; set MaxAttempts to 1 to disable
-	// retries. Retry.AttemptTimeout is the per-op deadline: a store call
-	// that hangs past it is abandoned and retried as a transient
-	// KindTimeout fault instead of stalling the data path forever.
+	// retries. A store call that hangs is waited on: the policy acts
+	// only between attempts.
 	Retry store.RetryPolicy
 	// Context cancels the operation: encode, decode and repair stop
 	// before their next batch with an error wrapping Context.Err(), and
@@ -285,7 +284,7 @@ func loadManifest(st store.Store, path string) (*Manifest, error) {
 		return nil, err
 	}
 	data := make([]byte, size)
-	if _, err := io.ReadFull(store.SectionReader(f, size), data); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
 		return nil, fmt.Errorf("shard: reading manifest: %w", err)
 	}
 	var m Manifest
@@ -461,7 +460,7 @@ func probeShards(ctx context.Context, m *Manifest, dir string, st store.Store,
 			status[i].State = StateTruncated
 		case read:
 			var sums []byte
-			sums, failing, err = m.readStrips(i, store.SectionReader(f, size), buf[:])
+			sums, failing, err = m.readStrips(i, io.NewSectionReader(f, 0, size), buf[:])
 			switch {
 			case err != nil:
 				status[i].State = StateIOError
@@ -599,7 +598,7 @@ func writeManifest(st store.Store, m *Manifest, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := json.NewEncoder(&store.OffsetWriter{F: mf}).Encode(m); err != nil {
+	if err := json.NewEncoder(io.NewOffsetWriter(mf, 0)).Encode(m); err != nil {
 		mf.Close()
 		return err
 	}

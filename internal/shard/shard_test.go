@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -216,6 +217,22 @@ func TestManifestStripeCount(t *testing.T) {
 	}
 	if _, err := LoadManifest(path); err != nil {
 		t.Fatalf("LoadManifest(encoded) = %v", err)
+	}
+}
+
+// TestEncodeRejectsBadElemSize checks that an element size below 1 is
+// a parameter error returned before any shard file is created, not a
+// divide by zero or a makeslice panic.
+func TestEncodeRejectsBadElemSize(t *testing.T) {
+	for _, elem := range []int{0, -1} {
+		dir := t.TempDir()
+		_, err := EncodeOpts(bytes.NewReader(make([]byte, 100)), 100, "blob.bin", 4, 0, elem, dir, Options{})
+		if !errors.Is(err, core.ErrParams) {
+			t.Errorf("elem %d: err = %v, want core.ErrParams", elem, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("elem %d: encode left %d files behind", elem, len(left))
+		}
 	}
 }
 

@@ -277,10 +277,9 @@ func (s *Store) apply(ctx context.Context, inj *injection) error {
 		s.base.Remove(inj.path)
 		return notExist(inj.op, inj.path)
 	case Latency:
-		// Injected latency is cancellable: a caller whose deadline (or
-		// whole operation) is cancelled mid-sleep gets a transient fault
-		// back instead of serving out the delay — exactly what a real
-		// slow device looks like to a deadline-bounded read.
+		// Injected latency is cancellable: a caller whose operation is
+		// cancelled mid-sleep gets a transient fault back instead of
+		// serving out the delay.
 		if err := s.sleep(ctx, inj.delay); err != nil {
 			return store.NewTransient(inj.op.String(), inj.path, err)
 		}

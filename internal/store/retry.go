@@ -12,28 +12,16 @@ import (
 
 // RetryPolicy bounds and paces the retrying of transient store failures:
 // capped exponential backoff with multiplicative jitter, cancellable
-// between attempts through a context, and — when AttemptTimeout is set —
-// a per-attempt deadline that abandons a hung call instead of waiting on
-// it forever. The zero value retries nothing (one attempt);
-// DefaultRetry is the data path's default.
+// through a context. It acts only between attempts: a call in progress
+// is waited on, never abandoned. The zero value retries nothing (one
+// attempt); DefaultRetry is the data path's default.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Values below 1 mean 1 (no retries).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; each subsequent
-	// retry doubles it up to MaxBackoff. Zero means 1ms.
+	// BaseBackoff is the delay before the first retry; each later retry
+	// doubles it, up to 64 × BaseBackoff. Zero means 1ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry delay. Zero means 64 × BaseBackoff.
-	MaxBackoff time.Duration
-	// AttemptTimeout, when positive, bounds each attempt: a call that
-	// has not returned by the deadline is abandoned and counted as a
-	// transient KindTimeout fault (retried like any other transient
-	// failure). The abandoned call keeps running in its own goroutine
-	// until the underlying store returns; reads go through a private
-	// buffer so a late completion can never scribble over a retried
-	// one. Zero disables per-attempt deadlines (no goroutine is spawned
-	// and behavior is identical to the historical policy).
-	AttemptTimeout time.Duration
 	// Jitter is the fraction of random extension added to each delay
 	// (0.5 → delays are uniform in [d, 1.5d]). Negative disables jitter;
 	// zero means 0.5.
@@ -42,9 +30,8 @@ type RetryPolicy struct {
 	// default seed — retries are reproducible unless the caller opts
 	// into variety).
 	Seed int64
-	// Sleep, when non-nil, replaces the real inter-attempt wait (and the
-	// AttemptTimeout timer); tests inject a fake clock here. It must
-	// honor ctx cancellation.
+	// Sleep, when non-nil, replaces the real inter-attempt wait; tests
+	// inject a fake clock here. It must honor ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Registry, when non-nil, receives shard.retry.total /
 	// shard.retry.exhausted counters and the shard.retry.backoff
@@ -68,13 +55,6 @@ func (p RetryPolicy) base() time.Duration {
 		return time.Millisecond
 	}
 	return p.BaseBackoff
-}
-
-func (p RetryPolicy) cap() time.Duration {
-	if p.MaxBackoff <= 0 {
-		return 64 * p.base()
-	}
-	return p.MaxBackoff
 }
 
 func (p RetryPolicy) jitter() float64 {
@@ -111,94 +91,20 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn until it succeeds, returns a non-transient error, exhausts
-// the attempt budget, or ctx is cancelled mid-backoff. The returned
-// error is fn's last error (or the context's). When ctx carries an
-// active trace, every retry (and the exhaustion of the budget) is
-// emitted as a store.retry event attributed to the failing operation.
-func (p RetryPolicy) Do(ctx context.Context, fn func() error) error {
-	_, err := doValue(p, ctx, "", "", func() (struct{}, error) {
-		return struct{}{}, fn()
-	})
-	return err
-}
-
-// outcome carries one attempt's result out of its goroutine; the
-// accepted attempt's value is applied by the caller, so an abandoned
-// attempt completing late has nowhere to leak its result into.
-type outcome[T any] struct {
-	v   T
-	err error
-}
-
-// attemptOnce runs one attempt of fn, bounded by AttemptTimeout when the
-// policy sets one. On timeout the attempt's goroutine is abandoned (it
-// drains into its own buffered channel) and a transient KindTimeout
-// fault attributed to op/path is returned instead. The deadline timer
-// runs under a child of ctx that is cancelled on return, so an attempt
-// that finishes in time does not leave it sleeping out the deadline.
-func attemptOnce[T any](p RetryPolicy, ctx context.Context, op, path string, fn func() (T, error)) (T, error) {
-	if p.AttemptTimeout <= 0 {
-		return fn()
-	}
-	done := make(chan outcome[T], 1)
-	go func() {
-		v, err := fn()
-		done <- outcome[T]{v, err}
-	}()
-	tctx, stop := context.WithCancel(ctx)
-	defer stop()
-	timer := make(chan error, 1)
-	go func() { timer <- p.sleep(tctx, p.AttemptTimeout) }()
-	select {
-	case out := <-done:
-		return out.v, out.err
-	case serr := <-timer:
-		// The deadline and the attempt raced: prefer a result that is
-		// already in hand over declaring a timeout.
-		select {
-		case out := <-done:
-			return out.v, out.err
-		default:
-		}
-		var zero T
-		if serr != nil {
-			return zero, serr // cancelled mid-wait: surface the context error
-		}
-		return zero, NewTimeout(op, path, context.DeadlineExceeded)
-	}
-}
-
-// doValue is the generic retry loop behind Do and the wrapped store
-// operations: op/path attribute the store.retry events (and any timeout
-// faults) to the operation being retried.
-func doValue[T any](p RetryPolicy, ctx context.Context, op, path string, fn func() (T, error)) (T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	v, err := attemptOnce(p, ctx, op, path, fn)
-	return retryAfter(p, ctx, op, path, fn, v, err)
-}
-
-// retryAfter is doValue's loop from the end of the first attempt, which
-// returned v and err: it returns them unless err is transient, and
-// otherwise retries fn under the policy. ctx must not be nil.
-func retryAfter[T any](p RetryPolicy, ctx context.Context, op, path string, fn func() (T, error), v T, err error) (T, error) {
+// retryAfter retries fn under s's policy after a first attempt that
+// returned v and the transient error err. It returns the first attempt
+// that succeeds or fails permanently, or the last failure once the
+// budget is spent, or the context's error if it is cancelled during a
+// backoff. When the context carries an active trace, every retry (and
+// the exhaustion of the budget) is emitted as a store.retry event
+// attributed to the failing operation.
+func retryAfter[T any](s *retryStore, fn func() (T, error), v T, err error) (T, error) {
+	p, ctx := s.p, s.ctx
 	attempts := p.attempts()
 	var rng *rand.Rand
 	backoff := p.base()
-	for attempt := 1; ; attempt++ {
-		if err == nil || !IsTransient(err) {
-			return v, err
-		}
-		if attempt >= attempts {
-			if attempts > 1 {
-				p.Registry.Count("shard.retry.exhausted", 1)
-				obs.EmitErr(ctx, slog.LevelError, "store.retry.exhausted", err,
-					append(faultAttrs(err), slog.Int("attempts", attempts))...)
-			}
-			return v, err
-		}
+	limit := 64 * backoff
+	for attempt := 1; attempt < attempts; attempt++ {
 		d := backoff
 		if j := p.jitter(); j > 0 {
 			if rng == nil {
@@ -219,36 +125,36 @@ func retryAfter[T any](p RetryPolicy, ctx context.Context, op, path string, fn f
 		if serr := p.sleep(ctx, d); serr != nil {
 			return v, serr
 		}
-		if backoff < p.cap() {
-			backoff *= 2
-			if backoff > p.cap() {
-				backoff = p.cap()
-			}
+		backoff = min(2*backoff, limit)
+		if v, err = fn(); err == nil || !IsTransient(err) {
+			return v, err
 		}
-		v, err = attemptOnce(p, ctx, op, path, fn)
 	}
+	if attempts > 1 {
+		p.Registry.Count("shard.retry.exhausted", 1)
+		obs.EmitErr(ctx, slog.LevelError, "store.retry.exhausted", err,
+			append(faultAttrs(err), slog.Int("attempts", attempts))...)
+	}
+	return v, err
 }
 
-// faultAttrs extracts the op/path/kind attribution a classified *Fault
+// faultAttrs extracts the op/path attribution a classified *Fault
 // carries, for retry events.
 func faultAttrs(err error) []obs.Attr {
 	var f *Fault
 	if !errors.As(err, &f) {
 		return nil
 	}
-	attrs := []obs.Attr{slog.String("op", f.Op), slog.String("path", f.Path)}
-	if f.Kind != KindIO {
-		attrs = append(attrs, slog.String("kind", f.Kind.String()))
-	}
-	return attrs
+	return []obs.Attr{slog.String("op", f.Op), slog.String("path", f.Path)}
 }
 
 // WithRetry wraps base so that every operation — including positional
 // reads and writes on the files it opens — retries transient failures
-// under the policy. Positional I/O makes the retries idempotent: a
-// retried WriteAt overwrites whatever a torn write left behind, and a
-// retried post-timeout read lands in a fresh private buffer so an
-// abandoned attempt can never corrupt an accepted one.
+// under the policy. Every call makes its first attempt directly and
+// builds the retry loop's closure only after a transient failure, so a
+// healthy call allocates nothing but the File an Open or Create returns.
+// Positional I/O makes the retries idempotent: a retried WriteAt
+// overwrites whatever a torn write left behind.
 func WithRetry(base Store, ctx context.Context, p RetryPolicy) Store {
 	if ctx == nil {
 		ctx = context.Background()
@@ -263,109 +169,88 @@ type retryStore struct {
 }
 
 func (s *retryStore) Open(path string) (File, error) {
-	f, err := doValue(s.p, s.ctx, "open", path, func() (File, error) {
-		return s.base.Open(path)
-	})
+	f, err := s.base.Open(path)
+	if err != nil && IsTransient(err) {
+		f, err = retryAfter(s, func() (File, error) { return s.base.Open(path) }, f, err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &retryFile{f: f, path: path, ctx: s.ctx, p: s.p}, nil
+	return &retryFile{f: f, s: s}, nil
 }
 
 func (s *retryStore) Create(path string) (File, error) {
-	f, err := doValue(s.p, s.ctx, "create", path, func() (File, error) {
-		return s.base.Create(path)
-	})
+	f, err := s.base.Create(path)
+	if err != nil && IsTransient(err) {
+		f, err = retryAfter(s, func() (File, error) { return s.base.Create(path) }, f, err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &retryFile{f: f, path: path, ctx: s.ctx, p: s.p}, nil
+	return &retryFile{f: f, s: s}, nil
 }
 
 func (s *retryStore) Rename(oldPath, newPath string) error {
-	_, err := doValue(s.p, s.ctx, "rename", oldPath, func() (struct{}, error) {
+	err := s.base.Rename(oldPath, newPath)
+	if err == nil || !IsTransient(err) {
+		return err
+	}
+	_, err = retryAfter(s, func() (struct{}, error) {
 		return struct{}{}, s.base.Rename(oldPath, newPath)
-	})
+	}, struct{}{}, err)
 	return err
 }
 
 func (s *retryStore) Remove(path string) error {
-	_, err := doValue(s.p, s.ctx, "remove", path, func() (struct{}, error) {
+	err := s.base.Remove(path)
+	if err == nil || !IsTransient(err) {
+		return err
+	}
+	_, err = retryAfter(s, func() (struct{}, error) {
 		return struct{}{}, s.base.Remove(path)
-	})
+	}, struct{}{}, err)
 	return err
 }
 
+// retryFile is a File opened through a retryStore, retried under its
+// policy and context.
 type retryFile struct {
-	f    File
-	path string
-	ctx  context.Context
-	p    RetryPolicy
+	f File
+	s *retryStore
 }
 
-// readResult is one bounded read attempt's private landing zone.
-type readResult struct {
-	n   int
-	buf []byte
-}
-
-// ReadAt and WriteAt without AttemptTimeout make the first attempt
-// directly and build the retry loop's closure only after a transient
-// error, so a healthy call allocates nothing.
 func (f *retryFile) ReadAt(b []byte, off int64) (int, error) {
-	if f.p.AttemptTimeout <= 0 {
-		n, err := f.f.ReadAt(b, off)
-		if err == nil || !IsTransient(err) {
-			return n, err
-		}
-		return retryAfter(f.p, f.ctx, "read", f.path, func() (int, error) {
-			return f.f.ReadAt(b, off)
-		}, n, err)
+	n, err := f.f.ReadAt(b, off)
+	if err == nil || !IsTransient(err) {
+		return n, err
 	}
-	// Deadline-bounded reads land in a per-attempt buffer: an abandoned
-	// attempt that completes late writes into memory nobody else holds,
-	// never into b while a retry is filling it.
-	out, err := doValue(f.p, f.ctx, "read", f.path, func() (readResult, error) {
-		buf := make([]byte, len(b))
-		n, e := f.f.ReadAt(buf, off)
-		return readResult{n: n, buf: buf}, e
-	})
-	if out.buf != nil && out.n > 0 {
-		copy(b, out.buf[:out.n])
-	}
-	return out.n, err
+	return retryAfter(f.s, func() (int, error) { return f.f.ReadAt(b, off) }, n, err)
 }
 
 func (f *retryFile) WriteAt(b []byte, off int64) (int, error) {
-	if f.p.AttemptTimeout <= 0 {
-		n, err := f.f.WriteAt(b, off)
-		if err == nil || !IsTransient(err) {
-			return n, err
-		}
-		return retryAfter(f.p, f.ctx, "write", f.path, func() (int, error) {
-			return f.f.WriteAt(b, off)
-		}, n, err)
+	n, err := f.f.WriteAt(b, off)
+	if err == nil || !IsTransient(err) {
+		return n, err
 	}
-	// Deadline-bounded writes snapshot b per attempt: the caller may
-	// reuse its buffer the moment we return, but an abandoned attempt
-	// keeps reading its own copy.
-	out, err := doValue(f.p, f.ctx, "write", f.path, func() (int, error) {
-		buf := append([]byte(nil), b...)
-		return f.f.WriteAt(buf, off)
-	})
-	return out, err
+	return retryAfter(f.s, func() (int, error) { return f.f.WriteAt(b, off) }, n, err)
 }
 
 func (f *retryFile) Size() (int64, error) {
-	return doValue(f.p, f.ctx, "size", f.path, func() (int64, error) {
-		return f.f.Size()
-	})
+	n, err := f.f.Size()
+	if err == nil || !IsTransient(err) {
+		return n, err
+	}
+	return retryAfter(f.s, f.f.Size, n, err)
 }
 
 func (f *retryFile) Sync() error {
-	_, err := doValue(f.p, f.ctx, "sync", f.path, func() (struct{}, error) {
+	err := f.f.Sync()
+	if err == nil || !IsTransient(err) {
+		return err
+	}
+	_, err = retryAfter(f.s, func() (struct{}, error) {
 		return struct{}{}, f.f.Sync()
-	})
+	}, struct{}{}, err)
 	return err
 }
 

@@ -20,33 +20,113 @@ func (c *fakeClock) sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
+// scriptedStore is a Store that is also the File it hands out for
+// every path: its next fail calls, whichever of the eight they are,
+// return err, and every later call succeeds.
+type scriptedStore struct {
+	calls int
+	fail  int
+	err   error
+}
+
+func (s *scriptedStore) next() error {
+	s.calls++
+	if s.fail > 0 {
+		s.fail--
+		return s.err
+	}
+	return nil
+}
+
+func (s *scriptedStore) Open(string) (File, error)              { return s.file() }
+func (s *scriptedStore) Create(string) (File, error)            { return s.file() }
+func (s *scriptedStore) Rename(_, _ string) error               { return s.next() }
+func (s *scriptedStore) Remove(string) error                    { return s.next() }
+func (s *scriptedStore) ReadAt(b []byte, _ int64) (int, error)  { return s.transfer(b) }
+func (s *scriptedStore) WriteAt(b []byte, _ int64) (int, error) { return s.transfer(b) }
+func (s *scriptedStore) Size() (int64, error)                   { return 0, s.next() }
+func (s *scriptedStore) Sync() error                            { return s.next() }
+func (s *scriptedStore) Close() error                           { return nil }
+
+func (s *scriptedStore) file() (File, error) {
+	if err := s.next(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *scriptedStore) transfer(b []byte) (int, error) {
+	if err := s.next(); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// flaky opens a file through WithRetry over a scriptedStore whose next
+// fail calls after the open return err.
+func flaky(t *testing.T, ctx context.Context, p RetryPolicy, fail int, err error) (*scriptedStore, Store, File) {
+	t.Helper()
+	s := &scriptedStore{}
+	rs := WithRetry(s, ctx, p)
+	f, openErr := rs.Open("x")
+	if openErr != nil {
+		t.Fatal(openErr)
+	}
+	s.calls, s.fail, s.err = 0, fail, err
+	return s, rs, f
+}
+
+// forever is a fail count no test's attempt budget reaches.
+const forever = 1 << 30
+
+func transient() error { return NewTransient("read", "x", ErrInjected) }
+
+// wrappedCall is one of the eight calls WithRetry wraps, with the
+// allocations a healthy call makes: the File that Open and Create
+// return, and nothing else.
+type wrappedCall struct {
+	name   string
+	allocs float64
+	call   func() error
+}
+
+func wrappedCalls(s Store, f File) []wrappedCall {
+	buf := make([]byte, 64)
+	return []wrappedCall{
+		{"Open", 1, func() error { _, err := s.Open("x"); return err }},
+		{"Create", 1, func() error { _, err := s.Create("x"); return err }},
+		{"Rename", 0, func() error { return s.Rename("x", "y") }},
+		{"Remove", 0, func() error { return s.Remove("x") }},
+		{"ReadAt", 0, func() error { _, err := f.ReadAt(buf, 0); return err }},
+		{"WriteAt", 0, func() error { _, err := f.WriteAt(buf, 0); return err }},
+		{"Size", 0, func() error { _, err := f.Size(); return err }},
+		{"Sync", 0, func() error { return f.Sync() }},
+	}
+}
+
 // TestRetryBoundedBackoff pins the whole retry contract at once: a
 // persistently transient failure consumes exactly MaxAttempts calls, the
-// inter-attempt delays follow capped exponential doubling, and the
+// inter-attempt delays double up to the 64 × BaseBackoff cap, and the
 // exhaustion is billed to the registry.
 func TestRetryBoundedBackoff(t *testing.T) {
 	clock := &fakeClock{}
 	reg := obs.NewRegistry()
 	p := RetryPolicy{
-		MaxAttempts: 5,
+		MaxAttempts: 9,
 		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
 		Jitter:      -1, // exact delays
 		Sleep:       clock.sleep,
 		Registry:    reg,
 	}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		return NewTransient("read", "x", ErrInjected)
-	})
+	s, _, f := flaky(t, context.Background(), p, forever, transient())
+	_, err := f.ReadAt(make([]byte, 8), 0)
 	if !IsTransient(err) {
 		t.Fatalf("err = %v, want the last transient failure", err)
 	}
-	if calls != 5 {
-		t.Errorf("calls = %d, want MaxAttempts = 5", calls)
+	if s.calls != 9 {
+		t.Errorf("calls = %d, want MaxAttempts = 9", s.calls)
 	}
-	want := []time.Duration{10, 20, 40, 40} // doubling, capped at 40ms
+	want := []time.Duration{10, 20, 40, 80, 160, 320, 640, 640} // doubling, capped at 640ms
 	for i := range want {
 		want[i] *= time.Millisecond
 	}
@@ -59,8 +139,8 @@ func TestRetryBoundedBackoff(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["shard.retry.total"]; got != 4 {
-		t.Errorf("shard.retry.total = %d, want 4", got)
+	if got := snap.Counters["shard.retry.total"]; got != 8 {
+		t.Errorf("shard.retry.total = %d, want 8", got)
 	}
 	if got := snap.Counters["shard.retry.exhausted"]; got != 1 {
 		t.Errorf("shard.retry.exhausted = %d, want 1", got)
@@ -72,34 +152,29 @@ func TestRetryBoundedBackoff(t *testing.T) {
 func TestRetryStopsOnPermanent(t *testing.T) {
 	clock := &fakeClock{}
 	p := RetryPolicy{MaxAttempts: 5, Sleep: clock.sleep}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		return NewPermanent("read", "x", ErrInjected)
-	})
-	if calls != 1 || len(clock.slept) != 0 {
-		t.Errorf("calls = %d, sleeps = %d; want 1 call, 0 sleeps", calls, len(clock.slept))
+	s, _, f := flaky(t, context.Background(), p, forever, NewPermanent("read", "x", ErrInjected))
+	_, err := f.ReadAt(make([]byte, 8), 0)
+	if s.calls != 1 || len(clock.slept) != 0 {
+		t.Errorf("calls = %d, sleeps = %d; want 1 call, 0 sleeps", s.calls, len(clock.slept))
 	}
 	if err == nil || IsTransient(err) {
 		t.Errorf("err = %v, want the permanent failure back", err)
 	}
 }
 
-// TestRetrySucceedsMidway checks that a success short-circuits the
-// remaining budget.
+// TestRetrySucceedsMidway checks, for each of the eight wrapped calls,
+// that a success short-circuits the remaining budget.
 func TestRetrySucceedsMidway(t *testing.T) {
 	clock := &fakeClock{}
 	p := RetryPolicy{MaxAttempts: 5, Sleep: clock.sleep}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		if calls < 3 {
-			return NewTransient("write", "x", ErrInjected)
+	s, rs, f := flaky(t, context.Background(), p, 0, nil)
+	for _, c := range wrappedCalls(rs, f) {
+		clock.slept = nil
+		s.calls, s.fail, s.err = 0, 2, NewTransient("write", "x", ErrInjected)
+		if err := c.call(); err != nil || s.calls != 3 || len(clock.slept) != 2 {
+			t.Errorf("%s: err = %v, calls = %d, sleeps = %d; want nil, 3, 2",
+				c.name, err, s.calls, len(clock.slept))
 		}
-		return nil
-	})
-	if err != nil || calls != 3 || len(clock.slept) != 2 {
-		t.Errorf("err = %v, calls = %d, sleeps = %d; want nil, 3, 2", err, calls, len(clock.slept))
 	}
 }
 
@@ -110,7 +185,8 @@ func TestRetryJitterDeterministic(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		clock := &fakeClock{}
 		p := RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, Seed: seed, Sleep: clock.sleep}
-		p.Do(context.Background(), func() error { return NewTransient("read", "x", ErrInjected) })
+		_, _, f := flaky(t, context.Background(), p, forever, transient())
+		f.ReadAt(make([]byte, 8), 0)
 		return clock.slept
 	}
 	a, b := run(42), run(42)
@@ -140,14 +216,12 @@ func TestRetryJitterDeterministic(t *testing.T) {
 func TestRetryCancelMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Minute} // real SleepContext
-	calls := 0
+	s, _, f := flaky(t, ctx, p, forever, transient())
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		done <- p.Do(ctx, func() error {
-			calls++
-			return NewTransient("read", "x", ErrInjected)
-		})
+		_, err := f.ReadAt(make([]byte, 8), 0)
+		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -157,13 +231,13 @@ func TestRetryCancelMidBackoff(t *testing.T) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancellation")
+		t.Fatal("ReadAt did not return after cancellation")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v, want well under the 1-minute backoff", elapsed)
 	}
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1 (cancelled before the retry)", calls)
+	if s.calls != 1 {
+		t.Errorf("calls = %d, want 1 (cancelled before the retry)", s.calls)
 	}
 }
 
@@ -180,44 +254,30 @@ func TestSleepContextZero(t *testing.T) {
 }
 
 // TestZeroPolicySingleAttempt checks the zero value means "no retries":
-// exactly one call, error passed straight through.
+// exactly one call, error passed straight through (and a nil context
+// is allowed).
 func TestZeroPolicySingleAttempt(t *testing.T) {
-	var p RetryPolicy
-	calls := 0
-	err := p.Do(nil, func() error {
-		calls++
-		return NewTransient("read", "x", ErrInjected)
-	})
-	if calls != 1 || err == nil {
-		t.Errorf("calls = %d, err = %v; want 1 call and the error back", calls, err)
+	s, _, f := flaky(t, nil, RetryPolicy{}, forever, transient())
+	_, err := f.ReadAt(make([]byte, 8), 0)
+	if s.calls != 1 || err == nil {
+		t.Errorf("calls = %d, err = %v; want 1 call and the error back", s.calls, err)
 	}
 }
 
-// TestHealthyIOAllocatesNothing pins a healthy positional read and write
-// through WithRetry's default policy at zero allocations: with no
-// AttemptTimeout the first attempt runs directly, and the retry loop and
-// its closure are built only after a transient error.
+// TestHealthyIOAllocatesNothing pins every call WithRetry wraps, under
+// the default policy, at the allocations the call itself needs: the
+// File an Open or Create returns, and nothing for the other six. Each
+// makes its first attempt directly; the retry loop and its closure are
+// built only after a transient error.
 func TestHealthyIOAllocatesNothing(t *testing.T) {
-	f := &hangFile{data: make([]byte, 4096)}
-	f.reads = 1 // past the hang: every read returns at once
-	h, err := WithRetry(scriptedStore{f}, context.Background(), DefaultRetry).Open("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	for _, op := range []struct {
-		name string
-		fn   func() (int, error)
-	}{
-		{"ReadAt", func() (int, error) { return h.ReadAt(buf, 0) }},
-		{"WriteAt", func() (int, error) { return h.WriteAt(buf, 0) }},
-	} {
+	_, rs, f := flaky(t, context.Background(), DefaultRetry, 0, nil)
+	for _, c := range wrappedCalls(rs, f) {
 		if a := testing.AllocsPerRun(100, func() {
-			if _, err := op.fn(); err != nil {
+			if err := c.call(); err != nil {
 				t.Fatal(err)
 			}
-		}); a != 0 {
-			t.Errorf("healthy %s: %v allocations per call, want 0", op.name, a)
+		}); a != c.allocs {
+			t.Errorf("healthy %s: %v allocations per call, want %v", c.name, a, c.allocs)
 		}
 	}
 }

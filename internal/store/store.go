@@ -89,24 +89,3 @@ func (f osFile) Size() (int64, error) {
 	}
 	return st.Size(), nil
 }
-
-// SectionReader adapts a File to an io.Reader over [0, size), for reads
-// that walk a whole file through a scratch buffer (the manifest load,
-// the shard checksum probe).
-func SectionReader(f File, size int64) *io.SectionReader {
-	return io.NewSectionReader(f, 0, size)
-}
-
-// OffsetWriter adapts a File to an io.Writer that appends at a tracked
-// offset through positional WriteAt calls, so a retried write lands at
-// the same place it tore.
-type OffsetWriter struct {
-	F   File
-	Off int64
-}
-
-func (w *OffsetWriter) Write(p []byte) (int, error) {
-	n, err := w.F.WriteAt(p, w.Off)
-	w.Off += int64(n)
-	return n, err
-}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestOSRoundTrip exercises the os-backed store end to end: create,
-// positional writes through OffsetWriter, size, sync, rename, positional
-// reads through SectionReader, remove.
+// positional writes through io.OffsetWriter, size, sync, rename,
+// positional reads through io.SectionReader, remove.
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := OS{}
@@ -23,7 +23,7 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := []byte("hello positional world")
-	w := &OffsetWriter{F: f}
+	w := io.NewOffsetWriter(f, 0)
 	for _, chunk := range [][]byte{content[:5], content[5:]} {
 		if _, err := w.Write(chunk); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := io.ReadAll(SectionReader(f, int64(len(content))))
+	got, err := io.ReadAll(io.NewSectionReader(f, 0, int64(len(content))))
 	if err != nil {
 		t.Fatal(err)
 	}

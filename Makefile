@@ -70,12 +70,16 @@ examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # conformance runs the registry-driven matrices on their own: the
-# codetest battery, the full shard round-trip for every registered code
+# codetest battery (first-k-survivors pins that Decode reads only the
+# first k survivors), the full shard round-trip for every registered code
 # at every advertised (k, p) shape, the per-code pins of repair's and
-# decode's bytes read (each survivor exactly once), the strip rule for
-# every code (failing strips in up to m shards beside a lost one, or in
-# m+1 shards, through Verify, decode and repair), and the decodes that
-# read ahead (every code; errors in stripe order; seeded replays). It is
+# decode's bytes read (repair reads each survivor exactly once; decode
+# the first k usable shards exactly once, and a standby only for the
+# strip that stands in for a failing one), the strip rule for every code
+# (failing strips in up to m shards beside a lost one, or in m+1 shards,
+# through Verify, decode and repair), and the decodes that read ahead
+# (every code; errors in stripe order; standby pulls on the reader;
+# seeded replays). It is
 # redundant with `test` except for -count=1: CI wants these exercised
 # even when cached. A passing run prints one line per package; a failing
 # one names each failing per-code subtest.
@@ -126,7 +130,8 @@ bench-baseline:
 # Race-detector pass focused on the observability surfaces: concurrent
 # registry and span updates, event-log writes, traced decodes, repairs
 # and verifies, the shard-outage soak, and the decodes whose reader runs
-# a batch ahead of the caller.
+# a batch ahead of the caller (ReadAhead includes the one whose reader
+# pulls a standby strip).
 race-obs:
 	$(GO) test -race -count=1 -run 'Trace|LogJSON|Concurrent|EventLog|Outage|ReadAhead|SeededSchedule' \
 		./internal/obs ./internal/shard ./cmd/raidcli

@@ -467,15 +467,19 @@ func cmdVerify(args []string) error {
 
 // printShards lists every shard's state, and after each unusable one's
 // state its mark and its cause: the failing stripes of a corrupt shard,
-// the open error of a missing one.
+// the open error of a missing one. A healthy shard the operation did not
+// read (a decode's standby) is "ok (not read)".
 func printShards(status []shard.ShardStatus, mark string) {
 	for _, st := range status {
 		line := fmt.Sprintf("  shard %-14s %s", st.Name, st.State)
-		if st.State != shard.StateOK {
+		switch {
+		case st.State != shard.StateOK:
 			line += mark
 			if st.Err != nil {
 				line += ": " + st.Err.Error()
 			}
+		case !st.Valid:
+			line += " (not read)"
 		}
 		fmt.Println(line)
 	}

@@ -143,6 +143,46 @@ func TestVerifyNamesFailingStripes(t *testing.T) {
 	}
 }
 
+// TestDecodePrintsStandbys: decode reads the first k usable shards and
+// leaves the rest as standbys, which it prints as "ok (not read)". With
+// d01 removed from a k=4 set it reads d00, d02, d03 and p, so q is the
+// one standby; verify, which reads every shard, prints q plain "ok".
+func TestDecodePrintsStandbys(t *testing.T) {
+	dir := t.TempDir()
+	_, manifest := encodeCLIFixture(t, dir, 50_000)
+	if err := os.Remove(filepath.Join(dir, "blob.bin.shard.d01")); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(out string) map[string]string {
+		got := map[string]string{}
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] == "shard" {
+				got[f[1]] = strings.Join(f[2:], " ")
+			}
+		}
+		return got
+	}
+	out, _ := captureBoth(t, func() error {
+		return run("decode", []string{"-out", filepath.Join(dir, "recovered.bin"), manifest})
+	})
+	got := lines(out)
+	for name, want := range map[string]string{
+		"blob.bin.shard.d00": "ok", "blob.bin.shard.d02": "ok", "blob.bin.shard.d03": "ok",
+		"blob.bin.shard.p": "ok", "blob.bin.shard.q": "ok (not read)",
+	} {
+		if got[name] != want {
+			t.Errorf("decode prints %s as %q, want %q\noutput:\n%s", name, got[name], want, out)
+		}
+	}
+	if !strings.HasPrefix(got["blob.bin.shard.d01"], "missing (reconstructed)") {
+		t.Errorf("decode prints d01 as %q, want it missing (reconstructed)", got["blob.bin.shard.d01"])
+	}
+	out, _ = captureBoth(t, func() error { return run("verify", []string{manifest}) })
+	if q := lines(out)["blob.bin.shard.q"]; q != "ok" {
+		t.Errorf("verify prints q as %q, want %q", q, "ok")
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	if err := run("bogus", nil); err != errUsage {
 		t.Errorf("unknown subcommand gave %v", err)

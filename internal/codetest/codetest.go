@@ -2,14 +2,16 @@
 // implementations: any erasure code in this repository (and any future
 // one) must encode deterministically, behave linearly over GF(2), map
 // zero data to zero parity, survive every erasure pattern of up to M
-// strips, fully overwrite whatever garbage sits in erased strips, and —
-// when it supports small writes — keep parity consistent under random
-// updates and keep core.Updater's oldElem contract. Each code package
-// runs this battery from a one-line test.
+// strips, fully overwrite whatever garbage sits in erased strips, decode
+// an erasure set that includes a data strip from the first K surviving
+// strips alone, and — when it supports small writes — keep parity
+// consistent under random updates and keep core.Updater's oldElem
+// contract. Each code package runs this battery from a one-line test.
 package codetest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -24,6 +26,7 @@ func Run(t *testing.T, code core.Code) {
 	t.Run("zero", func(t *testing.T) { zero(t, code) })
 	t.Run("erasures", func(t *testing.T) { erasures(t, code) })
 	t.Run("garbage-tolerant", func(t *testing.T) { garbage(t, code) })
+	t.Run("first-k-survivors", func(t *testing.T) { firstKSurvivors(t, code) })
 	t.Run("rejects-overload", func(t *testing.T) { overload(t, code) })
 	if u, ok := code.(core.Updater); ok {
 		t.Run("updates", func(t *testing.T) { updates(t, code, u) })
@@ -144,6 +147,50 @@ func garbage(t *testing.T, code core.Code) {
 		}
 		if !s.Equal(orig) {
 			t.Errorf("elem %d: decode assumed zeroed erasure buffers", size)
+		}
+	}
+}
+
+// firstKSurvivors pins the core.Code.Decode contract a reader of k
+// shards relies on: for every erasure set of up to M strips that
+// includes a data strip, Decode reads only the first K strips not
+// erased, in column order, and writes only the erased strips. Every
+// strip past the first K survivors holds random bytes, which must
+// neither reach the result nor change.
+func firstKSurvivors(t *testing.T, code core.Code) {
+	n := code.K() + code.M()
+	for _, size := range elemSizes {
+		orig := freshStripe(code, size, 13)
+		if err := code.Encode(orig, nil); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(14))
+		for _, erased := range core.ErasureSubsets(n, code.M()) {
+			if erased[0] >= code.K() {
+				continue // parity strips alone: nothing to read past
+			}
+			s := orig.Clone()
+			survivors := 0
+			for i := range s.Strips {
+				if slices.Contains(erased, i) {
+					rng.Read(s.Strips[i])
+				} else if survivors++; survivors > code.K() {
+					rng.Read(s.Strips[i])
+				}
+			}
+			before := s.Clone()
+			if err := code.Decode(s, erased, nil); err != nil {
+				t.Fatalf("elem %d, erased %v: %v", size, erased, err)
+			}
+			for i := range s.Strips {
+				if slices.Contains(erased, i) {
+					if string(s.Strips[i]) != string(orig.Strips[i]) {
+						t.Errorf("elem %d, erased %v: strip %d not restored", size, erased, i)
+					}
+				} else if string(s.Strips[i]) != string(before.Strips[i]) {
+					t.Errorf("elem %d, erased %v: surviving strip %d written", size, erased, i)
+				}
+			}
 		}
 	}
 }

@@ -46,7 +46,12 @@ type Code interface {
 	// Decode reconstructs the erased strips listed in erased (column
 	// indices in 0..K+M-1, at most M of them) from the surviving strips.
 	// The contents of erased strips on entry are ignored and fully
-	// rewritten.
+	// rewritten, and no other strip is written. When erased includes a
+	// data strip, Decode reads only the first K strips not erased, in
+	// column order, so the strips past them may hold anything (a reader
+	// of K shards leaves them unread; codetest's first-k-survivors
+	// subtest pins this for every family). A set of parity strips alone
+	// may read any survivor: RDP re-encodes Q from the data and P.
 	Decode(s *Stripe, erased []int, ops *Ops) error
 }
 

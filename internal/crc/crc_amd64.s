@@ -52,6 +52,7 @@ TEXT ·foldIEEE(SB), NOSPLIT, $0-36
 	JB        fold4
 
 	VBROADCASTI32X4 k2048<>(SB), Z4
+	PCALIGN         $64 // see xorblk_amd64.s
 
 loop256:
 	VPCLMULQDQ $0x00, Z4, Z0, Z5
@@ -86,6 +87,7 @@ fold4:
 	VPTERNLOGQ      $0x96, Z5, Z3, Z0
 	TESTQ           CX, CX
 	JZ              lanes
+	PCALIGN         $64
 
 loop64:
 	VPCLMULQDQ $0x00, Z4, Z0, Z5

@@ -11,6 +11,7 @@ TEXT ·gfniMul(SB), NOSPLIT, $0-56
 	VPBROADCASTQ m+48(FP), Y0
 	SHRQ $5, CX
 	JZ   mulDone
+	PCALIGN $64 // see xorblk_amd64.s
 
 mulLoop:
 	VMOVDQU        (SI), Y1
@@ -35,6 +36,7 @@ TEXT ·gfniMulXor(SB), NOSPLIT, $0-56
 	VPBROADCASTQ m+48(FP), Y0
 	SHRQ $5, CX
 	JZ   mulXorDone
+	PCALIGN $64
 
 mulXorLoop:
 	VMOVDQU        (SI), Y1

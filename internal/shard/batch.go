@@ -292,30 +292,33 @@ func (o Options) batchStripes(stripeBytes, total int) int {
 }
 
 // fillBatch reads the batch's stripes of every streaming shard (nil
-// entries are skipped: the decoder rewrites those strips) straight into
-// the batch, one positional read per shard. A read that returns the
-// whole column with io.EOF succeeds, as io.ReaderAt allows; a short one
-// fails even without an error. On failure (transient retries already
-// exhausted below this layer) it returns the failing column for
-// quarantine.
-func fillBatch(files []store.File, b *batch) (int, error) {
+// entries are skipped: the decoder rewrites those strips, or a decode
+// leaves them unread) straight into the batch, one positional read per
+// shard. On failure (transient retries already exhausted below this
+// layer) it returns a *quarantineError naming the failing column.
+func fillBatch(files []store.File, b *batch) error {
 	for i, f := range files {
-		if f == nil {
-			continue
-		}
-		col := b.col(i)
-		n, err := f.ReadAt(col, b.off())
-		switch {
-		case n == len(col) && err == io.EOF:
-			err = nil
-		case n < len(col) && err == nil:
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return i, fmt.Errorf("shard: shard %d failed mid-stream: %w", i, err)
+		if f != nil {
+			if err := readFull(f, b.col(i), b.off()); err != nil {
+				return midStream(i, err)
+			}
 		}
 	}
-	return -1, nil
+	return nil
+}
+
+// readFull reads len(p) bytes of f at off. A read that returns all of p
+// with io.EOF succeeds, as io.ReaderAt allows; a short one fails even
+// without an error.
+func readFull(f store.File, p []byte, off int64) error {
+	n, err := f.ReadAt(p, off)
+	switch {
+	case n == len(p) && err == io.EOF:
+		err = nil
+	case n < len(p) && err == nil:
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // writeCol writes column i of the batch to f at the batch's offset. A

@@ -264,7 +264,10 @@ func TestHealBeyondErasureBudget(t *testing.T) {
 // stripes, one more shard than the erasure budget. Each stripe has one
 // strip that fails its sum, and erasing it for that stripe alone
 // decodes byte-identically, in one attempt, into a writer that cannot
-// rewind.
+// rewind. The decode reads the data shards and pulls P's strip where
+// one of them fails, so it quarantines the two data shards and never
+// reads Q, which it reports StateOK and not Valid; Verify, which reads
+// every shard, names all three.
 func TestHealBeyondErasureBudgetV5(t *testing.T) {
 	dir, content, m := encodeTestFile(t, 4*5*64*8, 4, 0, 64)
 	stripBytes := 5 * 64
@@ -287,13 +290,21 @@ func TestHealBeyondErasureBudgetV5(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), content) {
 		t.Fatal("decode produced wrong bytes")
 	}
-	if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[0 2 5]" {
-		t.Errorf("%d attempts, quarantined %v; want 1, [0 2 5]", rep.Attempts, rep.Quarantined)
+	if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[0 2]" {
+		t.Errorf("%d attempts, quarantined %v; want 1, [0 2]", rep.Attempts, rep.Quarantined)
 	}
-	for _, i := range []int{0, 2, 5} {
+	for _, i := range []int{0, 2} {
 		if rep.Status[i].State != StateCorrupt {
 			t.Errorf("shard %d reported %v, want corrupt", i, rep.Status[i].State)
 		}
+	}
+	if st := rep.Status[5]; st.State != StateOK || st.Valid {
+		t.Errorf("shard 5 reported %v, valid %v; want ok and not valid (never read)", st.State, st.Valid)
+	}
+	var deg *DegradedError
+	if err := Verify(filepath.Join(dir, ManifestName(m.FileName)), Options{}); !errors.As(err, &deg) ||
+		fmt.Sprint(deg.Unusable()) != "[0 2 5]" {
+		t.Errorf("Verify = %v, want a *DegradedError naming [0 2 5]", err)
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // the self-healing loop needed.
 type Report struct {
 	// Status is the final per-shard health (from the last attempt's
-	// probe, refined by what its stream found).
+	// probe, refined by what its stream found). A decode's standbys, the
+	// usable shards past the first k, are StateOK and Present with Valid
+	// false: the decode did not read them (unless a version 1–4 probe did).
 	Status []ShardStatus
 	// Quarantined lists shards whose content was distrusted at any
 	// point: a strip that failed its strip sum, a version 1–4 shard that
@@ -29,7 +31,9 @@ type Report struct {
 	Quarantined []int
 	// Attempts is the number of streaming passes (1 = no restart).
 	Attempts int
-	// Degraded reports whether recovery ran without full redundancy.
+	// Degraded reports whether recovery ran without full redundancy: a
+	// shard was erased whole or quarantined. Rot in a standby the decode
+	// did not read leaves it false.
 	Degraded bool
 }
 
@@ -42,23 +46,31 @@ type Report struct {
 // corruption as long as no stripe has more than m strips unusable.
 //
 // The probe opens and size-checks every shard; the ones missing,
-// truncated or unreadable are erased. The stream then checks every strip
-// it reads against its strip sum before the stripe is decoded or written
-// (split over Options.Workers with the decoding). A strip that fails
-// erases its shard for that stripe alone (the shard is reported
-// StateCorrupt and quarantined), every reconstructed strip that has a
-// sum must match it too, and a stripe with more than m strips unusable
-// ends the decode in an *UnrecoverableError before its batch is written.
-// So silent corruption needs no restart, even into a writer that cannot
-// rewind.
+// truncated or unreadable are erased. Any k strips of a stripe determine
+// it, so the stream reads only the first k usable shards in column order
+// (on a healthy set, the data shards) and keeps the others open as
+// standbys. It checks every strip it reads against its strip sum before
+// the stripe is decoded or written (split over Options.Workers with the
+// decoding). A strip that fails erases its shard for that stripe alone
+// (the shard is reported StateCorrupt and quarantined), and the stream
+// reads the same stripe's strip from the next standby, one strip at a
+// time and checked the same way, until the stripe has k sound strips or
+// no standby is left. Every reconstructed strip that has a sum must match
+// it too, and a stripe with more than m strips unusable ends the decode
+// in an *UnrecoverableError before its batch is written. So silent
+// corruption needs no restart, even into a writer that cannot rewind. A
+// stripe that lost only parity strips is not decoded at all: the output
+// is the data. A standby stays StateOK with Valid false (not read), so
+// rot in a parity shard the decode never reads is for Verify and repair
+// to find.
 //
 // A version 5 manifest records the strip sums, so its probe reads
-// nothing and each survivor is read once. Sets of versions 1–4 record
-// only whole-shard checksums: their probe reads every shard once and
-// rolls its strip sums, for this decode only, from a read whose CRC
-// matches the checksum; a shard whose CRC does not is erased whole, and
-// each shard erased whole is checked against its checksum once it has
-// been reconstructed.
+// nothing and each shard the stream reads is read once. Sets of versions
+// 1–4 record only whole-shard checksums: their probe reads every shard
+// once and rolls its strip sums, for this decode only, from a read whose
+// CRC matches the checksum; a shard whose CRC does not is erased whole,
+// and each data shard erased whole is checked against its checksum once
+// it has been reconstructed.
 //
 // Transient read errors are retried with capped exponential backoff
 // (Options.Retry), and a shard whose read fails mid-stream is
@@ -68,13 +80,13 @@ type Report struct {
 // positional read per shard per batch, straight into a pooled batch of
 // about 1 MiB (Options.BatchStripes overrides the size). A decode of
 // more than two batches holds two: a reader goroutine reads and checks
-// the next batch while the caller decodes and writes this one, and
-// errors still come back in stripe order. So resident memory grows with
-// the file only by the strip sums, 4 bytes per strip per shard: 7.5 KB
-// (10 KB of base64 in a version 5 manifest) for a 64 MiB liberation
-// object at k=8, p=11 and 4 KiB elements, and 0.1% of the shard bytes
-// (0.13% in base64) for rs3 at 4 KiB elements. A cancelled
-// Options.Context stops the decode before its next batch.
+// the next batch (and pulls its standby strips) while the caller decodes
+// and writes this one, and errors still come back in stripe order. So
+// resident memory grows with the file only by the strip sums, 4 bytes
+// per strip per shard: 7.5 KB (10 KB of base64 in a version 5 manifest)
+// for a 64 MiB liberation object at k=8, p=11 and 4 KiB elements, and
+// 0.1% of the shard bytes (0.13% in base64) for rs3 at 4 KiB elements. A
+// cancelled Options.Context stops the decode before its next batch.
 func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err error) {
 	var m *Manifest
 	ctx, sp := obs.StartOp(opt.context(), opt.Tracer, opt.Registry, "shard.decode",
@@ -95,7 +107,7 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 		return nil, err
 	}
 
-	r := &recovery{m: m, code: code, opt: opt, st: st, ctx: ctx, dir: filepath.Dir(manifestPath), ahead: true}
+	r := &recovery{m: m, code: code, opt: opt, st: st, ctx: ctx, dir: filepath.Dir(manifestPath), decode: true}
 	sink := &decodeSink{w: w, m: m}
 	err = r.run(sink)
 	return r.rep, err
@@ -103,12 +115,12 @@ func DecodeReport(manifestPath string, w io.Writer, opt Options) (_ *Report, err
 
 // RepairOpts reconstructs missing or corrupt shards in place and
 // returns the indices repaired. It runs DecodeReport's probe and stream,
-// with the same rule, but routes the reconstructed strips into fresh
-// shard files written next to the originals: each repaired shard
-// streams into a temporary file whose rolling CRC must reproduce the
-// manifest checksum before it is synced and renamed over the broken
-// shard, so a failed repair (a cancelled Options.Context included) never
-// clobbers anything.
+// with the same rule, but reads every usable shard and routes the
+// reconstructed strips into fresh shard files written next to the
+// originals: each repaired shard streams into a temporary file whose
+// rolling CRC must reproduce the manifest checksum before it is synced
+// and renamed over the broken shard, so a failed repair (a cancelled
+// Options.Context included) never clobbers anything.
 //
 // A survivor with a strip that fails its sum is erased for that stripe,
 // so the shards being rebuilt come out right, and the attempt then
@@ -156,13 +168,17 @@ type recovery struct {
 	st   store.Store
 	ctx  context.Context // carries the operation's trace
 	dir  string
-	// ahead lets a stream of more than inlineBatches batches read the
-	// next batch while it decodes this one (see streamBatches). Decode
-	// sets it. Repair runs in line: its sink writes temp files through
-	// the store, and reads from a second goroutine would interleave with
-	// those writes, so a fault store's seeded schedule, drawn one store
-	// call at a time, would no longer replay.
-	ahead bool
+	// decode marks a DecodeReport, whose sink takes the data strips
+	// alone: the stream reads the first k usable shards and keeps the
+	// others as standbys (see pullStandbys), decodes only the stripes
+	// that lost a data strip, and, when it spans more than inlineBatches
+	// batches, reads the next batch while it decodes this one (see
+	// streamBatches). Repair reads every usable shard, in line: its sink
+	// writes temp files through the store, and reads from a second
+	// goroutine would interleave with those writes, so a fault store's
+	// seeded schedule, drawn one store call at a time, would no longer
+	// replay.
+	decode bool
 
 	rep     *Report
 	forced  map[int]error // mid-stream quarantines, by column
@@ -280,13 +296,14 @@ func (r *recovery) stripFailed(ctx context.Context, i, stripe int) {
 // stream is the one recovery pass, for decode and repair alike, recorded
 // as a shard.rung event in the attempt's trace: the shards the probe
 // erased are reconstructed from the survivors, batch by batch, and every
-// strip is held to its strip sum. The fill side checks each streamed
-// strip and keeps the failing ones on the batch; the use side decodes
-// every stripe with its failing strips erased for it alone (see
-// decodeStripe), then reports the failures (see reportStripes). A
-// version 1–4 shard the probe erased has no strip sums: its
-// reconstructed column is checked whole, against the manifest checksum,
-// at the end of the stream.
+// strip read is held to its strip sum. The fill side checks each streamed
+// strip, keeps the failing ones on the batch, and, in a decode, pulls a
+// standby's strip for each (see pullStandbys); the use side decodes every
+// stripe with its failing strips erased for it alone (see decodeStripe),
+// then reports the failures (see reportStripes). A version 1–4 shard the
+// probe erased has no strip sums: its reconstructed column is checked
+// whole, against the manifest checksum, at the end of the stream (in a
+// decode, which rebuilds data alone, only a data shard's).
 func (r *recovery) stream(ctx context.Context, files []store.File, erased []int, sink recoverSink) error {
 	m := r.m
 	if len(erased) > m.M {
@@ -298,9 +315,13 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 	if err := sink.begin(erased); err != nil {
 		return err
 	}
+	reads, standbys := files, []int(nil)
+	if r.decode {
+		reads, standbys = splitReads(files, m.K)
+	}
 	var unsummed []int
 	for _, e := range erased {
-		if m.StripSums[e] == nil {
+		if m.StripSums[e] == nil && (!r.decode || e < m.K) {
 			unsummed = append(unsummed, e)
 		}
 	}
@@ -313,7 +334,7 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 	var checking, decoding *batch
 	check := func(j int, s *core.Stripe) error {
 		b := checking
-		for i, f := range files {
+		for i, f := range reads {
 			if f != nil && !m.stripOK(i, b.first+j, s.Strips[i]) {
 				b.failed[j] = append(b.failed[j], i)
 			}
@@ -326,13 +347,13 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 		return b.errs[j]
 	}
 	fill := func(b *batch) error {
-		if col, err := fillBatch(files, b); err != nil {
-			return &quarantineError{col: col, cause: err}
+		if err := fillBatch(reads, b); err != nil {
+			return err
 		}
 		checking = b
 		b.clearChecks()
 		forEachStripe(b.live(), workers, check)
-		return nil
+		return pullStandbys(m, files, standbys, b)
 	}
 	use := func(b *batch) error {
 		decoding = b
@@ -345,7 +366,7 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 		}
 		return sink.consume(b)
 	}
-	if err := streamBatches(ctx, r.shape(), m.Stripes, r.ahead, fill, use); err != nil {
+	if err := streamBatches(ctx, r.shape(), m.Stripes, r.decode, fill, use); err != nil {
 		return err
 	}
 	for j, e := range unsummed {
@@ -354,13 +375,61 @@ func (r *recovery) stream(ctx context.Context, files []store.File, erased []int,
 				"reconstructed shard %d fails its manifest checksum", e)}
 		}
 	}
-	// Every strip of a shard still StateOK matched its sum.
-	for i, f := range files {
+	// Every strip of a shard read and still StateOK matched its sum. A
+	// standby keeps the Valid its probe gave it.
+	for i, f := range reads {
 		if f != nil && r.rep.Status[i].State == StateOK {
 			r.rep.Status[i].Valid = true
 		}
 	}
 	return sink.finish()
+}
+
+// splitReads splits the usable shards, the non-nil files, into the first
+// k in column order, which a decode reads (the other entries of reads
+// are nil), and the columns of the rest, its standbys.
+func splitReads(files []store.File, k int) (reads []store.File, standbys []int) {
+	reads = make([]store.File, len(files))
+	for i, f := range files {
+		switch {
+		case f == nil:
+		case k > 0:
+			reads[i], k = f, k-1
+		default:
+			standbys = append(standbys, i)
+		}
+	}
+	return reads, standbys
+}
+
+// pullStandbys makes up, from the standbys, for the strips of batch b
+// that failed their sums. For each stripe with failing strips, in stripe
+// order, it reads that stripe's strip of each standby in column order,
+// one positional read of one strip, and checks it against its sum, until
+// the stripe has as many sound strips as it had read or no standby is
+// left. A pulled strip that fails joins the stripe's failed strips; the
+// others are the ones Decode reads in place of the failed ones, since it
+// reads the first K strips not erased. A read that fails quarantines the
+// standby.
+func pullStandbys(m *Manifest, files []store.File, standbys []int, b *batch) error {
+	for j, bad := range b.failed[:b.n] {
+		need, s := len(bad), b.first+j
+		for _, i := range standbys {
+			if need == 0 {
+				break
+			}
+			strip := b.stripes[j].Strips[i]
+			if err := readFull(files[i], strip, int64(s)*int64(b.sb)); err != nil {
+				return midStream(i, err)
+			}
+			if m.stripOK(i, s, strip) {
+				need--
+			} else {
+				b.failed[j] = append(b.failed[j], i)
+			}
+		}
+	}
+	return nil
 }
 
 // reportStripes reports the batch's failed strips in stripe order, up
@@ -382,7 +451,8 @@ func (r *recovery) reportStripes(ctx context.Context, b *batch) error {
 // this stripe are erased for it alone, on top of the shards erased for
 // the whole stream, and every reconstructed strip that has a sum must
 // match it as well. A stripe with more than m strips unusable fails
-// without decoding.
+// without decoding, and a decode skips a stripe that lost only parity
+// strips, as its sink writes data alone.
 func (r *recovery) decodeStripe(s *core.Stripe, stripe int, erased, failed []int) error {
 	m := r.m
 	lost := erased
@@ -394,7 +464,7 @@ func (r *recovery) decodeStripe(s *core.Stripe, stripe int, erased, failed []int
 		lost = append(slices.Clone(erased), failed...)
 		slices.Sort(lost)
 	}
-	if len(lost) == 0 {
+	if len(lost) == 0 || r.decode && lost[0] >= m.K {
 		return nil
 	}
 	if err := r.code.Decode(s, lost, nil); err != nil {

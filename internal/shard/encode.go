@@ -45,7 +45,7 @@ func EncodeOpts(r io.Reader, size int64, fileName string, k, p, elemSize int,
 	}
 	reg := opt.Registry
 	codeName := opt.codeName()
-	code, err := codes.NewObserved(codeName, k, p, reg)
+	code, err := cachedCode(codeName, k, p, reg)
 	if err != nil {
 		return nil, err
 	}

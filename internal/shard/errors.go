@@ -20,7 +20,8 @@ type ShardState int
 const (
 	// StateOK: present and right-sized, and every strip of it read so
 	// far matched its strip sum. A probe that reads nothing (a version 5
-	// decode or repair) leaves every strip to the stream.
+	// decode or repair) leaves every strip to the stream, and a decode's
+	// standbys stay StateOK with Valid false: not read.
 	StateOK ShardState = iota
 	// StateMissing: the shard file does not exist.
 	StateMissing
@@ -64,7 +65,7 @@ type ShardStatus struct {
 	Index   int
 	Name    string
 	Present bool
-	Valid   bool // every strip matched its strip sum
+	Valid   bool // every strip was read and matched its strip sum
 	// State refines Present/Valid into the full fault taxonomy.
 	State ShardState
 	// Err is the underlying cause for io-error and quarantined states.
@@ -161,3 +162,8 @@ func (e *quarantineError) Error() string {
 }
 
 func (e *quarantineError) Unwrap() error { return e.cause }
+
+// midStream is the quarantine of shard i after its read failed with err.
+func midStream(i int, err error) *quarantineError {
+	return &quarantineError{col: i, cause: fmt.Errorf("shard: shard %d failed mid-stream: %w", i, err)}
+}

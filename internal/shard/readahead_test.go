@@ -381,6 +381,63 @@ func TestReadAheadMidStreamReadFailure(t *testing.T) {
 	}
 }
 
+// goroutineID returns the running goroutine's ID, from the header of its
+// stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestReadAheadPullsStandbyOnReader: a decode of eight one-stripe
+// batches of a healthy set with a flipped strip of data shard 1 in its
+// third batch. The stream reads the four data shards; the flipped strip
+// fails its sum, and the reader goroutine, which read that batch, pulls
+// stripe 2's strip of P, the first standby, with one read before the
+// caller takes the batch. Q is never read. The output is the original in
+// one attempt with shard 1 quarantined.
+func TestReadAheadPullsStandbyOnReader(t *testing.T) {
+	dir, content, m, _ := readAheadSet(t)
+	sb, _ := m.shardShape()
+	flipStrip(t, dir, m, 1, 2)
+	caller := goroutineID()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			readers := map[string]string{} // "name@offset" -> goroutine
+			reads := map[string]int{}      // name -> reads
+			guard := newGuardStore(t, func(name string, off int64) error {
+				mu.Lock()
+				defer mu.Unlock()
+				readers[fmt.Sprintf("%s@%d", name, off)] = goroutineID()
+				reads[name]++
+				return nil
+			})
+			var out bytes.Buffer
+			rep, err := DecodeReport(filepath.Join(dir, ManifestName(m.FileName)), struct{ io.Writer }{&out},
+				Options{Store: guard, Workers: workers, BatchStripes: 1})
+			if err != nil {
+				t.Fatalf("DecodeReport: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), content) {
+				t.Fatal("decode output differs from the original")
+			}
+			if rep.Attempts != 1 || fmt.Sprint(rep.Quarantined) != "[1]" {
+				t.Errorf("%d attempts, quarantined %v; want 1, [1]", rep.Attempts, rep.Quarantined)
+			}
+			p, q := m.ShardName(m.K), m.ShardName(m.K+1)
+			if reads[p] != 1 || reads[q] != 0 {
+				t.Errorf("read P %d times and Q %d times, want once and never", reads[p], reads[q])
+			}
+			pull := readers[fmt.Sprintf("%s@%d", p, 2*sb)]
+			batch := readers[fmt.Sprintf("%s@%d", m.ShardName(1), 2*sb)]
+			if pull == "" || pull == caller || pull != batch {
+				t.Errorf("P's stripe 2 read on goroutine %q, batch 2 on %q, the caller is %q; want the pull on the reader",
+					pull, batch, caller)
+			}
+		})
+	}
+}
+
 // batchCancelWriter takes every byte it is given and cancels its context
 // once it has been given more than one stripe.
 type batchCancelWriter struct {
@@ -514,7 +571,10 @@ func (f *loggedFile) Sync() error {
 // TestSeededScheduleReplays pins what faultstore's Config.Seed promises:
 // equal schedules for equal operation sequences. A decode that reads
 // ahead, then a repair, of a multi-batch set under one seed and
-// probabilistic read and write faults are run 20 times; every run must
+// probabilistic read and write faults are run 20 times. Data shard 2 is
+// lost and stripe 4 of data shard 0 flipped on disk, so the decode reads
+// the data shards and P, and pulls Q's strip of stripe 4 in place of the
+// flipped one. Every run must
 // make the same store calls, in the same order, with the same outcomes,
 // and end the same way. The store draws once per call from one PRNG, so
 // the order of calls is the schedule. A decode's stream calls the store
@@ -524,6 +584,8 @@ func (f *loggedFile) Sync() error {
 // run to run, and a failing chaos seed would no longer replay.
 func TestSeededScheduleReplays(t *testing.T) {
 	src, content, m, _ := readAheadSet(t)
+	sb, _ := m.shardShape()
+	flipStrip(t, src, m, 0, 4)
 	golden := readShards(t, src, m)
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, ManifestName(m.FileName))
@@ -563,6 +625,7 @@ func TestSeededScheduleReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, decodeErr := DecodeReport(manifest, out, opt)
+		decodeCalls := len(l.calls)
 		out.Close()
 		decoded, err := os.ReadFile(out.Name())
 		if err != nil {
@@ -575,6 +638,18 @@ func TestSeededScheduleReplays(t *testing.T) {
 		outcome := fmt.Sprintf("decode: %v, %d attempts, quarantined %v, output crc %08x; repair: %v, repaired %v",
 			decodeErr, rep.Attempts, rep.Quarantined, crc32.ChecksumIEEE(decoded), repairErr, repaired)
 		if run == 0 {
+			// Q is a standby: the decode reads it only in place of a strip
+			// that failed, stripe 4's and at most one the schedule's single
+			// read-path bit-flip broke.
+			var q []int64 // offsets of the decode's reads of Q that returned
+			for _, c := range l.calls[:decodeCalls] {
+				if c.op == "read" && c.name == m.ShardName(m.K+1) && !c.failed {
+					q = append(q, c.off)
+				}
+			}
+			if len(q) > 2 || !slices.Contains(q, int64(4*sb)) {
+				t.Errorf("the decode read Q at offsets %v, want stripe 4's (%d) and at most one more", q, 4*sb)
+			}
 			first, firstOutcome = l.calls, outcome
 			failed := 0
 			for _, c := range first {

@@ -161,15 +161,20 @@ func TestRepairReadsEachSurvivorOnce(t *testing.T) {
 // TestDecodeReadsEachSurvivorOnce is the decode twin of
 // TestRepairReadsEachSurvivorOnce, for every registered code over a
 // shard set of four batches decoded into a plain io.Writer, which
-// cannot rewind: healthy, one data shard lost, one parity shard lost,
-// and one flipped byte in one strip of a survivor alongside m−1 lost
+// cannot rewind: healthy, one data shard lost, P lost, the last parity
+// lost (a stripe that lost parity alone is not decoded: rdp would
+// rebuild Q from the P it did not read), and one flipped byte in one
+// strip of a survivor alongside m−1 lost
 // shards, the last also in seven batches of one stripe and in two
-// batches of four (which run in line). Each survivor is read exactly
-// once, shardSize bytes, the output is the original in one attempt, and
-// the flipped strip is erased for its stripe alone: its shard is
-// quarantined. A checksum probe before the
-// stream would double every count, and a reader running further ahead
-// than the stream would add to it.
+// batches of four (which run in line). A decode reads only the first k
+// usable shards in column order, each of them exactly once (shardSize
+// bytes), and no other shard at all, except that in the flipped case
+// the first standby reads exactly the one strip that stands in for the
+// flipped one. The output is the original in one attempt, and the
+// flipped strip is erased for its stripe alone: its shard is
+// quarantined. A checksum probe before the stream would double every
+// count, and a reader running further ahead than the stream would add
+// to it.
 func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 	for _, name := range codes.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -204,6 +209,7 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 				{"healthy", nil, -1, 2},
 				{"lost-data", []int{1}, -1, 2},
 				{"lost-parity", []int{m.K}, -1, 2},
+				{"lost-last-parity", []int{m.NumShards() - 1}, -1, 2},
 				{"flipped-strip", lostWithFlip, 0, 2},
 				{"flipped-strip/batch=1", lostWithFlip, 0, 1},
 				{"flipped-strip/batch=4", lostWithFlip, 0, 4},
@@ -243,10 +249,17 @@ func TestDecodeReadsEachSurvivorOnce(t *testing.T) {
 						t.Errorf("%d attempts, quarantined %v; want 1, %v",
 							rep.Attempts, rep.Quarantined, wantQuarantined)
 					}
+					usable := 0
 					for i := 0; i < m.NumShards(); i++ {
-						want := shardSize
-						if slices.Contains(tc.lost, i) {
-							want = 0
+						var want int64
+						switch {
+						case slices.Contains(tc.lost, i):
+						case usable < m.K:
+							want = shardSize
+							usable++
+						case usable == m.K && tc.flip >= 0:
+							want = int64(sb) // the first standby
+							usable++
 						}
 						if got := l.read[m.ShardName(i)]; got != want {
 							t.Errorf("read %d bytes of %s, want %d", got, m.ShardName(i), want)

@@ -23,12 +23,17 @@
 // that stripe. A version 5 manifest records the sums, so the stream
 // checks each strip in the one read that moves it, before the stripe is
 // decoded or written: a strip that fails is erased for that stripe
-// alone, and a healthy set's shards are each read once. Sets of versions
-// 1–4 record only whole-shard checksums; their probe reads each shard
-// once first and rolls its strip sums from a read whose CRC matches the
-// checksum, and a shard whose CRC does not is erased whole. Repair
-// writes temp files it renames only after their CRCs match, and rebuilds
-// every survivor found with a failing strip as well.
+// alone. Any k strips determine a stripe, so a decode reads only the
+// first k usable shards (on a healthy set, the data shards) and keeps
+// the others open as standbys: where a read strip fails, it reads the
+// same stripe's strip from the next standby. Repair and Verify read
+// every shard, so rot in a parity shard a decode never reads is theirs
+// to find. Sets of versions 1–4 record only whole-shard checksums; their
+// probe reads each shard once first and rolls its strip sums from a read
+// whose CRC matches the checksum, and a shard whose CRC does not is
+// erased whole. Repair writes temp files it renames only after their
+// CRCs match, and rebuilds every survivor found with a failing strip as
+// well.
 //
 // Every byte of I/O goes through a store.Store (see Options.Store), so
 // the path is testable under injected faults, and it is self-healing:
@@ -50,6 +55,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -61,13 +67,53 @@ import (
 	"repro/internal/store"
 )
 
-// manifestCode constructs the code a manifest was encoded with and
-// cross-checks the manifest's recorded strip width against it, so a
-// manifest that lies about its geometry fails before any shard I/O.
-// Parameters the code rejects (a liberation p that is not an odd prime,
-// say) are a bad manifest too.
+// codeCacheSize bounds the codes cachedCode keeps.
+const codeCacheSize = 64
+
+// codeKey is what cachedCode builds a code from.
+type codeKey struct {
+	name string
+	k, p int
+	reg  *obs.Registry
+}
+
+var (
+	codeCacheMu sync.Mutex
+	codeCache   = map[codeKey]core.Code{}
+)
+
+// cachedCode returns codes.NewObserved(name, k, p, reg), built once per
+// process: otherwise every encode recompiles the code's encoding plan
+// and every degraded decode re-derives its decoding plans (Liberation's
+// schedules, the inverted rows of rs). Codes are safe for concurrent use
+// (Options.Workers shares one between goroutines), so one serves every
+// operation. The cache holds at most codeCacheSize codes and starts
+// over when full; an error is not kept.
+func cachedCode(name string, k, p int, reg *obs.Registry) (core.Code, error) {
+	key := codeKey{name, k, p, reg}
+	codeCacheMu.Lock()
+	defer codeCacheMu.Unlock()
+	if code, ok := codeCache[key]; ok {
+		return code, nil
+	}
+	code, err := codes.NewObserved(name, k, p, reg)
+	if err != nil {
+		return nil, err
+	}
+	if len(codeCache) >= codeCacheSize {
+		clear(codeCache)
+	}
+	codeCache[key] = code
+	return code, nil
+}
+
+// manifestCode returns the code a manifest was encoded with (see
+// cachedCode) and cross-checks the manifest's recorded strip width
+// against it, so a manifest that lies about its geometry fails before
+// any shard I/O. Parameters the code rejects (a liberation p that is not
+// an odd prime, say) are a bad manifest too.
 func manifestCode(m *Manifest, reg *obs.Registry) (core.Code, error) {
-	code, err := codes.NewObserved(m.Code, m.K, m.P, reg)
+	code, err := cachedCode(m.Code, m.K, m.P, reg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrManifest, err)
 	}
@@ -250,14 +296,23 @@ type Manifest struct {
 func (m *Manifest) ShardName(i int) string {
 	switch {
 	case i == m.K:
-		return fmt.Sprintf("%s.shard.p", m.FileName)
+		return m.FileName + ".shard.p"
 	case i == m.K+1:
-		return fmt.Sprintf("%s.shard.q", m.FileName)
+		return m.FileName + ".shard.q"
 	case i > m.K+1:
-		return fmt.Sprintf("%s.shard.r%02d", m.FileName, i-2)
+		return m.FileName + ".shard.r" + twoDigits(i-2)
 	default:
-		return fmt.Sprintf("%s.shard.d%02d", m.FileName, i)
+		return m.FileName + ".shard.d" + twoDigits(i)
 	}
+}
+
+// twoDigits formats n >= 0 in decimal with at least two digits, as %02d
+// does.
+func twoDigits(n int) string {
+	if n < 10 {
+		return "0" + strconv.Itoa(n)
+	}
+	return strconv.Itoa(n)
 }
 
 // NumShards returns the total shard count, k + m.

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -52,16 +54,23 @@ func decodeAndCompare(t *testing.T, dir string, m *Manifest, want []byte, opt Op
 	return rep.Status
 }
 
+// TestRoundTripSizes exercises padding edge cases: empty file,
+// sub-element, sub-stripe, exact multiple, and multi-stripe. A clean
+// decode reads the data shards, which it reports Valid, and leaves the
+// parity shards as standbys: present and StateOK but not Valid, as it
+// never read them. Verify, which reads every shard, finds the set clean.
 func TestRoundTripSizes(t *testing.T) {
-	// Exercise padding edge cases: empty file, sub-element, sub-stripe,
-	// exact multiple, and multi-stripe.
 	for _, size := range []int64{0, 1, 100, 4 * 5 * 64, 4*5*64*3 + 17} {
 		dir, content, m := encodeTestFile(t, size, 4, 0, 64)
 		status := decodeAndCompare(t, dir, m, content, Options{})
 		for _, st := range status {
-			if !st.Present || !st.Valid {
-				t.Errorf("size=%d: shard %d unhealthy on clean decode", size, st.Index)
+			if read := st.Index < m.K; !st.Present || st.State != StateOK || st.Valid != read {
+				t.Errorf("size=%d: shard %d present %v, %v, valid %v; want present, ok, valid %v",
+					size, st.Index, st.Present, st.State, st.Valid, read)
 			}
+		}
+		if err := Verify(filepath.Join(dir, ManifestName(m.FileName)), Options{}); err != nil {
+			t.Errorf("size=%d: Verify = %v", size, err)
 		}
 	}
 }
@@ -133,13 +142,12 @@ func TestRepair(t *testing.T) {
 	if len(repaired) != 2 {
 		t.Fatalf("repaired %v, want 2 shards", repaired)
 	}
-	// After repair, everything must be healthy and decodable.
-	status := decodeAndCompare(t, dir, m, content, Options{})
-	for _, st := range status {
-		if !st.Valid {
-			t.Errorf("shard %d still invalid after repair", st.Index)
-		}
+	// After repair every strip of every shard matches its sum, and the
+	// set decodes.
+	if err := Verify(manifest, Options{}); err != nil {
+		t.Errorf("Verify after repair = %v", err)
 	}
+	decodeAndCompare(t, dir, m, content, Options{})
 	// Repairing a healthy set is a no-op.
 	repaired, err = RepairOpts(manifest, Options{})
 	if err != nil || repaired != nil {
@@ -236,10 +244,67 @@ func TestEncodeRejectsBadElemSize(t *testing.T) {
 	}
 }
 
+// TestShardNames pins the names of data shards at indices 0 to 254 (dNN,
+// at least two digits), the P and Q shards, and rs3's third parity
+// (rNN, numbered on from the data shards).
 func TestShardNames(t *testing.T) {
-	m := &Manifest{K: 3, FileName: "x"}
-	if m.ShardName(0) != "x.shard.d00" || m.ShardName(3) != "x.shard.p" || m.ShardName(4) != "x.shard.q" {
-		t.Errorf("shard names: %s %s %s", m.ShardName(0), m.ShardName(3), m.ShardName(4))
+	for _, tc := range []struct {
+		k, i int
+		want string
+	}{
+		{3, 0, "x.shard.d00"}, {3, 3, "x.shard.p"}, {3, 4, "x.shard.q"},
+		{255, 9, "x.shard.d09"}, {255, 10, "x.shard.d10"}, {255, 99, "x.shard.d99"},
+		{255, 100, "x.shard.d100"}, {255, 254, "x.shard.d254"},
+		{3, 5, "x.shard.r03"}, {6, 8, "x.shard.r06"}, {8, 10, "x.shard.r08"}, {98, 100, "x.shard.r98"},
+		{100, 102, "x.shard.r100"},
+	} {
+		m := &Manifest{K: tc.k, FileName: "x"}
+		if got := m.ShardName(tc.i); got != tc.want {
+			t.Errorf("k=%d: ShardName(%d) = %q, want %q", tc.k, tc.i, got, tc.want)
+		}
+	}
+}
+
+// TestOneCodePerShape: two encodes and two degraded decodes of one shape
+// (liberation, k=4, p=5) under one registry resolve one core.Code, which
+// manifestCode returns again, instead of building (and compiling the
+// plans of) a code per operation.
+func TestOneCodePerShape(t *testing.T) {
+	reg := obs.NewRegistry() // a cache key no other test uses
+	dir := t.TempDir()
+	content := make([]byte, 5000)
+	rand.New(rand.NewSource(31)).Read(content)
+	var m *Manifest
+	for range 2 {
+		var err error
+		if m, err = EncodeOpts(bytes.NewReader(content), int64(len(content)), "blob.bin", 4, 5, 64, dir,
+			Options{Registry: reg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		if err := os.Remove(filepath.Join(dir, m.ShardName(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		decodeAndCompare(t, dir, m, content, Options{Registry: reg})
+	}
+	var built []core.Code
+	codeCacheMu.Lock()
+	for key, code := range codeCache {
+		if key.reg == reg {
+			built = append(built, code)
+		}
+	}
+	codeCacheMu.Unlock()
+	code, err := manifestCode(m, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 1 || built[0] != code {
+		t.Errorf("%d codes built for the shape, manifestCode's among them %v; want one, the same",
+			len(built), slices.Contains(built, code))
 	}
 }
 

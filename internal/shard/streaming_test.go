@@ -334,12 +334,12 @@ func TestProbeReusesScratch(t *testing.T) {
 
 // TestHealthyBatchAllocatesNothing pins the strip-checked stream's cost
 // per batch at zero. On a healthy version 5 set at Workers: 1, the
-// stream reading ahead (as decode runs it) and in line (as repair does)
-// allocates as often over 16 one-stripe batches as over 8 two-stripe
-// ones: checking the strips and decoding the stripes reuse steps built
-// once per stream and results kept on the pooled batch. The stream reads
-// plain files, as the retry layer over them is the store's cost, not
-// the stream's.
+// stream as decode runs it (k shards read ahead, the others standbys)
+// and as repair does (every shard, in line) allocates as often over 16
+// one-stripe batches as over 8 two-stripe ones: checking the strips and
+// decoding the stripes reuse steps built once per stream and results
+// kept on the pooled batch. The stream reads plain files, as the retry
+// layer over them is the store's cost, not the stream's.
 func TestHealthyBatchAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled batches at random")
@@ -356,10 +356,10 @@ func TestHealthyBatchAllocatesNothing(t *testing.T) {
 			f.Close()
 		}
 	}()
-	for _, ahead := range []bool{true, false} {
+	for _, decode := range []bool{true, false} {
 		allocs := func(batchStripes int) float64 {
 			r := &recovery{m: m, code: code, opt: Options{Workers: 1, BatchStripes: batchStripes},
-				ctx: ctx, ahead: ahead, rep: &Report{Status: status}}
+				ctx: ctx, decode: decode, rep: &Report{Status: status}}
 			return testing.AllocsPerRun(100, func() {
 				if err := r.stream(ctx, files, erased, nopSink{}); err != nil {
 					t.Fatal(err)
@@ -367,8 +367,8 @@ func TestHealthyBatchAllocatesNothing(t *testing.T) {
 			})
 		}
 		if many, few := allocs(1), allocs(2); many != few {
-			t.Errorf("ahead=%v: %v allocations in %d batches and %v in %d: %.2f per batch, want 0",
-				ahead, many, m.Stripes, few, m.Stripes/2, (many-few)/float64(m.Stripes/2))
+			t.Errorf("decode=%v: %v allocations in %d batches and %v in %d: %.2f per batch, want 0",
+				decode, many, m.Stripes, few, m.Stripes/2, (many-few)/float64(m.Stripes/2))
 		}
 	}
 }

@@ -2,10 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -19,11 +21,14 @@ import (
 // call) with disk-level faults (shard files deleted or silently
 // corrupted) against the m=3 family. Every schedule injects at most
 // three distinct shard failures — within the rs3 parity budget — so the
-// contract is strict: decode MUST return byte-identical data, repair
-// MUST heal the set, and a plain-store verify afterwards MUST be clean.
-// About half the schedules decode the set rewritten as version 4
-// (soakAsVersion4). Every failure reproduces from the seed printed in
-// the test log.
+// contract is strict: decode MUST return byte-identical data, and it is
+// degraded exactly when a shard was down or deleted or a corrupted shard
+// is among the first k it reads (on a version 4 set, whose probe reads
+// every shard, whenever any shard failed). A plain-store Verify before
+// repair MUST name every deleted and corrupted shard, repair MUST heal
+// the set, and a plain-store Verify afterwards MUST be clean. About half
+// the schedules decode the set rewritten as version 4 (soakAsVersion4).
+// Every failure reproduces from the seed printed in the test log.
 func TestChaosTripleSoak(t *testing.T) {
 	schedules := 100
 	if testing.Short() {
@@ -59,7 +64,8 @@ func TestChaosTripleSoak(t *testing.T) {
 			t.Fatalf("seed=%d: clean encode failed: %v", seed, err)
 		}
 		manifestPath := filepath.Join(dir, ManifestName(man.FileName))
-		if soakAsVersion4(seed) {
+		asV4 := soakAsVersion4(seed)
+		if asV4 {
 			asVersion4(t, dir, man)
 			v4++
 		}
@@ -74,12 +80,14 @@ func TestChaosTripleSoak(t *testing.T) {
 			rules = append(rules, shardOutage(man.ShardName(s), 0)...)
 		}
 		diskFaults := perm[down:budget]
+		var deleted, corrupted []int
 		for _, s := range diskFaults {
 			path := filepath.Join(dir, man.ShardName(s))
 			if rng.Intn(2) == 0 {
 				if err := os.Remove(path); err != nil {
 					t.Fatal(err)
 				}
+				deleted = append(deleted, s)
 				deletions++
 			} else {
 				b, err := os.ReadFile(path)
@@ -90,10 +98,25 @@ func TestChaosTripleSoak(t *testing.T) {
 				if err := os.WriteFile(path, b, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				corrupted = append(corrupted, s)
 				corruptions++
 			}
 		}
 		outages += down
+
+		// The shards the probe erases, and whether a corrupted one is among
+		// the first k the stream reads.
+		erased := append(slices.Clone(perm[:down]), deleted...)
+		if asV4 {
+			erased = append(erased, corrupted...)
+		}
+		wantDegraded := len(erased) > 0
+		for s, read := 0, 0; s < shards && read < k; s++ {
+			if !slices.Contains(erased, s) {
+				wantDegraded = wantDegraded || slices.Contains(corrupted, s)
+				read++
+			}
+		}
 
 		opts := func() Options {
 			return Options{
@@ -120,10 +143,21 @@ func TestChaosTripleSoak(t *testing.T) {
 		if !bytes.Equal(got, content) {
 			t.Fatalf("seed=%d: decode returned wrong bytes under %d failures", seed, budget)
 		}
-		if !rep.Degraded {
-			t.Errorf("seed=%d: %d injected failures but decode not reported degraded", seed, budget)
+		if rep.Degraded != wantDegraded {
+			t.Errorf("seed=%d (down %v, deleted %v, corrupted %v, v4 %v): decode degraded %v, want %v",
+				seed, perm[:down], deleted, corrupted, asV4, rep.Degraded, wantDegraded)
 		}
 		os.Remove(out.Name())
+
+		faulted := append(slices.Clone(deleted), corrupted...)
+		slices.Sort(faulted)
+		var deg *DegradedError
+		switch verr := Verify(manifestPath, Options{}); {
+		case len(faulted) == 0 && verr != nil:
+			t.Errorf("seed=%d: Verify before repair = %v, want nil", seed, verr)
+		case len(faulted) > 0 && (!errors.As(verr, &deg) || !slices.Equal(deg.Unusable(), faulted)):
+			t.Errorf("seed=%d: Verify before repair = %v, want a *DegradedError naming %v", seed, verr, faulted)
+		}
 
 		// Repair under the same schedule must rebuild every failed shard
 		// and write it back to its path; the set must then verify clean
